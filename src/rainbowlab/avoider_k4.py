@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .colouring import EdgeColouring
 from .errors import ParameterError, StructureUnsupported
 from .graph import Graph, components
@@ -194,32 +196,75 @@ def cross_table(left: Component, right: Component, palette) -> dict[tuple[int, i
     return out
 
 
+# vertex count of each supported kind; the order fixes the kind indices
+_KIND_VERTICES = {"K1": 1, "K2": 2, "P3": 3, "K13": 4, "P4": 4}
+_KIND_INDEX = {kind: i for i, kind in enumerate(_KIND_VERTICES)}
+
+
+def _block_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Palette size of the cross block of every kind pair, and the palette
+    offset of each cell (kind, kind, role, role) in it.  Read off
+    cross_palette_size and cross_table, so those stay the single source."""
+    k = len(_KIND_VERTICES)
+    sizes = np.zeros((k, k), dtype=np.int64)
+    offsets = np.zeros((k, k, 4, 4), dtype=np.int64)
+    for i, (kind_a, size_a) in enumerate(_KIND_VERTICES.items()):
+        a = Component(kind_a, tuple(range(size_a)))
+        for j, (kind_b, size_b) in enumerate(_KIND_VERTICES.items()):
+            b = Component(kind_b, tuple(range(4, 4 + size_b)))
+            sizes[i, j] = cross_palette_size(a, b)
+            for (x, y), offset in cross_table(a, b, range(sizes[i, j])).items():
+                offsets[i, j, x, y - 4] = offset
+    return sizes, offsets
+
+
+_BLOCK_SIZES, _BLOCK_OFFSETS = _block_tables()
+
+
+def _roles(comps: list[Component], n: int):
+    """Kind index of each component, and the component and role position
+    of each of the n (part-local) vertices."""
+    kind = np.array([_KIND_INDEX[c.kind] for c in comps], dtype=np.int64)
+    comp = np.empty(n, dtype=np.int64)
+    role = np.empty(n, dtype=np.int64)
+    for i, c in enumerate(comps):
+        comp[list(c.vertices)] = i
+        role[list(c.vertices)] = range(len(c.vertices))
+    return kind, comp, role
+
+
 def avoid_k4(instance: PerturbedInstance) -> EdgeColouring:
     """Total proper colouring of the instance with no rainbow K4.
 
     Raises StructureUnsupported when some perturbation component falls
     outside the five supported kinds (the construction's regime).
+
+    Each pair of opposite components owns the palette block that follows
+    the previous pair's, in (left component, right component) row-major
+    order from colour 4; a cross edge's colour is its block's start plus
+    its table offset.
     """
     g = instance.graph()
     off = instance.u_size
-    left = [
-        Component(c.kind, tuple(v for v in c.vertices))
-        for c in classify_components(instance.left)
-    ]
-    right = [
-        Component(c.kind, tuple(v + off for v in c.vertices))
-        for c in classify_components(instance.right)
-    ]
+    left = classify_components(instance.left)
+    right = classify_components(instance.right)
     psi = EdgeColouring(g)
-    for comp in left + right:
-        for (u, v), colour in colour_inside(comp).items():
-            psi.assign(u, v, colour)
-    next_free = 4
-    for a in left:
-        for b in right:
-            size = cross_palette_size(a, b)
-            palette = range(next_free, next_free + size)
-            next_free += size
-            for (u, w), colour in cross_table(a, b, palette).items():
-                psi.assign(u, w, colour)
+    inside = {}
+    for comp in left:
+        inside.update(colour_inside(comp))
+    for comp in right:
+        inside.update(colour_inside(
+            Component(comp.kind, tuple(v + off for v in comp.vertices))))
+    psi.assign_many(inside, inside.values())
+
+    kind_l, comp_l, role_l = _roles(left, off)
+    kind_r, comp_r, role_r = _roles(right, instance.w_size)
+    sizes = _BLOCK_SIZES[kind_l[:, None], kind_r[None, :]].ravel()
+    starts = (4 + np.cumsum(sizes) - sizes).reshape(len(left), len(right))
+    colours = starts[comp_l[:, None], comp_r[None, :]] + _BLOCK_OFFSETS[
+        kind_l[comp_l][:, None], kind_r[comp_r][None, :],
+        role_l[:, None], role_r[None, :]]
+    # row-major (left, right) order is the graph's order of its cross edges
+    cross = [e for e in g.edges if e[0] < off <= e[1]]
+    psi.assign_many(cross, colours.ravel().tolist())
     return psi

@@ -413,10 +413,7 @@ def avoid_k6(instance: PerturbedInstance) -> EdgeColouring:
                 psi.assign(x, w, c2)
                 psi.assign(y, z, c2)
 
-    for u, v in g.edges:
-        if psi.get(u, v) is None:
-            psi.assign(u, v, next_colour)
-            next_colour += 1
+    psi.fill_fresh(start=next_colour)
     return psi
 
 

@@ -38,6 +38,12 @@ class EdgeColouring:
     Tracks per-vertex colour multiplicities so properness queries and
     conflict checks are O(1) per incident colour, and hands out fresh
     colours monotonically.
+
+    `assign_many` and `fill_fresh` colour many edges in one call.  The
+    bulk contract: every input is validated before anything changes (a
+    rejected call leaves the colouring as it was), and the result is the
+    colouring that assigning the same pairs one at a time would give, with
+    the same colour ids.
     """
 
     __slots__ = ("graph", "_col", "_at", "next_colour")
@@ -71,6 +77,56 @@ class EdgeColouring:
         self._at[v][colour] += 1
         if colour >= self.next_colour:
             self.next_colour = colour + 1
+
+    def assign_many(self, edges, colours) -> None:
+        """Colour `edges[i]` with `colours[i]` for every i.
+
+        Each edge is a (u, v) tuple with u < v, an edge of the graph, not
+        yet coloured and listed once; each colour is an int >= 0.
+        """
+        edges = list(edges)
+        colours = list(colours)
+        if len(edges) != len(colours):
+            raise ParameterError(
+                f"{len(edges)} edges but {len(colours)} colours")
+        n, adj = self.graph.n, self.graph.adj
+        for u, v in edges:
+            if not (0 <= u < v < n and adj[u] >> v & 1):
+                raise ParameterError(
+                    f"({u},{v}) is not an edge (u < v) of the companion graph")
+        if colours and min(colours) < 0:
+            raise ParameterError(f"colour ids must be >= 0, got {min(colours)}")
+        new = dict(zip(edges, colours))
+        if len(new) != len(edges):
+            raise ParameterError("an edge is listed more than once")
+        if not self._col.keys().isdisjoint(new):
+            e = next(e for e in edges if e in self._col)
+            raise ParameterError(f"{e} is already coloured")
+        self._add(edges, colours)
+
+    def fill_fresh(self, start: int | None = None) -> None:
+        """Give every uncoloured edge its own fresh colour, consecutive from
+        `start` (default: next_colour, the lowest fresh one) in graph edge
+        order."""
+        first = self.next_colour if start is None else start
+        if first < self.next_colour:
+            raise ParameterError(
+                f"colour {first} may be in use; fresh colours start at {self.next_colour}")
+        col = self._col
+        todo = [e for e in self.graph.edges if e not in col]
+        self._add(todo, range(first, first + len(todo)))
+
+    def _add(self, edges, colours) -> None:
+        """Colour validated, distinct, uncoloured edges."""
+        self._col.update(zip(edges, colours))
+        at = self._at
+        for (u, v), c in zip(edges, colours):
+            d = at[u]
+            d[c] = d.get(c, 0) + 1
+            d = at[v]
+            d[c] = d.get(c, 0) + 1
+        if colours:
+            self.next_colour = max(self.next_colour, max(colours) + 1)
 
     def get(self, u: int, v: int):
         return self._col.get(self._key(u, v))

@@ -28,7 +28,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .errors import ParameterError
 
@@ -97,7 +97,18 @@ class Graph:
         self.n = n
         self.adj = tuple(adj)
         self.edges = tuple(norm)
-        self._edge_index = {e: i for i, e in enumerate(norm)}
+        self._edge_index = None
+
+    @classmethod
+    def _normalised(cls, n: int, adj, edges) -> "Graph":
+        """Graph from input that is already normalised: `edges` sorted,
+        duplicate-free (u, v) pairs with u < v, `adj` their bitsets."""
+        g = cls.__new__(cls)
+        g.n = n
+        g.adj = tuple(adj)
+        g.edges = tuple(edges)
+        g._edge_index = None
+        return g
 
     # -- basic queries ----------------------------------------------------
 
@@ -115,7 +126,10 @@ class Graph:
         return bits(self.adj[v])
 
     def edge_id(self, u: int, v: int) -> int:
-        return self._edge_index[(u, v) if u < v else (v, u)]
+        index = self._edge_index
+        if index is None:  # built on first use: only small graphs need ids
+            index = self._edge_index = {e: i for i, e in enumerate(self.edges)}
+        return index[(u, v) if u < v else (v, u)]
 
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
@@ -229,11 +243,25 @@ def star(k: int) -> Graph:
 
 
 def join(left: Graph, right: Graph) -> Graph:
-    off = left.n
-    edges = list(left.edges)
+    """Left keeps its ids, right is shifted by v(left), and every cross
+    edge is added.  Both parts are valid graphs, so the edges are emitted
+    already sorted (each left vertex's left edges, then its cross edges;
+    the shifted right edges last) and are not validated again."""
+    off, n = left.n, left.n + right.n
+    left_mask = (1 << off) - 1
+    right_mask = ((1 << n) - 1) ^ left_mask
+    adj = [row | right_mask for row in left.adj]
+    adj += [row << off | left_mask for row in right.adj]
+    left_runs: list[list[tuple[int, int]]] = [[] for _ in range(off)]
+    for e in left.edges:
+        left_runs[e[0]].append(e)
+    cross = range(off, n)
+    edges = []
+    for a in range(off):
+        edges += left_runs[a]
+        edges += zip(repeat(a), cross)
     edges += [(u + off, v + off) for u, v in right.edges]
-    edges += [(u, w + off) for u in range(left.n) for w in range(right.n)]
-    return Graph(left.n + right.n, edges)
+    return Graph._normalised(n, adj, edges)
 
 
 def hat_k(a: int, b: int) -> Graph:

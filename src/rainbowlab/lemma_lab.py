@@ -927,12 +927,17 @@ def _greedy_pool_colouring(psi: EdgeColouring, edge_keys, pool, reuse_p, rng):
         psi.assign_fresh(u, v)
 
 
+def _colour_cross_keys(psi: EdgeColouring, cross_keys) -> None:
+    """Unique cross colours on the high palette, in key order."""
+    base = _CROSS_PALETTE_BASE
+    psi.assign_many(cross_keys, range(base, base + len(cross_keys)))
+
+
 @lru_cache(maxsize=None)
 def _k6_cross_template() -> EdgeColouring:
     sc = rainbow_k6_scaffold()
     psi = EdgeColouring(sc.graph)
-    for i, k in enumerate(sc.cross_keys):
-        psi.assign(*k, _CROSS_PALETTE_BASE + i)
+    _colour_cross_keys(psi, sc.cross_keys)
     return psi
 
 
@@ -991,10 +996,9 @@ def _k7_template() -> EdgeColouring:
     with unique ids; trials overwrite a sparse subset of fan edges."""
     sc = rainbow_k7_scaffold()
     psi = EdgeColouring(sc.graph)
-    for i, k in enumerate(sc.cross_keys):
-        psi.assign(*k, _CROSS_PALETTE_BASE + i)
-    for k in sc.right_keys:
-        psi.assign_fresh(*k)
+    _colour_cross_keys(psi, sc.cross_keys)
+    first = psi.next_colour
+    psi.assign_many(sc.right_keys, range(first, first + len(sc.right_keys)))
     return psi
 
 

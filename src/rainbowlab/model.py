@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .graph import Graph
+from .graph import Graph, join
 
 __all__ = ["PerturbedInstance", "sample_gnp", "sample_perturbed", "rng_for_trial"]
 
@@ -109,19 +109,9 @@ class PerturbedInstance:
     def right_vertices(self) -> range:
         return range(self.left.n, self.n)
 
-    def seed_edges(self):
-        u = self.left.n
-        for a in range(u):
-            for b in range(u, self.n):
-                yield (a, b)
-
     def graph(self) -> Graph:
         if self._graph is None:
-            u = self.left.n
-            edges = list(self.seed_edges())
-            edges += list(self.left.edges)
-            edges += [(a + u, b + u) for a, b in self.right.edges]
-            self._graph = Graph(self.n, edges)
+            self._graph = join(self.left, self.right)
         return self._graph
 
 

@@ -830,9 +830,7 @@ def avoid_k8_perturbed(instance: PerturbedInstance) -> EdgeColouring:
     psi = EdgeColouring(g)
     for u, v in rg.edges:
         psi.assign(u, v, base.get(u, v))
-    for u, v in g.edges:
-        if psi.get(u, v) is None:
-            psi.assign_fresh(u, v)
+    psi.fill_fresh()
     return psi
 
 

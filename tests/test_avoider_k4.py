@@ -36,6 +36,31 @@ def two_component_instance(kind_a: str, kind_b: str) -> PerturbedInstance:
     )
 
 
+def reference_avoid_k4(instance: PerturbedInstance) -> EdgeColouring:
+    """The avoider as one cross_table call per component-pair block, with
+    palettes handed out block after block from colour 4."""
+    g = instance.graph()
+    off = instance.u_size
+    left = classify_components(instance.left)
+    right = [
+        Component(c.kind, tuple(v + off for v in c.vertices))
+        for c in classify_components(instance.right)
+    ]
+    psi = EdgeColouring(g)
+    for comp in left + right:
+        for (u, v), colour in colour_inside(comp).items():
+            psi.assign(u, v, colour)
+    next_free = 4
+    for a in left:
+        for b in right:
+            size = cross_palette_size(a, b)
+            palette = range(next_free, next_free + size)
+            next_free += size
+            for (u, w), colour in cross_table(a, b, palette).items():
+                psi.assign(u, w, colour)
+    return psi
+
+
 # -- classification ----------------------------------------------------------
 
 
@@ -137,9 +162,28 @@ def test_every_kind_pair_blocks_rainbow_k4(kind_a, kind_b):
     assert psi.is_total()
     assert is_proper(g, psi)
     assert rainbow_copies(g, psi, K4) == []
+    assert psi._col == reference_avoid_k4(inst)._col
 
 
 # -- full avoider ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n,c", [(9, 2.0), (40, 1.0), (120, 1.0), (201, 0.7)])
+def test_avoid_k4_matches_block_loop(n, c):
+    checked = 0
+    for trial in range(20):
+        if checked == 3:
+            break
+        inst = sample_perturbed(n, c / n, rng_for_trial(77 + n, trial))
+        try:
+            ref = reference_avoid_k4(inst)
+        except StructureUnsupported:
+            continue
+        psi = avoid_k4(inst)
+        assert sorted(psi._col.items()) == sorted(ref._col.items())
+        assert psi.next_colour == ref.next_colour
+        checked += 1
+    assert checked == 3
 
 
 def test_avoid_k4_no_random_edges():

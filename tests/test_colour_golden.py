@@ -1,0 +1,72 @@
+"""Pinned colour ids of the three perturbed-instance avoiders.
+
+`colouring_to_json` is what the CLI `colours` output and `results.json`
+are made of, so every avoider must keep handing out exactly the same
+colour ids.  The hashes were recorded before the bulk colouring paths
+existed.  The K4 instances hold all five component kinds; the K6 set has
+one instance with non-empty M0 x M2 blocks on both sides and sampled ones
+whose fresh colours start above an unused palette.
+"""
+
+import hashlib
+
+import pytest
+
+from rainbowlab.avoider_k4 import avoid_k4, classify_components
+from rainbowlab.avoider_k6 import avoid_k6
+from rainbowlab.colouring import colouring_to_json
+from rainbowlab.graph import Graph
+from rainbowlab.model import PerturbedInstance, rng_for_trial, sample_perturbed
+from rainbowlab.tiled_k8 import avoid_k8_perturbed
+
+WHEEL5 = [(0, i) for i in range(1, 6)] + [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]
+
+
+def digest(psi) -> str:
+    return hashlib.sha256(colouring_to_json(psi).encode()).hexdigest()
+
+
+def wheel_instance(n: int) -> PerturbedInstance:
+    """5-wheels on both sides (M2 edges) plus loose triangles (M0 edges)."""
+    u = n // 2
+    left = WHEEL5 + [(3, 6), (3, 7), (6, 7), (10, 11), (11, 12), (10, 12)]
+    right = WHEEL5 + [(7, 8), (8, 9), (7, 9), (12, 13)]
+    return PerturbedInstance(n, 0.0, Graph(u, left), Graph(n - u, right))
+
+
+@pytest.mark.parametrize("n,seed,expected", [
+    (120, 11, "c589584b28919ba54b73be26264a83e59365c62f16d81c42c38896491cb10850"),
+    (160, 17, "680cb21fb50b4ae48ed8098505da0ec31249d7aae255b90520ec4d811c006918"),
+    (200, 4, "0f04b93720f4d10b00d25feb44dd5c8f2ff00e901678fa81bc70676dee0f609a"),
+])
+def test_avoid_k4_colour_ids(n, seed, expected):
+    inst = sample_perturbed(n, 1 / n, rng_for_trial(seed, 0))
+    kinds = {c.kind for part in (inst.left, inst.right)
+             for c in classify_components(part)}
+    assert kinds == {"K1", "K2", "P3", "K13", "P4"}
+    assert digest(avoid_k4(inst)) == expected
+
+
+@pytest.mark.parametrize("n,seed,expected", [
+    (120, 0, "acd3d018e7678984d9744b188b5146fa77472b1e210d261bc8a11928add8d881"),
+    (160, 3, "d7e3869065140ea83e1cb718deb71323f0cd9bdcab4a39283dc3cac4ad0108e4"),
+])
+def test_avoid_k6_colour_ids_sampled(n, seed, expected):
+    inst = sample_perturbed(n, n ** -0.7, rng_for_trial(seed, 0))
+    assert digest(avoid_k6(inst)) == expected
+
+
+def test_avoid_k6_colour_ids_with_m0_m2_blocks():
+    psi = avoid_k6(wheel_instance(101))
+    assert digest(psi) == (
+        "67aa99b6cd60f5e0853a5e0cc99b2b7475fe3377f6f14fbccf8c719aba30865a")
+
+
+@pytest.mark.parametrize("n,seed,expected", [
+    (120, 0, "99a14cf4d78a62c427d267c34fd046fffdfd8329d452859b4d99a34a5f898072"),
+    (160, 1, "f72125b8227a8079645ee5e310954a3d2274ad24fb0f29be806601b3942f4624"),
+    (200, 2, "3368d2b5563755c91c1412f61ed0dedb338667874d8a8afb8a7570188f80bbf6"),
+])
+def test_avoid_k8_perturbed_colour_ids(n, seed, expected):
+    inst = sample_perturbed(n, n ** -0.45, rng_for_trial(seed, 0))
+    assert digest(avoid_k8_perturbed(inst)) == expected

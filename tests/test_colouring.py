@@ -89,6 +89,78 @@ def test_colouring_rejects_non_edges():
         EdgeColouring(K3, {(0, 1): -1})
 
 
+def _state(psi: EdgeColouring):
+    return (psi._col, [psi.colours_at(v) for v in range(psi.graph.n)],
+            psi.next_colour, psi._at)
+
+
+@given(st.integers(0, 10**6), st.integers(2, 12), st.floats(0.1, 1.0),
+       st.integers(0, 6))
+@settings(max_examples=80, deadline=None)
+def test_assign_many_matches_one_by_one(seed, n, density, pool):
+    """Bulk assignment, on top of a partial colouring and with colours
+    that may repeat, gives the colouring the one-by-one loop gives."""
+    rng = random.Random(seed)
+    g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+    edges = list(g.edges)
+    rng.shuffle(edges)
+    cut = rng.randrange(len(edges) + 1)
+    first = {e: rng.randrange(pool + 1) for e in edges[:cut]}
+    rest = edges[cut:]
+    colours = [rng.randrange(pool + 1) if pool else 10 + i for i, _ in enumerate(rest)]
+    bulk = EdgeColouring(g, first)
+    bulk.assign_many(rest, colours)
+    loop = EdgeColouring(g, first)
+    for (u, v), c in zip(rest, colours):
+        loop.assign(u, v, c)
+    assert _state(bulk) == _state(loop)
+    assert is_proper(g, bulk) == is_proper(g, loop)
+
+
+@given(st.integers(0, 10**6), st.integers(2, 12), st.floats(0.1, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_fill_fresh_matches_assign_fresh(seed, n, density):
+    rng = random.Random(seed)
+    g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+    first = {e: rng.randrange(4) for e in g.edges if rng.random() < 0.3}
+    bulk = EdgeColouring(g, first)
+    bulk.fill_fresh()
+    loop = EdgeColouring(g, first)
+    for u, v in g.edges:
+        if loop.get(u, v) is None:
+            loop.assign_fresh(u, v)
+    assert _state(bulk) == _state(loop)
+    assert bulk.is_total()
+
+
+def test_fill_fresh_start():
+    psi = EdgeColouring(path_graph(4), {(1, 2): 0})
+    psi.fill_fresh(start=3)
+    assert (psi.get(0, 1), psi.get(2, 3), psi.next_colour) == (3, 4, 5)
+    psi = EdgeColouring(path_graph(3), {(1, 2): 5})
+    with pytest.raises(ParameterError):
+        psi.fill_fresh(start=5)
+    assert _state(psi) == _state(EdgeColouring(path_graph(3), {(1, 2): 5}))
+
+
+@pytest.mark.parametrize("edges,colours", [
+    ([(0, 1), (0, 2)], [4, 5]),          # (0, 2) is not an edge
+    ([(0, 1), (2, 1)], [4, 5]),          # reversed pair
+    ([(0, 1), (0, 1)], [4, 5]),          # duplicate
+    ([(0, 1), (2, 3)], [4, 5]),          # (2, 3) is already coloured
+    ([(0, 1), (1, 2)], [4, -1]),         # negative colour
+    ([(0, 1), (1, 2)], [4]),             # length mismatch
+    ([(0, 1), (-1, 3)], [4, 5]),         # vertex out of range
+])
+def test_assign_many_rejects_without_change(edges, colours):
+    g = path_graph(4)
+    psi = EdgeColouring(g, {(2, 3): 2})
+    before = _state(EdgeColouring(g, {(2, 3): 2}))
+    with pytest.raises(ParameterError):
+        psi.assign_many(edges, colours)
+    assert _state(psi) == before
+
+
 def test_rainbow_copies_examples():
     psi = EdgeColouring(K3, {(0, 1): 0, (0, 2): 1, (1, 2): 2})
     assert rainbow_copies(K3, psi, K3) == [(0, 1, 2)]

@@ -5,11 +5,12 @@ by direct bipartition scans, copy counts by brute-force injections,
 automorphism counts by permutation filtering.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rainbowlab.canon import aut_order, canonical_form, is_isomorphic
@@ -38,6 +39,7 @@ from rainbowlab.graph import (
     star,
     t_graph,
 )
+from rainbowlab.model import rng_for_trial, sample_perturbed
 
 # -- oracles ---------------------------------------------------------------
 
@@ -133,6 +135,26 @@ def test_basic_constructors():
     du = disjoint_union([clique(3), path_graph(2)])
     assert (du.n, du.m) == (5, 4)
     assert len(components(du)) == 2
+
+
+@given(st.integers(2, 40), st.sampled_from([0.0, 0.2, 1.0]), st.integers(0, 10**6))
+@example(n=7, p=0.0, seed=0)
+@example(n=9, p=1.0, seed=0)
+@settings(max_examples=60, deadline=None)
+def test_perturbed_graph_matches_generic_constructor(n, p, seed):
+    inst = sample_perturbed(n, p, rng_for_trial(seed, 0))
+    u = inst.u_size
+    seed_edges = [(a, b) for a in range(u) for b in range(u, n)]
+    right = [(a + u, b + u) for a, b in inst.right.edges]
+    generic = Graph(n, seed_edges + list(inst.left.edges) + right)
+    g = inst.graph()
+    assert (g.n, g.m, g.edges, g.adj) == (generic.n, generic.m, generic.edges, generic.adj)
+    assert g == generic and hash(g) == hash(generic)
+    rng = random.Random(seed)
+    for e in rng.sample(generic.edges, min(20, generic.m)):
+        assert g.edge_id(*e) == generic.edge_id(*e) == generic.edges.index(e)
+        assert g.edge_id(e[1], e[0]) == g.edge_id(*e)
+    assert join(inst.left, inst.right) == g
 
 
 def test_constructor_validation():
