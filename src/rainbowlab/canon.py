@@ -127,71 +127,6 @@ def canonical_form(g: Graph) -> tuple:
     return (n, state["cert"])
 
 
-def _union_adj(g: Graph):
-    """Adjacency of the disjoint union g + g (copy two shifted by n)."""
-    n = g.n
-    out = []
-    for v in range(g.n):
-        out.append(g.adj[v])
-    for v in range(g.n):
-        out.append(g.adj[v] << n)
-    return out
-
-
-def _colour_iso_exists(g: Graph, src_colours, dst_colours) -> bool:
-    """Is there a colour-respecting automorphism of g mapping the colouring
-    src to the colouring dst?  Joint refinement on the disjoint union keeps
-    the colour ids of the two copies comparable."""
-    n = g.n
-    adj2 = _union_adj(g)
-    # tag copies apart only through their colourings, offset so that equal
-    # src/dst colours meet in the same class
-    base = [2 * c for c in src_colours] + [2 * c for c in dst_colours]
-    colours = _refine(adj2, base)
-
-    def split(colours):
-        cells = _cells(colours)
-        for c in sorted(cells):
-            cell = cells[c]
-            left = [v for v in cell if v < n]
-            right = [v for v in cell if v >= n]
-            if len(left) != len(right):
-                return None  # colour histograms differ: no iso
-            if len(left) > 1:
-                return c, left, right
-        return "discrete"
-
-    def rec(colours) -> bool:
-        res = split(colours)
-        if res is None:
-            return False
-        if res == "discrete":
-            # discrete matched partition: read the bijection and check edges
-            cells = _cells(colours)
-            mapping = {}
-            for cell in cells.values():
-                u = min(cell)
-                w = max(cell)
-                mapping[u] = w - n
-            for u, v in g.edges:
-                a, b = mapping[u], mapping[v]
-                if not (g.adj[a] >> b) & 1:
-                    return False
-            return True
-        _, left, right = res
-        u = left[0]
-        for w in right:
-            child = colours[:]
-            fresh = len(child)
-            child[u] = fresh
-            child[w] = fresh
-            if rec(_refine(adj2, child)):
-                return True
-        return False
-
-    return rec(colours)
-
-
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.m != h.m:
         return False
@@ -213,8 +148,10 @@ def _disjoint(g: Graph, h: Graph):
 
 
 def _colour_iso_exists_pair(adj2, n, src_colours, dst_colours) -> bool:
-    """As _colour_iso_exists but over a prebuilt union adjacency (the two
-    halves may come from different graphs)."""
+    """Is there a colour-respecting isomorphism from the first half of the
+    disjoint union adj2 (vertices 0..n-1, coloured src) onto the second
+    (vertices n..2n-1, coloured dst)?  Joint refinement on the union keeps
+    the colour ids of the two halves comparable."""
     base = [2 * c for c in src_colours] + [2 * c for c in dst_colours]
     colours = _refine(adj2, base)
 
@@ -278,6 +215,7 @@ def aut_order(g: Graph) -> int:
     if n <= 1:
         return 1
 
+    adj2 = _disjoint(g, g)
     order = 1
     pinned: list[int] = []
     while True:
@@ -301,7 +239,7 @@ def aut_order(g: Graph) -> int:
             tag = n + 1
             src[v0] = tag
             dst[w] = tag
-            if _colour_iso_exists(g, src, dst):
+            if _colour_iso_exists_pair(adj2, n, src, dst):
                 orbit += 1
         order *= orbit
         pinned.append(v0)

@@ -7,7 +7,8 @@ the emitted files byte for byte (manifests themselves carry timestamps and
 are not part of the byte-identity contract).
 
 Exit codes: 0 = pass, 1 = property violation found, 2 = out of regime /
-unsupported structure / undecided, 3 = usage error.
+unsupported structure / undecided, 3 = usage error, 4 = internal error (an
+unexpected exception; one line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .avoider_k4 import avoid_k4
-from .avoider_k6 import avoid_k6
+from .avoiders import AVOIDERS, validate
 from .colouring import decide_arrows, is_proper, rainbow_copies
 from .emergence import (
     MARGIN_LINEAR,
@@ -46,22 +46,14 @@ from .errors import (
 from .graph import Graph, clique, graph_from_json, graph_to_json, parse_graph_spec
 from .lemma_lab import LEMMA_NAMES, certify_lemma
 from .model import sample_perturbed
-from .tiled_k8 import avoid_k8_perturbed, colour_tiled, phi
-from .verification import (
-    _is_total,
-    _rainbow_violations,
-    _side_rainbow_k4_missing_red,
-    _certificate_covers,
-    _class_allows,
-    check_tiled_corpus,
-    results_to_json_dict,
-    run_all,
-)
+from .tiled_k8 import certificate_allowed, certificate_covers, colour_tiled, phi
+from .verification import check_tiled_corpus, results_to_json_dict, run_all
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_UNSUPPORTED = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 # -- manifests -------------------------------------------------------------------
@@ -162,6 +154,8 @@ def _load_graph(spec: str) -> Graph:
 
 
 def _default_threads(value) -> int:
+    """--threads, else RAINBOW_LAB_THREADS, else 1.  Both are validated and
+    passed on, but no command starts threads."""
     if value is not None:
         return value
     env = os.environ.get("RAINBOW_LAB_THREADS")
@@ -218,29 +212,15 @@ def _run_avoider(args, ell: int) -> int:
         rng = np.random.default_rng([args.seed, ell, trial])
         instance = sample_perturbed(n, p, rng)
         try:
-            if ell == 4:
-                psi = avoid_k4(instance)
-            elif ell == 6:
-                psi = avoid_k6(instance)
-            else:
-                psi = avoid_k8_perturbed(instance)
+            psi = AVOIDERS[ell](instance)
         except (StructureUnsupported, OutOfRegime, SearchExhausted) as exc:
             out_of_regime.append(f"trial {trial}: {type(exc).__name__}: {exc}")
             continue
-        g = instance.graph()
-        if not _is_total(g, psi) or not is_proper(g, psi):
-            violations.append(f"trial {trial}: colouring not total+proper")
-            continue
-        if ell == 8:
-            quad = _side_rainbow_k4_missing_red(instance, psi)
-            if quad is not None:
-                violations.append(f"trial {trial}: rainbow K4 without red at {quad}")
-                continue
-        rainbow = _rainbow_violations(instance, psi, ell)
-        if rainbow:
-            violations.append(f"trial {trial}: rainbow K{ell} at {rainbow[0]}")
-            continue
-        validated += 1
+        problem = validate(instance, psi, ell)
+        if problem:
+            violations.append(f"trial {trial}: {problem}")
+        else:
+            validated += 1
 
     result = {
         "pattern": f"K{ell}",
@@ -289,8 +269,8 @@ def _cmd_tiled(args) -> int:
     f = phi(g)
     psi, cert = colour_tiled(g)
     quads = rainbow_copies(g, psi, clique(4))
-    sound = _certificate_covers(cert, quads)
-    class_ok = _class_allows(cert, f)
+    sound = certificate_covers(cert, quads)
+    class_ok = certificate_allowed(cert, f)
     payload = {
         "phi": f,
         "certificate": {
@@ -417,6 +397,9 @@ def _cmd_verify_all(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+_THREADS_HELP = "accepted for compatibility; trials run on one thread"
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ParameterError(message)
@@ -486,13 +469,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", nargs="+", required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help=_THREADS_HELP)
     p.add_argument("--emit")
 
     p = add("verify-all", _cmd_verify_all, "run the acceptance suite")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--budget", choices=("quick", "full"), default="quick")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help=_THREADS_HELP)
     p.add_argument("--emit", help="directory for results.json and the manifest")
 
     return parser
@@ -514,6 +497,10 @@ def main(argv=None) -> int:
     except SearchExhausted as exc:
         print(f"undecided within budget: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except Exception as exc:
+        message = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ Four groups of tools:
   of a graph: deficiency bound, pairwise overlaps, and the tree shape of
   the meet graph of the dense parts.
 * ``threshold_scan`` -- a deterministic Monte Carlo driver producing CSV
-  rows of success rates with Wilson confidence intervals.
+  rows of success rates with Wilson confidence intervals; an avoider
+  trial succeeds only when ``avoiders.validate`` accepts its colouring.
 
 The G(n,p) and perturbed-instance samplers live in ``rainbowlab.model``
 and are re-exported here for convenience.
@@ -24,7 +25,6 @@ import math
 import re
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,19 +32,18 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .avoider_k4 import avoid_k4
-from .avoider_k6 import avoid_k6
+from .avoiders import AVOIDERS, validate
 from .canon import aut_order
-from .colouring import decide_arrows, is_proper
+from .colouring import decide_arrows
 from .errors import (
     OutOfRegime,
     ParameterError,
     SearchExhausted,
     StructureUnsupported,
 )
-from .graph import Graph, _edge_counts_all_subsets, bits, clique
+from .graph import Graph, bits, clique, edge_counts_all_subsets
 from .model import PerturbedInstance, rng_for_trial, sample_gnp, sample_perturbed
-from .tiled_k8 import avoid_k8_perturbed, k4_components, phi
+from .tiled_k8 import k4_components, phi
 
 __all__ = [
     "JansonEstimate",
@@ -134,7 +133,7 @@ def _overlap_injection_counts(h: Graph) -> tuple[tuple[int, int, int], ...]:
 
 
 def _max_edges_by_subset_size(h: Graph) -> list[int]:
-    e = _edge_counts_all_subsets(h)
+    e = edge_counts_all_subsets(h)
     best = [0] * (h.n + 1)
     for mask in range(1 << h.n):
         k = mask.bit_count()
@@ -253,7 +252,7 @@ class DensityMarginReport:
 
 def _density_exhaustive(h: Graph, a: int, b: int):
     """Minimize b*v(S) - a*e(S) over subsets with e(S) >= 1, exactly."""
-    e = _edge_counts_all_subsets(h)
+    e = edge_counts_all_subsets(h)
     best = None
     best_mask = 0
     for mask in range(1, 1 << h.n):
@@ -669,7 +668,7 @@ class ScanConfig:
     trials: int
     mode: str
     seed: int
-    threads: int = 1
+    threads: int = 1  # accepted and validated; starts no threads
 
     def __post_init__(self):
         if self.mode not in SCAN_MODES:
@@ -717,18 +716,6 @@ def scan_rows_to_csv(rows, deterministic: bool = False) -> str:
     return "\n".join(out) + "\n"
 
 
-def _avoider_for(ell: int):
-    if ell in (4, 5):
-        return avoid_k4
-    if ell in (6, 7):
-        return avoid_k6
-    return avoid_k8_perturbed
-
-
-def _colouring_total(g: Graph, psi) -> bool:
-    return all(psi.get(u, v) is not None for u, v in g.edges)
-
-
 def _scan_trial(config: ScanConfig, n: int, p: float, rng) -> bool:
     if config.mode == "containment-rate":
         g = sample_gnp(n, p, rng)
@@ -736,11 +723,10 @@ def _scan_trial(config: ScanConfig, n: int, p: float, rng) -> bool:
     if config.mode == "avoider-success-rate":
         instance = sample_perturbed(n, p, rng)
         try:
-            psi = _avoider_for(config.ell)(instance)
+            psi = AVOIDERS[config.ell](instance)
         except (OutOfRegime, StructureUnsupported, SearchExhausted):
             return False
-        g = instance.graph()
-        return _colouring_total(g, psi) and is_proper(g, psi)
+        return validate(instance, psi, config.ell) is None
     instance = sample_perturbed(n, p, rng)
     try:
         verdict = decide_arrows(instance.graph(), clique(config.ell))
@@ -753,25 +739,18 @@ def threshold_scan(config: ScanConfig) -> list[ScanRow]:
     """Run the configured Monte Carlo scan over the (n, p) grid.
 
     Each trial draws its random stream from (seed, n index, p index,
-    trial index), so results do not depend on execution order or the
-    thread count.
+    trial index), so results do not depend on execution order.  Trials run
+    in order on the calling thread; ``config.threads`` starts no threads.
     """
     rows = []
     for ni, n in enumerate(config.n_values):
         for pi, spec in enumerate(config.p_specs):
             p = parse_probability(spec, n)
             start = time.perf_counter()
-
-            def one(trial: int, _n=n, _p=p, _ni=ni, _pi=pi) -> bool:
-                rng = np.random.default_rng([config.seed, _ni, _pi, trial])
-                return _scan_trial(config, _n, _p, rng)
-
-            if config.threads > 1:
-                with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                    outcomes = list(pool.map(one, range(config.trials)))
-            else:
-                outcomes = [one(t) for t in range(config.trials)]
-            successes = sum(outcomes)
+            successes = sum(
+                _scan_trial(config, n, p, np.random.default_rng([config.seed, ni, pi, t]))
+                for t in range(config.trials)
+            )
             elapsed = (time.perf_counter() - start) * 1000.0
             low, high = wilson_interval(successes, config.trials)
             rows.append(

@@ -52,6 +52,7 @@ __all__ = [
     "count_copies",
     "common_neighbourhood",
     "densities",
+    "edge_counts_all_subsets",
     "components",
     "bits",
     "graph_to_json",
@@ -565,7 +566,7 @@ def components(g: Graph) -> list[tuple[Graph, list[int]]]:
 _DENSITY_CAP = 20
 
 
-def _edge_counts_all_subsets(g: Graph) -> list[int]:
+def edge_counts_all_subsets(g: Graph) -> list[int]:
     """e[mask] = induced edge count, for every vertex subset mask."""
     n = g.n
     e = [0] * (1 << n)
@@ -592,7 +593,7 @@ def densities(h: Graph, want_bip2: bool = True) -> DensityReport:
         raise ParameterError("densities of the empty graph are undefined")
     if h.n > _DENSITY_CAP:
         raise ParameterError(f"density scan capped at {_DENSITY_CAP} vertices, got {h.n}")
-    e = _edge_counts_all_subsets(h)
+    e = edge_counts_all_subsets(h)
     m1 = Fraction(0)
     m2: Fraction | None = None
     for mask in range(1, 1 << h.n):

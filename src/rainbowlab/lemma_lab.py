@@ -1079,41 +1079,17 @@ class LemmaTrialReport:
         return out
 
 
-def _run_k4(inst, psi):
-    return extract_rainbow_k4(inst, psi)
-
-
-def _run_k5(inst, psi):
-    return extract_rainbow_k5(inst, psi)
-
-
-def _run_pair(inst, psi):
-    return disjoint_colour_triangles(inst, psi)
-
-
-def _run_k6(inst, psi):
-    return extract_rainbow_k6(inst, psi)
-
-
-def _run_surviving(inst, matchings):
-    return surviving_triangle(inst, matchings)
-
-
-def _run_k7(inst, psi):
-    return extract_rainbow_k7(inst, psi)
-
-
 _LEMMAS = {
-    "extract-rainbow-k4": (rainbow_k4_scaffold, sample_rainbow_k4_colouring, _run_k4),
-    "extract-rainbow-k5": (rainbow_k5_scaffold, sample_rainbow_k5_colouring, _run_k5),
+    "extract-rainbow-k4": (rainbow_k4_scaffold, sample_rainbow_k4_colouring, extract_rainbow_k4),
+    "extract-rainbow-k5": (rainbow_k5_scaffold, sample_rainbow_k5_colouring, extract_rainbow_k5),
     "disjoint-colour-triangles": (
         triangle_pair_instance,
         sample_triangle_pair_colouring,
-        _run_pair,
+        disjoint_colour_triangles,
     ),
-    "extract-rainbow-k6": (rainbow_k6_scaffold, sample_rainbow_k6_colouring, _run_k6),
-    "surviving-triangle": (spoked_fan_instance, sample_fan_matchings, _run_surviving),
-    "extract-rainbow-k7": (rainbow_k7_scaffold, sample_rainbow_k7_colouring, _run_k7),
+    "extract-rainbow-k6": (rainbow_k6_scaffold, sample_rainbow_k6_colouring, extract_rainbow_k6),
+    "surviving-triangle": (spoked_fan_instance, sample_fan_matchings, surviving_triangle),
+    "extract-rainbow-k7": (rainbow_k7_scaffold, sample_rainbow_k7_colouring, extract_rainbow_k7),
 }
 
 LEMMA_NAMES = tuple(_LEMMAS)

@@ -26,7 +26,7 @@ from itertools import combinations
 
 from .colouring import EdgeColouring, is_proper
 from .errors import OutOfRegime, ParameterError, SearchExhausted, StructureUnsupported
-from .graph import Graph, bits
+from .graph import Graph, bits, disjoint_union
 from .model import PerturbedInstance
 
 __all__ = [
@@ -46,7 +46,8 @@ __all__ = [
     "colour_component_tree",
     "avoid_k8",
     "avoid_k8_perturbed",
-    "find_rainbow_k8",
+    "certificate_allowed",
+    "certificate_covers",
 ]
 
 RED = 0
@@ -153,6 +154,22 @@ class CoverCertificate:
     @property
     def rank(self) -> int:
         return self.RANK[self.kind]
+
+
+def certificate_covers(cert: CoverCertificate, quads) -> bool:
+    """Does cert cover every K4 vertex set in quads?  The independent check
+    of ``cover_certificate``'s output against a direct rainbow-K4 scan."""
+    if cert.kind == "no-rainbow":
+        return not quads
+    if cert.kind == "triangle":
+        t = set(cert.triangle)
+        return all(t <= set(q) for q in quads)
+    matching = cert.matching or ()
+    if len(matching) > 3:
+        return False
+    return all(
+        any(u in q and v in q for u, v in matching) for q in quads
+    )
 
 
 @dataclass
@@ -577,7 +594,8 @@ def cover_certificate(h: Graph, psi: EdgeColouring) -> CoverCertificate | None:
     return None
 
 
-def _certificate_allowed(cert: CoverCertificate | None, f: int) -> bool:
+def certificate_allowed(cert: CoverCertificate | None, f: int) -> bool:
+    """Is cert of a kind the deficiency class phi = f admits?"""
     if cert is None:
         return False
     if f <= 2:
@@ -632,7 +650,7 @@ def colour_tiled(h: Graph, node_budget: int = _SEQUENCE_BUDGET):
             if psi.get(u, v) is None:
                 psi.assign_fresh(u, v)
         cert = cover_certificate(h, psi)
-        if _certificate_allowed(cert, f):
+        if certificate_allowed(cert, f):
             return psi, cert
     raise SearchExhausted(
         f"no replay variant achieved the phi = {f} certificate class")
@@ -821,10 +839,7 @@ def avoid_k8_perturbed(instance: PerturbedInstance) -> EdgeColouring:
     out because its five rainbow K4s would need two red matching edges, and
     a 4+4 split repeats red across the two side-K4s.
     """
-    off = instance.u_size
-    inside = list(instance.left.edges) + [
-        (u + off, v + off) for u, v in instance.right.edges]
-    rg = Graph(instance.n, sorted(inside))
+    rg = disjoint_union((instance.left, instance.right))
     base = avoid_k8(rg)
     g = instance.graph()
     psi = EdgeColouring(g)
@@ -832,33 +847,3 @@ def avoid_k8_perturbed(instance: PerturbedInstance) -> EdgeColouring:
         psi.assign(u, v, base.get(u, v))
     psi.fill_fresh()
     return psi
-
-
-def find_rainbow_k8(instance: PerturbedInstance, psi: EdgeColouring):
-    """An 8-vertex set inducing a rainbow K8 in the perturbed graph, or None.
-
-    Only 4+4 splits can occur when neither random half contains K5, and any
-    K8 needs a K4 inside each part, so scanning pairs of per-side rainbow
-    K4s is exhaustive.
-    """
-    off = instance.u_size
-
-    def side_rainbow(part, shift):
-        out = []
-        for quad in part.cliques(4):
-            lifted = tuple(v + shift for v in quad)
-            cols = {psi.get(*e) for e in _pairs(lifted)}
-            if None not in cols and len(cols) == 6:
-                out.append(lifted)
-        return out
-
-    left = side_rainbow(instance.left, 0)
-    right = side_rainbow(instance.right, off)
-    for qa in left:
-        for qb in right:
-            cols = [psi.get(*e) for e in _pairs(qa)]
-            cols += [psi.get(*e) for e in _pairs(qb)]
-            cols += [psi.get(a, b) for a in qa for b in qb]
-            if len(set(cols)) == 28:
-                return tuple(sorted(qa + qb))
-    return None

@@ -2,25 +2,31 @@
 
 Each acceptance criterion is a callable producing a :class:`CheckResult`;
 ``run_all`` composes them.  Results carry no timestamps or timings, so the
-JSON rendering of a run is a pure function of (seed, budget) regardless of
-thread count.
+JSON rendering of a run is a pure function of (seed, budget).  Trials run
+in order on the calling thread; the ``threads`` parameters are accepted
+for compatibility and start no threads.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
 from .avoider_k4 import avoid_k4
 from .avoider_k6 import avoid_k6, find_matchings, triangle_union, verify_quadruple
-from .colouring import EdgeColouring, decide_arrows, is_proper, rainbow_copies
-from .emergence import MARGIN_LINEAR, MARGIN_UNIT, density_condition, janson_bound
+from .avoiders import perturbed_cliques, validate  # noqa: F401 (re-exported)
+from .colouring import decide_arrows, is_proper, rainbow_copies
+from .emergence import (
+    MARGIN_LINEAR,
+    MARGIN_UNIT,
+    density_condition,
+    janson_bound,
+    verify_structure,
+)
 from .errors import (
     OutOfRegime,
     ParameterError,
@@ -28,10 +34,10 @@ from .errors import (
     StructureUnsupported,
 )
 from .graph import (
-    Graph,
     clique,
     components,
     densities,
+    disjoint_union,
     hat_k,
     k_delta,
     r7,
@@ -39,16 +45,16 @@ from .graph import (
     t_graph,
 )
 from .lemma_lab import LEMMA_NAMES, certify_lemma
-from .model import PerturbedInstance, sample_perturbed
+from .model import sample_perturbed
 from .tiled_k8 import (
-    RED,
     avoid_k8_perturbed,
+    certificate_allowed,
+    certificate_covers,
     colour_tiled,
     find_stretched_sequence,
     phi,
     random_tiled_graph,
 )
-from .emergence import verify_structure
 
 BUDGETS = ("quick", "full")
 
@@ -81,73 +87,14 @@ def _require_budget(budget: str) -> None:
         raise ParameterError(f"budget must be one of {BUDGETS}, got {budget!r}")
 
 
-def _is_total(g: Graph, psi: EdgeColouring) -> bool:
-    return all(psi.get(u, v) is not None for u, v in g.edges)
-
-
-def _map_trials(fn, n_trials: int, threads: int) -> list:
-    """Apply fn to 0..n_trials-1, in order, optionally on a thread pool.
-
-    Per-trial work derives its randomness from the trial index alone, so
-    the reduced list is identical for every thread count.
-    """
-    if threads <= 1:
-        return [fn(t) for t in range(n_trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_trials)))
-
-
-# -- clique enumeration in perturbed instances ---------------------------------
-
-
-def _side_cliques(part: Graph, k: int, shift: int) -> list[tuple[int, ...]]:
-    if k == 0:
-        return [()]
-    if k == 1:
-        return [(v + shift,) for v in range(part.n)]
-    return [tuple(v + shift for v in c) for c in part.cliques(k)]
-
-
-def perturbed_cliques(instance: PerturbedInstance, r: int) -> list[tuple[int, ...]]:
-    """Every r-clique of the perturbed graph.
-
-    The seed is complete bipartite, so an r-set is a clique exactly when
-    its intersection with each side is a clique of that side's random
-    graph; enumerating side-clique pairs is exhaustive.
-    """
-    off = instance.u_size
-    out = []
-    for k in range(r + 1):
-        left = _side_cliques(instance.left, k, 0)
-        if not left:
-            continue
-        for right in _side_cliques(instance.right, r - k, off):
-            if not right and r - k > 0:
-                continue
-            for a in left:
-                out.append(a + right)
-    return out
-
-
-def _rainbow_violations(instance, psi, r: int) -> list[tuple[int, ...]]:
-    found = []
-    for vs in perturbed_cliques(instance, r):
-        cols = [psi.get(u, v) for u, v in combinations(vs, 2)]
-        if None not in cols and len(set(cols)) == len(cols):
-            found.append(vs)
-    return found
-
-
-def _side_rainbow_k4_missing_red(instance, psi):
-    """A rainbow K4 inside one random half that avoids RED, or None."""
-    off = instance.u_size
-    for part, shift in ((instance.left, 0), (instance.right, off)):
-        for quad in part.cliques(4):
-            vs = tuple(v + shift for v in quad)
-            cols = [psi.get(u, v) for u, v in combinations(vs, 2)]
-            if None not in cols and len(set(cols)) == 6 and RED not in cols:
-                return vs
-    return None
+def _run_trials(one, work) -> tuple[int, int, list[str]]:
+    """Apply ``one`` to each work tuple, in order.  It returns ("ok", ""),
+    ("skip", "") for an input declined by design, or ("bad", message);
+    the result is (ok count, skip count, the bad messages)."""
+    results = [one(*args) for args in work]
+    ok = sum(1 for kind, _ in results if kind == "ok")
+    skipped = sum(1 for kind, _ in results if kind == "skip")
+    return ok, skipped, [msg for kind, msg in results if kind == "bad"]
 
 
 # -- criterion 1: decide_arrows certificate suite -------------------------------
@@ -175,7 +122,7 @@ def check_certificates(budget: str = "quick") -> CheckResult:
             rainbow = rainbow_copies(g, w, clique(4))
             good = (
                 is_proper(g, w)
-                and _is_total(g, w)
+                and w.is_total()
                 and len(w.colours_used()) == 5
                 and not rainbow
             )
@@ -195,44 +142,28 @@ def check_certificates(budget: str = "quick") -> CheckResult:
 
 
 def check_avoid_k4(seed: int, budget: str = "quick", threads: int = 1) -> CheckResult:
+    """K4 avoider sweep; ``threads`` is accepted and starts no threads."""
     ns = (50, 100, 200, 400)
     cs = (0.3, 0.7)
     per_cell = 63 if budget == "full" else 6
     _require_budget(budget)
 
-    cells = [(ni, ci) for ni in range(len(ns)) for ci in range(len(cs))]
-    classified = 0
-    unclassified = 0
-    violations: list[str] = []
-
-    def one(args):
-        ni, ci, trial = args
+    def one(ni, ci, trial):
         n, c = ns[ni], cs[ci]
         rng = np.random.default_rng([seed, 2, ni, ci, trial])
         instance = sample_perturbed(n, c * n ** -1.25, rng)
         try:
             psi = avoid_k4(instance)
-        except (StructureUnsupported, OutOfRegime, SearchExhausted) as exc:
-            return ("skip", f"n={n} c={c} trial={trial}: {type(exc).__name__}")
-        g = instance.graph()
-        if not _is_total(g, psi):
-            return ("bad", f"n={n} c={c} trial={trial}: colouring not total")
-        if not is_proper(g, psi):
-            return ("bad", f"n={n} c={c} trial={trial}: colouring not proper")
-        rainbow = _rainbow_violations(instance, psi, 4)
-        if rainbow:
-            return ("bad", f"n={n} c={c} trial={trial}: rainbow K4 at {rainbow[0]}")
+        except (StructureUnsupported, OutOfRegime, SearchExhausted):
+            return ("skip", "")
+        problem = validate(instance, psi, 4)
+        if problem:
+            return ("bad", f"n={n} c={c} trial={trial}: {problem}")
         return ("ok", "")
 
-    work = [(ni, ci, t) for ni, ci in cells for t in range(per_cell)]
-    results = _map_trials(lambda i: one(work[i]), len(work), threads)
-    for kind, msg in results:
-        if kind == "ok":
-            classified += 1
-        elif kind == "skip":
-            unclassified += 1
-        else:
-            violations.append(msg)
+    work = [(ni, ci, t) for ni in range(len(ns)) for ci in range(len(cs))
+            for t in range(per_cell)]
+    classified, unclassified, violations = _run_trials(one, work)
 
     total = len(work)
     rate = classified / total
@@ -255,16 +186,15 @@ def check_avoid_k4(seed: int, budget: str = "quick", threads: int = 1) -> CheckR
 
 
 def check_avoid_k6(seed: int, budget: str = "quick", threads: int = 1) -> CheckResult:
+    """K6 avoider sweep; ``threads`` is accepted and starts no threads."""
     ns = (100, 200, 300)
     per_cell = 100 if budget == "full" else 4
     _require_budget(budget)
 
-    def one(args):
-        ni, trial = args
+    def one(ni, trial):
         n = ns[ni]
         rng = np.random.default_rng([seed, 3, ni, trial])
         instance = sample_perturbed(n, n ** -0.7, rng)
-        off = instance.u_size
         try:
             for part in (instance.left, instance.right):
                 tu = triangle_union(part)
@@ -275,33 +205,27 @@ def check_avoid_k6(seed: int, budget: str = "quick", threads: int = 1) -> CheckR
                     if not verify_quadruple(sub.triangles(), quad):
                         return ("bad", f"n={n} trial={trial}: quadruple fails direct scan")
             psi = avoid_k6(instance)
-        except (StructureUnsupported, OutOfRegime, SearchExhausted) as exc:
-            return ("skip", f"n={n} trial={trial}: {type(exc).__name__}")
-        g = instance.graph()
-        if not _is_total(g, psi) or not is_proper(g, psi):
-            return ("bad", f"n={n} trial={trial}: colouring not total+proper")
-        rainbow = _rainbow_violations(instance, psi, 6)
-        if rainbow:
-            return ("bad", f"n={n} trial={trial}: rainbow K6 at {rainbow[0]}")
+        except (StructureUnsupported, OutOfRegime, SearchExhausted):
+            return ("skip", "")
+        problem = validate(instance, psi, 6)
+        if problem:
+            return ("bad", f"n={n} trial={trial}: {problem}")
         return ("ok", "")
 
     work = [(ni, t) for ni in range(len(ns)) for t in range(per_cell)]
-    results = _map_trials(lambda i: one(work[i]), len(work), threads)
-    ok = sum(1 for kind, _ in results if kind == "ok")
-    skipped = [msg for kind, msg in results if kind == "skip"]
-    violations = [msg for kind, msg in results if kind == "bad"]
+    ok, skipped, violations = _run_trials(one, work)
 
     passed = not violations
     summary = (
         f"{ok}/{len(work)} validated (matchings scan + proper + zero rainbow K6), "
-        f"{len(skipped)} out-of-regime"
+        f"{skipped} out-of-regime"
         if passed
         else f"violations: {violations[:3]}"
     )
     details = {
         "instances": len(work),
         "validated": ok,
-        "out_of_regime": len(skipped),
+        "out_of_regime": skipped,
         "violations": violations[:10],
     }
     return CheckResult("avoid-k6-sweep", passed, summary, details)
@@ -310,29 +234,8 @@ def check_avoid_k6(seed: int, budget: str = "quick", threads: int = 1) -> CheckR
 # -- criterion 4: K4-tiled corpus ------------------------------------------------
 
 
-def _certificate_covers(cert, quads) -> bool:
-    if cert.kind == "no-rainbow":
-        return not quads
-    if cert.kind == "triangle":
-        t = set(cert.triangle)
-        return all(t <= set(q) for q in quads)
-    matching = cert.matching or ()
-    if len(matching) > 3:
-        return False
-    return all(
-        any(u in q and v in q for u, v in matching) for q in quads
-    )
-
-
-def _class_allows(cert, f: int) -> bool:
-    if f <= 2:
-        return cert.kind == "no-rainbow"
-    if f <= 5:
-        return cert.rank <= 1
-    return cert.rank <= 2
-
-
 def check_tiled_corpus(seed: int, budget: str = "quick", threads: int = 1) -> CheckResult:
+    """K4-tiled corpus audit; ``threads`` is accepted and starts no threads."""
     corpus_size = 10_000 if budget == "full" else 1_000
     resolve_size = 500 if budget == "full" else 75
     _require_budget(budget)
@@ -351,12 +254,12 @@ def check_tiled_corpus(seed: int, budget: str = "quick", threads: int = 1) -> Ch
             psi, cert = colour_tiled(g)
         except (OutOfRegime, SearchExhausted) as exc:
             return [f"graph {index}: colour_tiled raised {type(exc).__name__}"]
-        if not _is_total(g, psi) or not is_proper(g, psi):
+        if not psi.is_total() or not is_proper(g, psi):
             problems.append(f"graph {index}: colouring not total+proper")
-        if not _class_allows(cert, f):
+        if not certificate_allowed(cert, f):
             problems.append(f"graph {index}: certificate {cert.kind} not allowed for phi={f}")
         quads = rainbow_copies(g, psi, clique(4))
-        if not _certificate_covers(cert, quads):
+        if not certificate_covers(cert, quads):
             problems.append(f"graph {index}: certificate {cert.kind} unsound")
         if index < resolve_size:
             try:
@@ -372,9 +275,7 @@ def check_tiled_corpus(seed: int, budget: str = "quick", threads: int = 1) -> Ch
                     )
         return problems
 
-    all_problems: list[str] = []
-    for chunk in _map_trials(one, corpus_size, threads):
-        all_problems.extend(chunk)
+    all_problems = [msg for index in range(corpus_size) for msg in one(index)]
 
     passed = not all_problems
     summary = (
@@ -395,25 +296,20 @@ def check_tiled_corpus(seed: int, budget: str = "quick", threads: int = 1) -> Ch
 
 
 def check_avoid_k8(seed: int, budget: str = "quick", threads: int = 1) -> CheckResult:
+    """K8 avoider sweep; ``threads`` is accepted and starts no threads."""
     ns = (80, 120)
     per_cell = 100 if budget == "full" else 8
     _require_budget(budget)
 
-    def one(args):
-        ni, trial = args
+    def one(ni, trial):
         n = ns[ni]
         rng = np.random.default_rng([seed, 5, ni, trial])
         instance = sample_perturbed(n, n ** -0.45, rng)
-        off = instance.u_size
-        inside = list(instance.left.edges) + [
-            (u + off, v + off) for u, v in instance.right.edges
-        ]
-        random_part = Graph(instance.n, sorted(inside))
-        audit = verify_structure(random_part)
+        audit = verify_structure(disjoint_union((instance.left, instance.right)))
         try:
             psi = avoid_k8_perturbed(instance)
-        except (StructureUnsupported, OutOfRegime) as exc:
-            return ("regime", f"n={n} trial={trial}: {type(exc).__name__}: {exc}")
+        except (StructureUnsupported, OutOfRegime):
+            return ("skip", "")
         except SearchExhausted as exc:
             return ("bad", f"n={n} trial={trial}: SearchExhausted: {exc}")
         if not audit.ok:
@@ -422,25 +318,16 @@ def check_avoid_k8(seed: int, budget: str = "quick", threads: int = 1) -> CheckR
                 f"n={n} trial={trial}: colouring produced despite structural "
                 f"violation {audit.violations[0].claim}",
             )
-        g = instance.graph()
-        if not _is_total(g, psi) or not is_proper(g, psi):
-            return ("bad", f"n={n} trial={trial}: colouring not total+proper")
-        quad = _side_rainbow_k4_missing_red(instance, psi)
-        if quad is not None:
-            return ("bad", f"n={n} trial={trial}: rainbow K4 without red at {quad}")
-        rainbow = _rainbow_violations(instance, psi, 8)
-        if rainbow:
-            return ("bad", f"n={n} trial={trial}: rainbow K8 at {rainbow[0]}")
+        problem = validate(instance, psi, 8)
+        if problem:
+            return ("bad", f"n={n} trial={trial}: {problem}")
         return ("ok", "")
 
     work = [(ni, t) for ni in range(len(ns)) for t in range(per_cell)]
-    results = _map_trials(lambda i: one(work[i]), len(work), threads)
-    ok = sum(1 for kind, _ in results if kind == "ok")
-    regime = [msg for kind, msg in results if kind == "regime"]
-    violations = [msg for kind, msg in results if kind == "bad"]
+    ok, regime, violations = _run_trials(one, work)
 
     total = len(work)
-    regime_rate = len(regime) / total
+    regime_rate = regime / total
     passed = not violations and regime_rate < 0.05
     summary = (
         f"{ok}/{total} validated (structure + proper + red cover + zero rainbow K8), "
@@ -451,7 +338,7 @@ def check_avoid_k8(seed: int, budget: str = "quick", threads: int = 1) -> CheckR
     details = {
         "instances": total,
         "validated": ok,
-        "out_of_regime": len(regime),
+        "out_of_regime": regime,
         "out_of_regime_rate": round(regime_rate, 4),
         "violations": violations[:10],
     }
@@ -552,7 +439,8 @@ def run_all(
     threads: int = 1,
     archive_dir=None,
 ) -> list[CheckResult]:
-    """Run every acceptance criterion; deterministic w.r.t. (seed, budget)."""
+    """Run every acceptance criterion; deterministic w.r.t. (seed, budget).
+    ``threads`` is accepted and starts no threads."""
     _require_budget(budget)
     return [
         check_certificates(budget),

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from rainbowlab.avoiders import AVOIDERS
 from rainbowlab.cli import main
+from rainbowlab.colouring import EdgeColouring
 
 
 def run(capsys, *argv):
@@ -67,6 +69,19 @@ class TestUsageErrors:
     def test_non_tiled_graph(self, capsys):
         rc, _, err = run(capsys, "tiled", "--graph", "P3")
         assert rc == 3
+
+
+# -- internal errors -> exit 4 ------------------------------------------------
+
+
+def test_unexpected_exception_exits_4(capsys, monkeypatch):
+    def broken(instance):
+        raise RuntimeError("avoider fell over\nsecond line")
+
+    monkeypatch.setitem(AVOIDERS, 4, broken)
+    rc, _, err = run(capsys, "avoid-k4", "--n", "20", "--p", "0.01")
+    assert rc == 4
+    assert err == "internal error: RuntimeError: avoider fell over second line\n"
 
 
 # -- construct ----------------------------------------------------------------
@@ -162,6 +177,17 @@ class TestAvoiders:
                          "--seed", "1", "--trials", "1")
         assert rc == 0
         assert json.loads(out)["validated"] == 1
+
+    def test_rainbow_colouring_is_a_violation(self, capsys, monkeypatch):
+        def rainbow_everywhere(instance):
+            psi = EdgeColouring(instance.graph())
+            psi.fill_fresh()
+            return psi
+
+        monkeypatch.setitem(AVOIDERS, 4, rainbow_everywhere)
+        rc, out, _ = run(capsys, "avoid-k4", "--n", "8", "--p", "1.0")
+        assert rc == 1
+        assert json.loads(out)["violations"] == ["trial 0: rainbow K4 at (4, 5, 6, 7)"]
 
     def test_avoid_k8(self, capsys):
         rc, out, _ = run(capsys, "avoid-k8", "--n", "80", "--p", "n^-9/20",

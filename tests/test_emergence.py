@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 import scipy.stats
 from scipy.stats import binomtest
 
+from rainbowlab.avoiders import AVOIDERS
+from rainbowlab.colouring import EdgeColouring
 from rainbowlab.emergence import (
     CSV_HEADER,
     MARGIN_LINEAR,
@@ -584,6 +586,21 @@ class TestThresholdScan:
         )
         (row,) = threshold_scan(cfg)
         assert row.successes >= 15
+
+    def test_avoider_mode_counts_only_validated_colourings(self, monkeypatch):
+        # A total, proper colouring with a rainbow K4 is not a success.
+        def rainbow_everywhere(instance):
+            psi = EdgeColouring(instance.graph())
+            psi.fill_fresh()
+            return psi
+
+        monkeypatch.setitem(AVOIDERS, 4, rainbow_everywhere)
+        cfg = ScanConfig(
+            ell=4, n_values=(12,), p_specs=(1.0,), trials=3,
+            mode="avoider-success-rate", seed=1,
+        )
+        (row,) = threshold_scan(cfg)
+        assert row.successes == 0
 
     def test_avoider_mode_k6(self):
         cfg = ScanConfig(

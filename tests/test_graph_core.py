@@ -316,3 +316,44 @@ def test_petersen_aut_order():
     spokes = [(i, 5 + i) for i in range(5)]
     petersen = Graph(10, outer + inner + spokes)
     assert aut_order(petersen) == 120
+
+
+@st.composite
+def small_graphs(draw, max_n=8):
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+def _nx(g: Graph):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+@given(small_graphs())
+@settings(max_examples=150, deadline=None)
+def test_aut_order_matches_networkx(g):
+    nx = pytest.importorskip("networkx")
+    h = _nx(g)
+    expected = sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+    assert aut_order(g) == expected
+
+
+@given(small_graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_is_isomorphic_matches_networkx(g, data):
+    # h is a relabelled g, sometimes with one edge moved to a non-edge, so
+    # both answers occur with equal vertex and edge counts.
+    nx = pytest.importorskip("networkx")
+    perm = data.draw(st.permutations(list(range(g.n))))
+    edges = {tuple(sorted((perm[u], perm[v]))) for u, v in g.edges}
+    non_edges = sorted(set(combinations(range(g.n), 2)) - edges)
+    if edges and non_edges and data.draw(st.booleans()):
+        edges.remove(data.draw(st.sampled_from(sorted(edges))))
+        edges.add(data.draw(st.sampled_from(non_edges)))
+    h = Graph(g.n, sorted(edges))
+    assert is_isomorphic(g, h) == nx.is_isomorphic(_nx(g), _nx(h))

@@ -12,6 +12,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from rainbowlab.avoiders import validate
 from rainbowlab.colouring import EdgeColouring, is_proper
 from rainbowlab.errors import OutOfRegime, ParameterError, StructureUnsupported
 from rainbowlab.graph import Graph
@@ -21,10 +22,11 @@ from rainbowlab.tiled_k8 import (
     CoverCertificate,
     avoid_k8,
     avoid_k8_perturbed,
+    certificate_allowed,
+    certificate_covers,
     colour_component_tree,
     colour_tiled,
     cover_certificate,
-    find_rainbow_k8,
     find_stretched_sequence,
     is_k4_tiled,
     k4_components,
@@ -402,6 +404,22 @@ def test_cover_certificate_uncoverable():
     assert cover_certificate(g, psi) is None
 
 
+def test_certificate_checks():
+    tri = CoverCertificate("triangle", triangle=(0, 1, 2))
+    match = CoverCertificate("matching", matching=((0, 1), (4, 5)))
+    assert certificate_covers(CoverCertificate("no-rainbow"), [])
+    assert not certificate_covers(CoverCertificate("no-rainbow"), [(0, 1, 2, 3)])
+    assert certificate_covers(tri, [(0, 1, 2, 3), (0, 1, 2, 5)])
+    assert not certificate_covers(tri, [(0, 1, 3, 4)])
+    assert certificate_covers(match, [(0, 1, 2, 3), (4, 5, 6, 7)])
+    assert not certificate_covers(match, [(0, 2, 4, 6)])
+    too_big = CoverCertificate("matching", matching=((0, 1), (2, 3), (4, 5), (6, 7)))
+    assert not certificate_covers(too_big, [(0, 1, 2, 3)])
+    assert [certificate_allowed(tri, f) for f in (2, 3, 5, 6, 7)] == [False] + [True] * 4
+    assert [certificate_allowed(match, f) for f in (5, 6, 7)] == [False, True, True]
+    assert not certificate_allowed(None, 7)
+
+
 # -- colour_tiled -------------------------------------------------------------
 
 
@@ -600,7 +618,7 @@ def test_avoid_k8_perturbed_brute_force():
     g = inst.graph()
     assert psi.is_total()
     assert is_proper(g, psi)
-    assert find_rainbow_k8(inst, psi) is None
+    assert validate(inst, psi, 8) is None
     for sub in combinations(range(16), 8):
         es = pairs(sub)
         if all(g.has_edge(*e) for e in es):
@@ -615,14 +633,18 @@ def test_avoid_k8_perturbed_sampled():
         psi = avoid_k8_perturbed(inst)
         assert psi.is_total()
         assert is_proper(inst.graph(), psi)
-        assert find_rainbow_k8(inst, psi) is None
+        assert validate(inst, psi, 8) is None
 
 
-def test_find_rainbow_k8_detects_one():
+def test_validate_detects_planted_rainbow_k8():
     inst = PerturbedInstance(n=8, p=0.0,
                              left=complete_graph(4), right=complete_graph(4))
     g = inst.graph()
     psi = EdgeColouring(g)
     for u, v in g.edges:
         psi.assign_fresh(u, v)
-    assert find_rainbow_k8(inst, psi) == (0, 1, 2, 3, 4, 5, 6, 7)
+    assert len({psi.get(*e) for e in pairs(range(8))}) == 28
+    # Edge (0, 1) took colour 0 = RED, so the left K4 passes the red-cover
+    # check and the right one, a side of the rainbow K8, fails it.
+    assert psi.get(0, 1) == RED
+    assert validate(inst, psi, 8) == "rainbow K4 without red at (4, 5, 6, 7)"
