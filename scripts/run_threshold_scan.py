@@ -24,8 +24,6 @@ def main() -> int:
                         help='probabilities or "c*n^-a/b" expressions')
     parser.add_argument("--trials", type=int, default=50)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; trials run on one thread")
     parser.add_argument("--out", help="write the CSV (with timings zeroed) here")
     args = parser.parse_args()
 
@@ -36,7 +34,6 @@ def main() -> int:
         trials=args.trials,
         mode=args.mode,
         seed=args.seed,
-        threads=args.threads,
     )
     rows = threshold_scan(config)
     sys.stdout.write(scan_rows_to_csv(rows, deterministic=False))

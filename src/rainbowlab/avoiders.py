@@ -78,6 +78,9 @@ def validate(instance: PerturbedInstance, psi: EdgeColouring, ell: int) -> str |
                 cols = _colours(psi, vs)
                 if len(set(cols)) == 6 and RED not in cols:
                     return f"rainbow K4 without red at {vs}"
+    # For ell = 8 this scan is a backstop: every K8 of the perturbed graph
+    # has four vertices in one half, so a rainbow K8 holds a side rainbow
+    # K4 without RED and the red-cover check above has already returned.
     pairs = ell * (ell - 1) // 2
     for vs in perturbed_cliques(instance, ell):
         if len(set(_colours(psi, vs))) == pairs:

@@ -88,13 +88,13 @@ def _require_budget(budget: str) -> None:
 
 
 def _run_trials(one, work) -> tuple[int, int, list[str]]:
-    """Apply ``one`` to each work tuple, in order.  It returns ("ok", ""),
-    ("skip", "") for an input declined by design, or ("bad", message);
-    the result is (ok count, skip count, the bad messages)."""
+    """Apply ``one`` to each work tuple, in order.  It returns "ok",
+    "skip" for an input declined by design, or a violation message; the
+    result is (ok count, skip count, the violation messages)."""
     results = [one(*args) for args in work]
-    ok = sum(1 for kind, _ in results if kind == "ok")
-    skipped = sum(1 for kind, _ in results if kind == "skip")
-    return ok, skipped, [msg for kind, msg in results if kind == "bad"]
+    ok = results.count("ok")
+    skipped = results.count("skip")
+    return ok, skipped, [msg for msg in results if msg not in ("ok", "skip")]
 
 
 # -- criterion 1: decide_arrows certificate suite -------------------------------
@@ -155,11 +155,11 @@ def check_avoid_k4(seed: int, budget: str = "quick", threads: int = 1) -> CheckR
         try:
             psi = avoid_k4(instance)
         except (StructureUnsupported, OutOfRegime, SearchExhausted):
-            return ("skip", "")
+            return "skip"
         problem = validate(instance, psi, 4)
         if problem:
-            return ("bad", f"n={n} c={c} trial={trial}: {problem}")
-        return ("ok", "")
+            return f"n={n} c={c} trial={trial}: {problem}"
+        return "ok"
 
     work = [(ni, ci, t) for ni in range(len(ns)) for ci in range(len(cs))
             for t in range(per_cell)]
@@ -203,14 +203,14 @@ def check_avoid_k6(seed: int, budget: str = "quick", threads: int = 1) -> CheckR
                         continue
                     quad = find_matchings(sub)
                     if not verify_quadruple(sub.triangles(), quad):
-                        return ("bad", f"n={n} trial={trial}: quadruple fails direct scan")
+                        return f"n={n} trial={trial}: quadruple fails direct scan"
             psi = avoid_k6(instance)
         except (StructureUnsupported, OutOfRegime, SearchExhausted):
-            return ("skip", "")
+            return "skip"
         problem = validate(instance, psi, 6)
         if problem:
-            return ("bad", f"n={n} trial={trial}: {problem}")
-        return ("ok", "")
+            return f"n={n} trial={trial}: {problem}"
+        return "ok"
 
     work = [(ni, t) for ni in range(len(ns)) for t in range(per_cell)]
     ok, skipped, violations = _run_trials(one, work)
@@ -309,19 +309,18 @@ def check_avoid_k8(seed: int, budget: str = "quick", threads: int = 1) -> CheckR
         try:
             psi = avoid_k8_perturbed(instance)
         except (StructureUnsupported, OutOfRegime):
-            return ("skip", "")
+            return "skip"
         except SearchExhausted as exc:
-            return ("bad", f"n={n} trial={trial}: SearchExhausted: {exc}")
+            return f"n={n} trial={trial}: SearchExhausted: {exc}"
         if not audit.ok:
             return (
-                "bad",
                 f"n={n} trial={trial}: colouring produced despite structural "
-                f"violation {audit.violations[0].claim}",
+                f"violation {audit.violations[0].claim}"
             )
         problem = validate(instance, psi, 8)
         if problem:
-            return ("bad", f"n={n} trial={trial}: {problem}")
-        return ("ok", "")
+            return f"n={n} trial={trial}: {problem}"
+        return "ok"
 
     work = [(ni, t) for ni in range(len(ns)) for t in range(per_cell)]
     ok, regime, violations = _run_trials(one, work)

@@ -14,7 +14,7 @@ from rainbowlab.avoider_k6 import avoid_k6
 from rainbowlab.avoiders import AVOIDERS, perturbed_cliques, validate
 from rainbowlab.colouring import EdgeColouring
 from rainbowlab.errors import ParameterError
-from rainbowlab.graph import Graph, clique, empty_graph
+from rainbowlab.graph import Graph, clique, disjoint_union, empty_graph
 from rainbowlab.model import PerturbedInstance, rng_for_trial, sample_perturbed
 from rainbowlab.tiled_k8 import RED, avoid_k8_perturbed
 
@@ -68,6 +68,19 @@ def test_all_fresh_rainbow_k4():
     psi = fresh_colouring(inst.graph())
     assert validate(inst, psi, 4) == "rainbow K4 at (0, 1, 2, 3)"
     assert validate(inst, psi, 5) is None  # no K5 in a 4-vertex graph
+
+
+def test_all_fresh_rainbow_k6():
+    inst = PerturbedInstance(n=6, p=0.0, left=clique(3), right=clique(3))
+    psi = fresh_colouring(inst.graph())
+    assert validate(inst, psi, 6) == "rainbow K6 at (0, 1, 2, 3, 4, 5)"
+
+
+def test_all_fresh_rainbow_k7():
+    right = disjoint_union((clique(3), empty_graph(1)))  # a K3 and vertex 7
+    inst = PerturbedInstance(n=8, p=0.0, left=clique(4), right=right)
+    psi = fresh_colouring(inst.graph())
+    assert validate(inst, psi, 7) == "rainbow K7 at (0, 1, 2, 3, 4, 5, 6)"
 
 
 def test_side_rainbow_k4_without_red():
