@@ -30,6 +30,7 @@ from .colouring import decide_arrows, is_proper, rainbow_copies
 from .emergence import (
     MARGIN_LINEAR,
     MARGIN_UNIT,
+    SCAN_MODES,
     ScanConfig,
     density_condition,
     janson_bound,
@@ -154,19 +155,21 @@ def _load_graph(spec: str) -> Graph:
 
 
 def _default_threads(value) -> int:
-    """--threads, else RAINBOW_LAB_THREADS, else 1.  Both are validated and
-    passed on, but no command starts threads."""
-    if value is not None:
-        return value
-    env = os.environ.get("RAINBOW_LAB_THREADS")
-    if env:
+    """--threads, else RAINBOW_LAB_THREADS, else 1; a value below 1 is a
+    usage error.  The value is passed on, but no command starts threads."""
+    source = "--threads"
+    if value is None:
+        source = "RAINBOW_LAB_THREADS"
+        env = os.environ.get(source)
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            value = int(env)
         except ValueError as exc:
-            raise ParameterError(
-                f"RAINBOW_LAB_THREADS must be an integer, got {env!r}"
-            ) from exc
-    return 1
+            raise ParameterError(f"{source} must be an integer, got {env!r}") from exc
+    if value < 1:
+        raise ParameterError(f"{source} must be >= 1, got {value}")
+    return value
 
 
 # -- subcommand handlers -----------------------------------------------------------
@@ -462,8 +465,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--emit")
 
     p = add("scan", _cmd_scan, "Monte Carlo threshold sweep over an (n, p) grid")
-    p.add_argument("--mode", required=True,
-                   choices=("avoider-success-rate", "containment-rate", "decider-on-tiny"))
+    p.add_argument("--mode", required=True, choices=SCAN_MODES)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--n", type=int, nargs="+", required=True)
     p.add_argument("--p", nargs="+", required=True)

@@ -10,8 +10,10 @@ wildcards that never clash.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .errors import ParameterError
 from .graph import Graph, common_neighbourhood, enumerate_copies
@@ -32,12 +34,24 @@ __all__ = [
 ]
 
 
+# Colour ids must fit int64: find_properness_clash sorts them with numpy.
+_MAX_COLOUR = 2**63 - 1
+
+
+def _check_colour_range(lo: int, hi: int) -> None:
+    if lo < 0:
+        raise ParameterError(f"colour ids must be >= 0, got {lo}")
+    if hi > _MAX_COLOUR:
+        raise ParameterError(f"colour ids must be <= 2**63 - 1, got {hi}")
+
+
 class EdgeColouring:
     """Partial edge colouring of a fixed graph.
 
-    Tracks per-vertex colour multiplicities so properness queries and
-    conflict checks are O(1) per incident colour, and hands out fresh
-    colours monotonically.
+    The edge -> colour map is the only store.  Per-vertex facts
+    (`colours_at`, `would_clash`) walk the vertex's neighbours, so they cost
+    O(degree); `find_properness_clash` checks the whole colouring in one
+    numpy pass.  Fresh colours are handed out monotonically.
 
     `assign_many` and `fill_fresh` colour many edges in one call.  The
     bulk contract: every input is validated before anything changes (a
@@ -46,12 +60,11 @@ class EdgeColouring:
     the same colour ids.
     """
 
-    __slots__ = ("graph", "_col", "_at", "next_colour")
+    __slots__ = ("graph", "_col", "next_colour")
 
     def __init__(self, graph: Graph, colours=None):
         self.graph = graph
         self._col: dict[tuple[int, int], int] = {}
-        self._at = [Counter() for _ in range(graph.n)]
         self.next_colour = 0
         if colours:
             items = colours.items() if isinstance(colours, dict) else colours
@@ -65,16 +78,8 @@ class EdgeColouring:
         return (u, v) if u < v else (v, u)
 
     def assign(self, u: int, v: int, colour: int) -> None:
-        if colour < 0:
-            raise ParameterError(f"colour ids must be >= 0, got {colour}")
-        key = self._key(u, v)
-        old = self._col.get(key)
-        if old is not None:
-            self._at[u][old] -= 1
-            self._at[v][old] -= 1
-        self._col[key] = colour
-        self._at[u][colour] += 1
-        self._at[v][colour] += 1
+        _check_colour_range(colour, colour)
+        self._col[self._key(u, v)] = colour
         if colour >= self.next_colour:
             self.next_colour = colour + 1
 
@@ -82,7 +87,8 @@ class EdgeColouring:
         """Colour `edges[i]` with `colours[i]` for every i.
 
         Each edge is a (u, v) tuple with u < v, an edge of the graph, not
-        yet coloured and listed once; each colour is an int >= 0.
+        yet coloured and listed once; each colour is an int in
+        [0, 2**63 - 1].
         """
         edges = list(edges)
         colours = list(colours)
@@ -94,8 +100,8 @@ class EdgeColouring:
             if not (0 <= u < v < n and adj[u] >> v & 1):
                 raise ParameterError(
                     f"({u},{v}) is not an edge (u < v) of the companion graph")
-        if colours and min(colours) < 0:
-            raise ParameterError(f"colour ids must be >= 0, got {min(colours)}")
+        if colours:
+            _check_colour_range(min(colours), max(colours))
         new = dict(zip(edges, colours))
         if len(new) != len(edges):
             raise ParameterError("an edge is listed more than once")
@@ -114,17 +120,13 @@ class EdgeColouring:
                 f"colour {first} may be in use; fresh colours start at {self.next_colour}")
         col = self._col
         todo = [e for e in self.graph.edges if e not in col]
+        if todo:
+            _check_colour_range(first, first + len(todo) - 1)
         self._add(todo, range(first, first + len(todo)))
 
     def _add(self, edges, colours) -> None:
         """Colour validated, distinct, uncoloured edges."""
         self._col.update(zip(edges, colours))
-        at = self._at
-        for (u, v), c in zip(edges, colours):
-            d = at[u]
-            d[c] = d.get(c, 0) + 1
-            d = at[v]
-            d[c] = d.get(c, 0) + 1
         if colours:
             self.next_colour = max(self.next_colour, max(colours) + 1)
 
@@ -158,23 +160,23 @@ class EdgeColouring:
         return out
 
     def would_clash(self, u: int, v: int, colour: int) -> bool:
-        """Would assigning `colour` to uv break properness?"""
-        key = self._key(u, v)
-        cu = self._at[u][colour]
-        cv = self._at[v][colour]
-        if self._col.get(key) == colour:
-            cu -= 1
-            cv -= 1
-        return cu > 0 or cv > 0
+        """Would assigning `colour` to uv break properness?  O(degree)."""
+        self._key(u, v)  # rejects a non-edge
+        col = self._col
+        for a, b in ((u, v), (v, u)):
+            for w in self.graph.neighbours(a):
+                if w != b and col.get((a, w) if a < w else (w, a)) == colour:
+                    return True
+        return False
 
     def colours_at(self, v: int) -> set[int]:
-        return {c for c, k in self._at[v].items() if k > 0}
+        """Colours on the coloured edges at v.  O(degree)."""
+        return self.colour_set((v, w) for w in self.graph.neighbours(v))
 
     def copy(self) -> "EdgeColouring":
         out = EdgeColouring.__new__(EdgeColouring)
         out.graph = self.graph
         out._col = dict(self._col)
-        out._at = [Counter(c) for c in self._at]
         out.next_colour = self.next_colour
         return out
 
@@ -197,33 +199,37 @@ class ArrowsVerdict:
 
 
 def is_proper(g: Graph, psi: EdgeColouring) -> bool:
-    if psi.graph is not g and psi.graph != g:
-        raise ParameterError("colouring belongs to a different graph")
-    for v in range(g.n):
-        if any(k > 1 for k in psi._at[v].values()):
-            return False
-    return True
+    return find_properness_clash(g, psi) is None
 
 
 def find_properness_clash(g: Graph, psi: EdgeColouring):
-    """First properness violation as (vertex, colour, offending edges).
+    """Lowest properness violation as (vertex, colour, offending edges).
 
-    Returns None when psi is proper; otherwise the offending edges are
-    the >= 2 edges at `vertex` that share `colour`.
+    Returns None when psi is proper; otherwise `vertex` is the lowest
+    vertex where two edges share a colour, `colour` the lowest such colour
+    there, and the offending edges are the >= 2 edges at `vertex` with it.
     """
     if psi.graph is not g and psi.graph != g:
         raise ParameterError("colouring belongs to a different graph")
-    for v in range(g.n):
-        at = psi._at[v]
-        if at and max(at.values()) > 1:
-            c = next(c for c, k in at.items() if k > 1)
-            edges = tuple(
-                (min(v, u), max(v, u))
-                for u in g.neighbours(v)
-                if psi.get(v, u) == c
-            )
-            return v, c, edges
-    return None
+    col = psi._col
+    m = len(col)
+    # One row per (endpoint, colour) incidence; sorted, a clash is two
+    # equal neighbouring rows.
+    ends = np.fromiter(chain.from_iterable(col), dtype=np.int64, count=2 * m)
+    cols = np.fromiter(col.values(), dtype=np.int64, count=m).repeat(2)
+    order = np.lexsort((cols, ends))
+    ends, cols = ends[order], cols[order]
+    same = (ends[1:] == ends[:-1]) & (cols[1:] == cols[:-1])
+    if not same.any():
+        return None
+    i = int(same.argmax())
+    v, c = int(ends[i]), int(cols[i])
+    edges = tuple(
+        (min(v, u), max(v, u))
+        for u in g.neighbours(v)
+        if psi.get(v, u) == c
+    )
+    return v, c, edges
 
 
 def rainbow_copies(g: Graph, psi: EdgeColouring, h: Graph) -> list[tuple[int, ...]]:

@@ -41,7 +41,7 @@ from .errors import (
     SearchExhausted,
     StructureUnsupported,
 )
-from .graph import Graph, bits, clique, edge_counts_all_subsets
+from .graph import DisjointSets, Graph, bits, clique, edge_counts_all_subsets
 from .model import PerturbedInstance, rng_for_trial, sample_gnp, sample_perturbed
 from .tiled_k8 import k4_components, phi
 
@@ -548,20 +548,12 @@ def verify_structure(g: Graph) -> StructureAudit:
                 )
             )
 
-    parent = {i: i for i in dense}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    sets = DisjointSets(dense)
     forest = True
     for i, j in combinations(dense, 2):
         if not (vertex_sets[i] & vertex_sets[j]):
             continue
-        ri, rj = find(i), find(j)
-        if ri == rj:
+        if not sets.union(i, j):
             forest = False
             violations.append(
                 StructureViolation(
@@ -570,8 +562,6 @@ def verify_structure(g: Graph) -> StructureAudit:
                     parts=(i, j),
                 )
             )
-        else:
-            parent[rj] = ri
 
     tree_like = forest and not any(
         v.claim == "dense-parts-share-at-most-one-vertex" for v in violations

@@ -54,6 +54,7 @@ __all__ = [
     "densities",
     "edge_counts_all_subsets",
     "components",
+    "DisjointSets",
     "bits",
     "graph_to_json",
     "graph_from_json",
@@ -157,15 +158,6 @@ class Graph:
             if self.has_edge(u, v)
         ]
         return Graph(len(vs), sub_edges), vs
-
-    def induced_mask_edge_count(self, mask: int) -> int:
-        total = 0
-        for v in bits(mask):
-            total += (self.adj[v] & mask).bit_count()
-        return total // 2
-
-    def with_edges(self, extra) -> "Graph":
-        return Graph(self.n, list(self.edges) + list(extra))
 
     def triangles(self) -> list[tuple[int, int, int]]:
         """All triangles as sorted vertex triples."""
@@ -559,6 +551,35 @@ def components(g: Graph) -> list[tuple[Graph, list[int]]]:
         seen |= comp
         out.append(g.subgraph(bits(comp)))
     return out
+
+
+class DisjointSets:
+    """Union-find over the given items, with path halving."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b) -> bool:
+        """Hang b's root under a's; False when a and b were already joined."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True
+
+    def groups(self) -> dict:
+        """Root -> members; roots and members in item order."""
+        out: dict = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), []).append(x)
+        return out
 
 
 # -- densities -------------------------------------------------------------

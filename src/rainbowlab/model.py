@@ -97,18 +97,6 @@ class PerturbedInstance:
     def w_size(self) -> int:
         return self.right.n
 
-    def left_to_global(self, i: int) -> int:
-        return i
-
-    def right_to_global(self, j: int) -> int:
-        return self.left.n + j
-
-    def left_vertices(self) -> range:
-        return range(self.left.n)
-
-    def right_vertices(self) -> range:
-        return range(self.left.n, self.n)
-
     def graph(self) -> Graph:
         if self._graph is None:
             self._graph = join(self.left, self.right)

@@ -26,7 +26,7 @@ from itertools import combinations
 
 from .colouring import EdgeColouring, is_proper
 from .errors import OutOfRegime, ParameterError, SearchExhausted, StructureUnsupported
-from .graph import Graph, bits, disjoint_union
+from .graph import DisjointSets, Graph, bits, disjoint_union
 from .model import PerturbedInstance
 
 __all__ = [
@@ -194,29 +194,15 @@ def k4_components(g: Graph):
     sharing edges, so components are pairwise edge-disjoint.
     """
     quads = g.cliques(4)
-    parent = list(range(len(quads)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
+    sets = DisjointSets(range(len(quads)))
     owner: dict = {}
     for i, q in enumerate(quads):
         for e in _pairs(q):
             if e in owner:
-                union(owner[e], i)
+                sets.union(owner[e], i)
             else:
                 owner[e] = i
-    groups: dict = {}
-    for i in range(len(quads)):
-        groups.setdefault(find(i), []).append(i)
+    groups = sets.groups()
 
     comps = []
     covered = set()
@@ -470,7 +456,17 @@ def partial_colouring(seq: GeneratingSequence, *, avoid=frozenset(),
 
     current: set = set(_pairs(seq.base_vertices))
 
-    def saturating(tri) -> set:
+    def colours_by_vertex() -> list[set]:
+        """Colours at each vertex; every coloured edge is in `current`."""
+        at = [set() for _ in range(g.n)]
+        for a, b in current:
+            col = psi.get(a, b)
+            if col is not None:
+                at[a].add(col)
+                at[b].add(col)
+        return at
+
+    def saturating(tri, at) -> set:
         cols = set()
         for a, b in _pairs(tri):
             if (a, b) not in current:
@@ -479,15 +475,16 @@ def partial_colouring(seq: GeneratingSequence, *, avoid=frozenset(),
             if col is None:
                 continue
             third = next(v for v in tri if v not in (a, b))
-            if col in psi.colours_at(third):
+            if col in at[third]:
                 cols.add(col)
         return cols
 
     def check_saturation():
         nonlocal sat_ok
         cg = Graph(g.n, sorted(current))
+        at = colours_by_vertex()
         for tri in cg.triangles():
-            if len(saturating(tri)) > vertex_steps[tri] + 1:
+            if len(saturating(tri, at)) > vertex_steps[tri] + 1:
                 sat_ok = False
 
     base = tuple(sorted(seq.base_vertices))
@@ -557,7 +554,8 @@ def partial_colouring(seq: GeneratingSequence, *, avoid=frozenset(),
                     psi.assign(*zw, colour)
         check_saturation()
 
-    saturation = {tri: len(saturating(tri)) for tri in g.triangles()}
+    at = colours_by_vertex()
+    saturation = {tri: len(saturating(tri, at)) for tri in g.triangles()}
     return PartialColouringState(psi, saturation, problematic,
                                  dict(vertex_steps), sat_ok)
 
@@ -779,20 +777,11 @@ def avoid_k8(r: Graph) -> EdgeColouring:
                 offending=tuple(sorted(common)))
 
     # group phi >= 3 components meeting at vertices
-    group_of = {i: i for i in high}
-
-    def find(i):
-        while group_of[i] != i:
-            group_of[i] = group_of[group_of[i]]
-            i = group_of[i]
-        return i
-
+    sets = DisjointSets(high)
     for a, b in combinations(high, 2):
         if set(parts[a][1]) & set(parts[b][1]):
-            group_of[find(b)] = find(a)
-    groups: dict = {}
-    for i in high:
-        groups.setdefault(find(i), []).append(i)
+            sets.union(a, b)
+    groups = sets.groups()
 
     psi = EdgeColouring(r)
     next_colour = 1
@@ -810,7 +799,7 @@ def avoid_k8(r: Graph) -> EdgeColouring:
             psi.assign(u, v, remap[col])
 
     for i in range(len(parts)):
-        if i in group_of:
+        if i in high:
             continue
         sub, back = parts[i]
         local_psi, cert = colour_tiled(sub)

@@ -66,6 +66,23 @@ class TestUsageErrors:
         assert rc == 3
         assert "RAINBOW_LAB_THREADS" in err
 
+    @pytest.mark.parametrize("command", [
+        ("scan", "--mode", "containment-rate", "--ell", "4", "--n", "10",
+         "--p", "0.5", "--trials", "2"),
+        ("verify-all", "--seed", "1"),
+    ])
+    @pytest.mark.parametrize("flag,env", [
+        ("0", None), ("-5", None), (None, "0"), (None, "-3"),
+    ])
+    def test_threads_below_one(self, capsys, monkeypatch, command, flag, env):
+        if env is not None:
+            monkeypatch.setenv("RAINBOW_LAB_THREADS", env)
+        extra = ("--threads", flag) if flag is not None else ()
+        rc, _, err = run(capsys, *command, *extra)
+        assert rc == 3
+        assert ("--threads" if flag else "RAINBOW_LAB_THREADS") in err
+        assert "must be >= 1" in err
+
     def test_non_tiled_graph(self, capsys):
         rc, _, err = run(capsys, "tiled", "--graph", "P3")
         assert rc == 3

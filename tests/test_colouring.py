@@ -2,6 +2,7 @@
 exact arrows decider against a brute-force matching-partition oracle."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -15,6 +16,7 @@ from rainbowlab.colouring import (
     colouring_to_json,
     compatible_set,
     decide_arrows,
+    find_properness_clash,
     has_rainbow_copy,
     interest_set,
     is_proper,
@@ -91,7 +93,7 @@ def test_colouring_rejects_non_edges():
 
 def _state(psi: EdgeColouring):
     return (psi._col, [psi.colours_at(v) for v in range(psi.graph.n)],
-            psi.next_colour, psi._at)
+            psi.next_colour)
 
 
 @given(st.integers(0, 10**6), st.integers(2, 12), st.floats(0.1, 1.0),
@@ -151,6 +153,7 @@ def test_fill_fresh_start():
     ([(0, 1), (1, 2)], [4, -1]),         # negative colour
     ([(0, 1), (1, 2)], [4]),             # length mismatch
     ([(0, 1), (-1, 3)], [4, 5]),         # vertex out of range
+    ([(0, 1), (1, 2)], [4, 2**63]),      # colour beyond int64
 ])
 def test_assign_many_rejects_without_change(edges, colours):
     g = path_graph(4)
@@ -184,6 +187,67 @@ def test_recolouring_keeps_books_straight():
     psi.assign(0, 1, 2)
     assert is_proper(K3, psi)
     assert psi.fresh_colour() == 3
+
+
+def _brute_clash(g: Graph, col: dict):
+    """Lowest vertex with a repeated colour, its lowest such colour, and
+    the edges at it with that colour, by per-vertex enumeration."""
+    for v in range(g.n):
+        counts = Counter(c for e, c in col.items() if v in e)
+        repeated = [c for c, k in counts.items() if k > 1]
+        if repeated:
+            c = min(repeated)
+            return v, c, tuple(sorted(e for e in col if v in e and col[e] == c))
+    return None
+
+
+@given(st.integers(0, 10**6), st.integers(2, 10), st.floats(0.2, 1.0),
+       st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_per_vertex_queries_match_brute_force(seed, n, density, pool):
+    """Random partial colourings, built with recolourings of already
+    coloured edges, against enumeration of each vertex's edges."""
+    rng = random.Random(seed)
+    g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+    psi = EdgeColouring(g)
+    col = {}
+    for _ in range(rng.randrange(2 * g.m + 1)):
+        u, v = rng.choice(g.edges)
+        c = rng.randrange(pool)
+        psi.assign(*((u, v) if rng.random() < 0.5 else (v, u)), c)
+        col[(u, v)] = c
+    clash = _brute_clash(g, col)
+    assert find_properness_clash(g, psi) == clash
+    assert is_proper(g, psi) == (clash is None)
+    for v in range(n):
+        assert psi.colours_at(v) == {c for e, c in col.items() if v in e}
+    for u, v in g.edges:
+        for c in range(pool + 1):
+            expected = any(col[e] == c for e in col
+                           if e != (u, v) and {u, v} & set(e))
+            assert psi.would_clash(u, v, c) == psi.would_clash(v, u, c) == expected
+
+
+def test_properness_checks_reject_another_graph():
+    psi = EdgeColouring(K3)
+    for check in (is_proper, find_properness_clash):
+        with pytest.raises(ParameterError):
+            check(K4, psi)
+
+
+def test_colour_ids_must_fit_int64():
+    top = 2**63 - 1
+    g = path_graph(3)
+    psi = EdgeColouring(g, {(0, 1): top})
+    assert find_properness_clash(g, psi) is None
+    for bad in (lambda: psi.assign(1, 2, top + 1),
+                lambda: psi.assign_many([(1, 2)], [top + 1]),
+                psi.fill_fresh):
+        with pytest.raises(ParameterError):
+            bad()
+    assert len(psi) == 1
+    psi.assign(1, 2, top)
+    assert find_properness_clash(g, psi) == (1, top, ((0, 1), (1, 2)))
 
 
 def _hat_colouring(extra_reuse: bool) -> tuple:

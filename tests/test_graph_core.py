@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from rainbowlab.canon import aut_order, canonical_form, is_isomorphic
 from rainbowlab.errors import ParameterError
 from rainbowlab.graph import (
+    DisjointSets,
     Graph,
     clique,
     common_neighbourhood,
@@ -135,6 +136,24 @@ def test_basic_constructors():
     du = disjoint_union([clique(3), path_graph(2)])
     assert (du.n, du.m) == (5, 4)
     assert len(components(du)) == 2
+
+
+@given(st.integers(1, 12), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_disjoint_sets_match_components(n, seed):
+    """Groups are the connected components of the union pairs, listed in
+    item order; union is False exactly when the pair closes a cycle."""
+    rng = random.Random(seed)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(2 * n))]
+    sets = DisjointSets(range(n))
+    seen = Graph(n, [])
+    for a, b in pairs:
+        joined = any(a in back and b in back for _, back in components(seen))
+        assert sets.union(a, b) == (not joined)
+        if a != b:
+            seen = Graph(n, set(seen.edges) | {(min(a, b), max(a, b))})
+    assert sorted(sets.groups().values()) == sorted(back for _, back in components(seen))
+    assert all(members == sorted(members) for members in sets.groups().values())
 
 
 @given(st.integers(2, 40), st.sampled_from([0.0, 0.2, 1.0]), st.integers(0, 10**6))
