@@ -1,11 +1,11 @@
-"""Canonical forms, isomorphism tests and automorphism group orders.
+"""Isomorphism tests and automorphism group orders.
 
-Colour refinement plus individualisation, with two standard prunings on
-the canonical search: children of a node are skipped when a discovered
-automorphism maps them into an already-explored sibling, and a leaf whose
-certificate ties the incumbent triggers a backjump to the deepest node
-shared with the incumbent's branch.  That keeps highly symmetric inputs
-(cliques and the like) polynomial in practice at these sizes.
+Both rest on one search, `_colour_iso_exists_pair`: colour refinement on
+the disjoint union of two graphs, then individualisation of one vertex on
+each side of the first cell that is not yet a singleton, until the
+partition is discrete and the matching it induces is checked edge by edge.
+`aut_order` runs it on a graph against itself with vertices pinned, one
+orbit-stabiliser level at a time.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from __future__ import annotations
 from .errors import ParameterError
 from .graph import Graph, bits
 
-__all__ = ["canonical_form", "aut_order", "is_isomorphic"]
+__all__ = ["aut_order", "is_isomorphic"]
 
-_CANON_CAP = 14
 _AUT_CAP = 48
 
 
@@ -44,87 +43,6 @@ def _cells(colours):
     for v, c in enumerate(colours):
         out.setdefault(c, []).append(v)
     return out
-
-
-def canonical_form(g: Graph) -> tuple:
-    """Canonical key: equal for two graphs iff they are isomorphic.
-
-    Returns (n, sorted relabelled edge tuple) under the canonical labelling.
-    """
-    n = g.n
-    if n > _CANON_CAP:
-        raise ParameterError(f"canonical_form capped at {_CANON_CAP} vertices, got {n}")
-    if n == 0:
-        return (0, ())
-
-    adj = g.adj
-    auts: list[tuple[int, ...]] = []
-    state = {"cert": None, "path": None}
-
-    def leaf(colours, path):
-        lab = colours  # discrete partition: colour id is the label
-        cert = tuple(sorted(
-            (lab[u], lab[v]) if lab[u] < lab[v] else (lab[v], lab[u])
-            for u, v in g.edges
-        ))
-        if state["cert"] is None or cert < state["cert"]:
-            state["cert"] = cert
-            state["lab"] = lab[:]
-            state["path"] = list(path)
-            return len(path)
-        if cert == state["cert"]:
-            inv_best = [0] * n
-            for v, l in enumerate(state["lab"]):
-                inv_best[l] = v
-            a = tuple(inv_best[lab[v]] for v in range(n))
-            if any(a[i] != i for i in range(n)):
-                auts.append(a)
-                k = 0
-                best_path = state["path"]
-                while k < len(path) and k < len(best_path) and path[k] == best_path[k]:
-                    k += 1
-                return k  # backjump to the divergence point with the incumbent
-        return len(path)
-
-    def orbit_hits_explored(v, explored, path):
-        gens = [a for a in auts if all(a[p] == p for p in path)]
-        if not gens:
-            return False
-        orbit = {v}
-        frontier = [v]
-        while frontier:
-            x = frontier.pop()
-            for a in gens:
-                y = a[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        return any(u in orbit for u in explored)
-
-    def rec(colours, path) -> int:
-        cells = _cells(colours)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
-            return leaf(colours, path)
-        depth = len(path)
-        explored: list[int] = []
-        for v in target:
-            if orbit_hits_explored(v, explored, path):
-                continue
-            explored.append(v)
-            child = colours[:]
-            child[v] = len(colours)  # fresh maximal colour, normalised by _refine
-            r = rec(_refine(adj, child), path + [v])
-            if r < depth:
-                return r
-        return depth
-
-    rec(_refine(adj, [0] * n), [])
-    return (n, state["cert"])
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -207,7 +207,9 @@ def _cmd_decide(args) -> int:
 def _run_avoider(args, ell: int) -> int:
     started = _now()
     n = args.n
-    p = parse_probability(args.p, n)
+    if args.trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {args.trials}")
+    p = float(parse_probability(args.p, n))
     validated = 0
     out_of_regime: list[str] = []
     violations: list[str] = []
@@ -435,7 +437,7 @@ def _build_parser() -> _Parser:
             f"colour perturbed instances with no rainbow K{ell} and validate",
         )
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--p", required=True, help='probability or "c*n^-a/b" expression')
+        p.add_argument("--p", required=True, help='probability, a/b or "c*n^-a/b" expression')
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--trials", type=int, default=1)
         p.add_argument("--emit")
@@ -455,7 +457,7 @@ def _build_parser() -> _Parser:
     p = add("janson", _cmd_janson, "nonexistence bound for copies of a pattern in G(n,p)")
     p.add_argument("--graph", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", required=True)
+    p.add_argument("--p", required=True, help="probability or a/b (no c*n^-a/b expression)")
     p.add_argument("--emit")
 
     p = add("density", _cmd_density, "check the induced-subgraph density margin")

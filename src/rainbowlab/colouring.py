@@ -24,7 +24,6 @@ __all__ = [
     "is_proper",
     "find_properness_clash",
     "rainbow_copies",
-    "has_rainbow_copy",
     "interest_set",
     "compatible_set",
     "random_proper_colouring",
@@ -245,10 +244,6 @@ def rainbow_copies(g: Graph, psi: EdgeColouring, h: Graph) -> list[tuple[int, ..
         if len(cols) == len(set(cols)):
             out.append(emb)
     return out
-
-
-def has_rainbow_copy(g: Graph, psi: EdgeColouring, h: Graph) -> bool:
-    return bool(rainbow_copies(g, psi, h))
 
 
 def interest_set(g: Graph, psi: EdgeColouring, k_vertices) -> set[int]:

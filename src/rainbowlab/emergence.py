@@ -152,6 +152,9 @@ def _falling(n: int, k: int) -> int:
 def janson_bound(h: Graph, n: int, p) -> JansonEstimate:
     """Estimate the probability that G(n,p) contains no copy of h.
 
+    p is read by parse_probability and must be exact: a number, a decimal
+    literal or a/b, not a c*n^-a/b expression.
+
     The expectation is computed exactly as C(n, v) * v! / aut * p^e in
     rational arithmetic.  For v(h) <= 8 the overlap sum is the exact
     ordered-pair sum; for 9 <= v(h) <= 12 every overlap class of k shared
@@ -169,12 +172,9 @@ def janson_bound(h: Graph, n: int, p) -> JansonEstimate:
         raise ParameterError("pattern graph must have at least one edge")
     if n < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
-    try:
-        pf = Fraction(p)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"p must be a probability, got {p!r}") from exc
-    if not 0 <= pf <= 1:
-        raise ParameterError(f"p must lie in [0, 1], got {p!r}")
+    pf = parse_probability(p, n)
+    if not isinstance(pf, Fraction):
+        raise ParameterError(f"janson_bound needs an exact p (a literal or a/b), got {p!r}")
 
     v, e = h.n, h.m
     if n < v:
@@ -609,29 +609,32 @@ _PROBABILITY_EXPR = re.compile(
 )
 
 
-def parse_probability(spec, n: int) -> float:
-    """Evaluate a probability literal or a ``c*n^-a/b`` expression at n."""
-    if isinstance(spec, (int, float)):
-        p = float(spec)
+def parse_probability(spec, n: int) -> Fraction | float:
+    """Evaluate a probability at n: the one parser of every ``--p``.
+
+    A number, a decimal literal or ``a/b`` gives an exact Fraction (whose
+    float() is the correctly rounded float of the literal); a ``c*n^-a/b``
+    expression gives a float.
+    """
+    if not isinstance(spec, (int, float, Fraction)):
+        spec = str(spec).strip()
+    m = isinstance(spec, str) and _PROBABILITY_EXPR.match(spec)
+    if m:
+        if n <= 0:
+            raise ParameterError(f"n must be positive to evaluate {spec!r}")
+        coeff = float(m.group("coeff") or 1.0)
+        exp = Fraction(int(m.group("num")), int(m.group("den") or 1))
+        if m.group("sign"):
+            exp = -exp
+        p = coeff * float(n) ** float(exp)
     else:
-        text = str(spec).strip()
-        m = _PROBABILITY_EXPR.match(text)
-        if m:
-            if n <= 0:
-                raise ParameterError(f"n must be positive to evaluate {text!r}")
-            coeff = float(m.group("coeff") or 1.0)
-            exp = Fraction(int(m.group("num")), int(m.group("den") or 1))
-            if m.group("sign"):
-                exp = -exp
-            p = coeff * float(n) ** float(exp)
-        else:
-            try:
-                p = float(text)
-            except ValueError as exc:
-                raise ParameterError(
-                    f"cannot parse probability {spec!r}; use a literal or c*n^-a/b"
-                ) from exc
-    if not 0.0 <= p <= 1.0:
+        try:
+            p = Fraction(spec)
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise ParameterError(
+                f"cannot parse probability {spec!r}; use a literal, a/b or c*n^-a/b"
+            ) from exc
+    if not 0 <= p <= 1:
         raise ParameterError(f"probability {spec!r} evaluates to {p} at n={n}")
     return p
 
@@ -654,7 +657,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 class ScanConfig:
     ell: int
     n_values: tuple[int, ...]
-    p_specs: tuple  # literals or c*n^-a/b expression strings
+    p_specs: tuple  # literals, a/b or c*n^-a/b expression strings
     trials: int
     mode: str
     seed: int
@@ -735,7 +738,7 @@ def threshold_scan(config: ScanConfig) -> list[ScanRow]:
     rows = []
     for ni, n in enumerate(config.n_values):
         for pi, spec in enumerate(config.p_specs):
-            p = parse_probability(spec, n)
+            p = float(parse_probability(spec, n))
             start = time.perf_counter()
             successes = sum(
                 _scan_trial(config, n, p, np.random.default_rng([config.seed, ni, pi, t]))

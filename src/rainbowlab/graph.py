@@ -35,7 +35,6 @@ from .errors import ParameterError
 __all__ = [
     "Graph",
     "DensityReport",
-    "construct",
     "parse_graph_spec",
     "clique",
     "complete_bipartite",
@@ -49,7 +48,6 @@ __all__ = [
     "disjoint_union",
     "empty_graph",
     "enumerate_copies",
-    "count_copies",
     "common_neighbourhood",
     "densities",
     "edge_counts_all_subsets",
@@ -58,8 +56,6 @@ __all__ = [
     "bits",
     "graph_to_json",
     "graph_from_json",
-    "parse_edge_list",
-    "format_edge_list",
 ]
 
 
@@ -396,15 +392,6 @@ def parse_graph_spec(spec: str) -> Graph:
     raise ParameterError(f"unknown graph spec {spec!r}")
 
 
-def construct(spec) -> Graph:
-    """Build a named graph from a spec string (or pass a Graph through)."""
-    if isinstance(spec, Graph):
-        return spec
-    if isinstance(spec, str):
-        return parse_graph_spec(spec)
-    raise ParameterError(f"unsupported graph spec {spec!r}")
-
-
 # -- enumeration -----------------------------------------------------------
 
 
@@ -514,10 +501,6 @@ def _enumerate_disconnected(g: Graph, comps) -> list[tuple[int, ...]]:
 
     place(0, frozenset())
     return sorted(found.values())
-
-
-def count_copies(g: Graph, h: Graph) -> int:
-    return len(enumerate_copies(g, h))
 
 
 def common_neighbourhood(g: Graph, xs) -> set[int]:
@@ -649,31 +632,16 @@ def densities(h: Graph, want_bip2: bool = True) -> DensityReport:
 # -- serialization ---------------------------------------------------------
 
 
-def format_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines += [f"{u} {v}" for u, v in g.edges]
-    return "\n".join(lines) + "\n"
-
-
-def parse_edge_list(text: str) -> Graph:
-    tokens = text.split()
-    if len(tokens) < 2:
-        raise ParameterError("edge list must start with 'n m'")
-    n, m = int(tokens[0]), int(tokens[1])
-    nums = tokens[2:]
-    if len(nums) != 2 * m:
-        raise ParameterError(f"expected {2*m} endpoint numbers, got {len(nums)}")
-    edges = [(int(nums[2 * i]), int(nums[2 * i + 1])) for i in range(m)]
-    for u, v in edges:
-        if not u < v:
-            raise ParameterError(f"edge list requires u < v, got ({u},{v})")
-    return Graph(n, edges)
-
-
 def graph_to_json(g: Graph) -> str:
     return json.dumps({"n": g.n, "edges": [[u, v] for u, v in g.edges]})
 
 
 def graph_from_json(text: str) -> Graph:
-    data = json.loads(text)
-    return Graph(int(data["n"]), [tuple(e) for e in data["edges"]])
+    """Inverse of graph_to_json; malformed input is a ParameterError."""
+    try:
+        data = json.loads(text)
+        return Graph(int(data["n"]), [tuple(e) for e in data["edges"]])
+    except ParameterError:
+        raise
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParameterError(f"malformed graph JSON: {type(exc).__name__}: {exc}") from exc

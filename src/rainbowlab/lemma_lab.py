@@ -422,17 +422,19 @@ def _check_total_proper(g: Graph, psi: EdgeColouring):
         )
 
 
-def _check_cross_rainbow(psi: EdgeColouring, cross_keys) -> set[int]:
+def _check_rainbow_edges(psi: EdgeColouring, keys, check: str, label: str) -> set[int]:
+    """Colours of the edges `keys`, which must be pairwise distinct; the
+    first repeat fails precondition `check`, naming the two `label` edges."""
     col = psi._col
-    cols = [col[k] for k in cross_keys]
+    cols = [col[k] for k in keys]
     cset = set(cols)
     if len(cset) != len(cols):
         seen: dict[int, tuple[int, int]] = {}
-        for k, c in zip(cross_keys, cols):
+        for k, c in zip(keys, cols):
             if c in seen:
                 _fail_precondition(
-                    "cross-rainbow",
-                    f"cross edges {seen[c]} and {k} share colour {c}",
+                    check,
+                    f"{label} edges {seen[c]} and {k} share colour {c}",
                     (seen[c], k, c),
                 )
             seen[c] = k
@@ -532,18 +534,8 @@ def extract_rainbow_k5(scaffold: TriangleStarScaffold, psi: EdgeColouring) -> tu
     """
     g = scaffold.graph
     _check_total_proper(g, psi)
+    _check_rainbow_edges(psi, scaffold.core_keys, "rainbow-core", "core")
     col = psi._col
-    core_cols = [col[k] for k in scaffold.core_keys]
-    if len(set(core_cols)) != len(core_cols):
-        seen: dict[int, tuple[int, int]] = {}
-        for k, c in zip(scaffold.core_keys, core_cols):
-            if c in seen:
-                _fail_precondition(
-                    "rainbow-core",
-                    f"core edges {seen[c]} and {k} share colour {c}",
-                    (seen[c], k, c),
-                )
-            seen[c] = k
     x1, x2, x3 = scaffold.triangle
     tri_cols = {col[_norm(x1, x2)], col[_norm(x1, x3)], col[_norm(x2, x3)]}
     for z in scaffold.star_leaves:
@@ -705,7 +697,7 @@ def extract_rainbow_k6(scaffold: RainbowK6Scaffold, psi: EdgeColouring) -> tuple
     """
     g = scaffold.graph
     _check_total_proper(g, psi)
-    cross_cols = _check_cross_rainbow(psi, scaffold.cross_keys)
+    cross_cols = _check_rainbow_edges(psi, scaffold.cross_keys, "cross-rainbow", "cross")
     _check_cross_avoids_side(psi, cross_cols, scaffold.left_keys)
 
     votes: dict[int, list[tuple[int, int, int]]] = {}
@@ -837,7 +829,7 @@ def extract_rainbow_k7(scaffold: RainbowK7Scaffold, psi: EdgeColouring) -> tuple
     """
     g = scaffold.graph
     _check_total_proper(g, psi)
-    cross_cols = _check_cross_rainbow(psi, scaffold.cross_keys)
+    cross_cols = _check_rainbow_edges(psi, scaffold.cross_keys, "cross-rainbow", "cross")
     _check_cross_avoids_side(psi, cross_cols, scaffold.left_keys)
     col = psi._col
 

@@ -24,9 +24,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .colouring import EdgeColouring, is_proper
+from .colouring import EdgeColouring, is_proper, rainbow_copies
 from .errors import OutOfRegime, ParameterError, SearchExhausted, StructureUnsupported
-from .graph import DisjointSets, Graph, bits, disjoint_union
+from .graph import DisjointSets, Graph, bits, clique, disjoint_union
 from .model import PerturbedInstance
 
 __all__ = [
@@ -422,8 +422,7 @@ def _k4_matchings(vs):
     return (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
 
 
-def partial_colouring(seq: GeneratingSequence, *, avoid=frozenset(),
-                      suppress=frozenset(),
+def partial_colouring(seq: GeneratingSequence, *, suppress=frozenset(),
                       pair_first_edge_step: bool = False) -> PartialColouringState:
     """Replay the sequence, colouring so each new K4 repeats a colour.
 
@@ -432,10 +431,10 @@ def partial_colouring(seq: GeneratingSequence, *, avoid=frozenset(),
     two opposite new edges under a new colour.  Vertex-steps reuse a triangle
     colour on the opposite new edge when proper, else pair an uncoloured
     triangle edge (possibly the just-added missing edge) with the opposite
-    new edge under a new colour, else mark the triangle problematic.  Edges
-    named in `avoid` are kept uncoloured when a choice exists; steps in
-    `suppress` colour nothing; with `pair_first_edge_step` the first
-    1-edge-step pairs its new edge with the opposite (avoided) one.
+    new edge under a new colour, else mark the triangle problematic.  Steps
+    in `suppress` colour nothing; with `pair_first_edge_step` the first
+    1-edge-step pairs its new edge with the opposite one, which earlier
+    steps keep uncoloured when a choice exists.
     """
     g = seq.graph()
     psi = EdgeColouring(g)
@@ -443,7 +442,7 @@ def partial_colouring(seq: GeneratingSequence, *, avoid=frozenset(),
     vertex_steps: Counter = Counter()
     sat_ok = True
 
-    avoid = {(_k(*e)) for e in avoid}
+    avoid: set = set()
     target_idx = None
     if pair_first_edge_step:
         for i, st in enumerate(seq.steps):
@@ -451,7 +450,7 @@ def partial_colouring(seq: GeneratingSequence, *, avoid=frozenset(),
                 target_idx = i
                 xy = st.added_edges[0]
                 zw = _k(*(set(st.quad) - set(xy)))
-                avoid = avoid | {zw}
+                avoid = {zw}
                 break
 
     current: set = set(_pairs(seq.base_vertices))
@@ -563,18 +562,14 @@ def partial_colouring(seq: GeneratingSequence, *, avoid=frozenset(),
 # -- certificates -----------------------------------------------------------
 
 
-def _rainbow_quads(h: Graph, psi: EdgeColouring):
-    out = []
-    for quad in h.cliques(4):
-        cols = {psi.get(*e) for e in _pairs(quad)}
-        if None not in cols and len(cols) == 6:
-            out.append(quad)
-    return out
-
-
 def cover_certificate(h: Graph, psi: EdgeColouring) -> CoverCertificate | None:
-    """Smallest-kind certificate covering all rainbow K4s of psi, or None."""
-    rain = _rainbow_quads(h, psi)
+    """Smallest-kind certificate covering all rainbow K4s of psi, or None.
+
+    psi must be total: the rainbow scan treats uncoloured edges as
+    wildcards, which would count a partly coloured K4 as rainbow."""
+    if not psi.is_total():
+        raise ParameterError("cover_certificate needs a total colouring")
+    rain = rainbow_copies(h, psi, clique(4))
     if not rain:
         return CoverCertificate("no-rainbow")
     first = set(rain[0])

@@ -87,6 +87,35 @@ class TestUsageErrors:
         rc, _, err = run(capsys, "tiled", "--graph", "P3")
         assert rc == 3
 
+    @pytest.mark.parametrize("text", [
+        "{bad", '{"n": 3}', '{"n": "x", "edges": []}', "[1,2]",
+        '{"n": 3, "edges": [[0]]}', '{"n": 3, "edges": [["0", "1"]]}',
+    ])
+    def test_malformed_graph_json(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        rc, _, err = run(capsys, "construct", "--graph", str(path))
+        assert rc == 3
+        assert "malformed graph JSON" in err
+
+    @pytest.mark.parametrize("p,message", [
+        ("1/0", "cannot parse probability"),
+        ("n^-2/3", "exact p"),
+    ])
+    def test_janson_bad_p(self, capsys, p, message):
+        rc, _, err = run(capsys, "janson", "--graph", "K2", "--n", "10", "--p", p)
+        assert rc == 3
+        assert message in err
+
+    @pytest.mark.parametrize("ell", [4, 6, 8])
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_avoider_trials_below_one(self, capsys, ell, trials):
+        rc, out, err = run(capsys, f"avoid-k{ell}", "--n", "20", "--p", "0.01",
+                           "--trials", trials)
+        assert rc == 3
+        assert out == ""
+        assert "trials must be >= 1" in err
+
 
 # -- internal errors -> exit 4 ------------------------------------------------
 
@@ -195,6 +224,13 @@ class TestAvoiders:
         assert rc == 0
         assert json.loads(out)["validated"] == 1
 
+    def test_fraction_p_runs(self, capsys):
+        rc, out, _ = run(capsys, "avoid-k4", "--n", "20", "--p", "1/10")
+        assert rc in (0, 2)
+        rc_literal, out_literal, _ = run(capsys, "avoid-k4", "--n", "20", "--p", "0.1")
+        assert (rc, out) == (rc_literal, out_literal)
+        assert json.loads(out)["p"] == 0.1
+
     def test_rainbow_colouring_is_a_violation(self, capsys, monkeypatch):
         def rainbow_everywhere(instance):
             psi = EdgeColouring(instance.graph())
@@ -269,6 +305,13 @@ class TestJansonDensity:
         assert rc == 0
         data = json.loads(out)
         assert set(data) == {"expected_copies", "delta_upper", "nonexistence_bound"}
+
+    def test_janson_fraction_output(self, capsys):
+        rc, out, _ = run(capsys, "janson", "--graph", "K3", "--n", "40",
+                         "--p", "1/10")
+        assert rc == 0
+        assert out == ('{"delta_upper": 10.9668, "expected_copies": 9.88, '
+                       '"nonexistence_bound": 0.04649906931285394}\n')
 
     def test_density_satisfied(self, capsys):
         rc, out, _ = run(capsys, "density", "--graph", "hatk34",

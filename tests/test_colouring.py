@@ -17,7 +17,6 @@ from rainbowlab.colouring import (
     compatible_set,
     decide_arrows,
     find_properness_clash,
-    has_rainbow_copy,
     interest_set,
     is_proper,
     rainbow_copies,
@@ -175,9 +174,30 @@ def test_rainbow_copies_examples():
 
 def test_partial_colouring_is_wildcard():
     psi = EdgeColouring(K3, {(0, 1): 5, (0, 2): 5})
-    assert not has_rainbow_copy(K3, psi, K3)
+    assert not rainbow_copies(K3, psi, K3)
     psi2 = EdgeColouring(K3, {(0, 1): 5})
-    assert has_rainbow_copy(K3, psi2, K3)  # two wildcards cannot clash
+    assert rainbow_copies(K3, psi2, K3)  # two wildcards cannot clash
+
+
+@given(st.integers(0, 10**6), st.integers(4, 9), st.floats(0.4, 1.0),
+       st.floats(0.0, 1.0), st.integers(1, 8))
+@settings(max_examples=150, deadline=None)
+def test_rainbow_k4_scan_matches_brute_force(seed, n, density, coloured, pool):
+    """rainbow_copies(g, psi, K4) against every 4-subset of random partial
+    colourings: a K4 is rainbow when its coloured edges carry pairwise
+    distinct colours, so uncoloured edges are wildcards."""
+    rng = random.Random(seed)
+    g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+    col = {e: rng.randrange(pool) for e in g.edges if rng.random() < coloured}
+    psi = EdgeColouring(g, col)
+    expected = []
+    for quad in combinations(range(n), 4):
+        pairs = list(combinations(quad, 2))
+        if all(g.has_edge(*e) for e in pairs):
+            cols = [col[e] for e in pairs if e in col]
+            if len(cols) == len(set(cols)):
+                expected.append(quad)
+    assert rainbow_copies(g, psi, K4) == expected
 
 
 def test_recolouring_keeps_books_straight():
@@ -367,7 +387,7 @@ def test_decide_arrows_matches_partition_oracle_k3(seed):
     assert v.arrows == oracle_arrows(g, K3)
     if v.outcome == "witness":
         assert is_proper(g, v.witness)
-        assert not has_rainbow_copy(g, v.witness, K3)
+        assert not rainbow_copies(g, v.witness, K3)
 
 
 @pytest.mark.parametrize("g,expect", [

@@ -245,6 +245,8 @@ class TestJansonBound:
             janson_bound(empty_graph(3), 10, 0.5)
         with pytest.raises(ParameterError):
             janson_bound(clique(3), 10, "not-a-probability")
+        with pytest.raises(ParameterError):
+            janson_bound(clique(3), 10, "n^-2/3")
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -501,13 +503,17 @@ class TestScanHelpers:
         assert parse_probability("n^-2/3", 300) == pytest.approx(300 ** (-2 / 3))
         assert parse_probability("n^-1", 50) == pytest.approx(0.02)
         assert parse_probability("2*n^-1/2", 100) == pytest.approx(0.2)
+        assert parse_probability("1/10", 10) == Fraction(1, 10)
+        assert parse_probability(" 0.1 ", 10) == Fraction(1, 10)
+        assert isinstance(parse_probability("0.3*n^-5/4", 200), float)
 
     def test_parse_probability_rejects_bad_specs(self):
-        for bad in ("2", "-0.2", "0.5*m^-1", "n^2/3", "n^-0.7", ""):
+        for bad in ("2", "-0.2", "0.5*m^-1", "n^2/3", "n^-0.7", "", "1/0", "3/2", "nan"):
             with pytest.raises(ParameterError):
                 parse_probability(bad, 100)
-        with pytest.raises(ParameterError):
-            parse_probability(1.5, 100)
+        for bad in (1.5, float("nan"), float("inf")):
+            with pytest.raises(ParameterError):
+                parse_probability(bad, 100)
 
     @pytest.mark.parametrize("successes,trials", [(0, 10), (10, 10), (3, 17), (250, 500)])
     def test_wilson_interval_matches_scipy(self, successes, trials):

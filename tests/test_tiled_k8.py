@@ -404,6 +404,15 @@ def test_cover_certificate_uncoverable():
     assert cover_certificate(g, psi) is None
 
 
+def test_cover_certificate_needs_a_total_colouring():
+    g = complete_graph(4)
+    psi = EdgeColouring(g)
+    for e in pairs(range(4))[:-1]:
+        psi.assign_fresh(*e)
+    with pytest.raises(ParameterError, match="total"):
+        cover_certificate(g, psi)
+
+
 def test_certificate_checks():
     tri = CoverCertificate("triangle", triangle=(0, 1, 2))
     match = CoverCertificate("matching", matching=((0, 1), (4, 5)))
