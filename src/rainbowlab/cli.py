@@ -314,7 +314,7 @@ def _cmd_certify(args) -> int:
     payload = {
         "trials": args.trials,
         "seed": args.seed,
-        "reports": [r.to_json_dict(include_timing=False) for r in reports],
+        "reports": [r.to_json_dict() for r in reports],
         "passed": all(r.passed for r in reports),
     }
     _emit(
@@ -410,6 +410,17 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
+def _rng_seed(text: str) -> int:
+    """--seed of the commands that seed numpy, which takes no negative seed."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rainbow-lab", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -438,7 +449,7 @@ def _build_parser() -> _Parser:
         )
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--p", required=True, help='probability, a/b or "c*n^-a/b" expression')
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_rng_seed, default=0)
         p.add_argument("--trials", type=int, default=1)
         p.add_argument("--emit")
 
@@ -472,12 +483,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, nargs="+", required=True)
     p.add_argument("--p", nargs="+", required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_rng_seed, default=0)
     p.add_argument("--threads", type=int, help=_THREADS_HELP)
     p.add_argument("--emit")
 
     p = add("verify-all", _cmd_verify_all, "run the acceptance suite")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_rng_seed, default=42)
     p.add_argument("--budget", choices=("quick", "full"), default="quick")
     p.add_argument("--threads", type=int, help=_THREADS_HELP)
     p.add_argument("--emit", help="directory for results.json and the manifest")

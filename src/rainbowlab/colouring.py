@@ -132,6 +132,18 @@ class EdgeColouring:
     def get(self, u: int, v: int):
         return self._col.get(self._key(u, v))
 
+    def colours(self, edges) -> list[int]:
+        """Colour of each (u, v) key, u < v, in order.  Keys are not
+        validated one by one: an uncoloured edge or any other key raises
+        ParameterError."""
+        col = self._col
+        try:
+            return [col[e] for e in edges]
+        except KeyError as exc:
+            raise ParameterError(
+                f"{exc.args[0]} is not a coloured edge (u < v) of the companion graph"
+            ) from None
+
     def fresh_colour(self) -> int:
         return self.next_colour
 

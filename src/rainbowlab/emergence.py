@@ -668,6 +668,8 @@ class ScanConfig:
             raise ParameterError(f"mode must be one of {SCAN_MODES}, got {self.mode!r}")
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.threads < 1:
             raise ParameterError(f"threads must be >= 1, got {self.threads}")
         if not self.n_values or not self.p_specs:

@@ -425,8 +425,7 @@ def _check_total_proper(g: Graph, psi: EdgeColouring):
 def _check_rainbow_edges(psi: EdgeColouring, keys, check: str, label: str) -> set[int]:
     """Colours of the edges `keys`, which must be pairwise distinct; the
     first repeat fails precondition `check`, naming the two `label` edges."""
-    col = psi._col
-    cols = [col[k] for k in keys]
+    cols = psi.colours(keys)
     cset = set(cols)
     if len(cset) != len(cols):
         seen: dict[int, tuple[int, int]] = {}
@@ -442,12 +441,11 @@ def _check_rainbow_edges(psi: EdgeColouring, keys, check: str, label: str) -> se
 
 
 def _check_cross_avoids_side(psi: EdgeColouring, cross_colours: set[int], side_keys):
-    col = psi._col
-    side_cols = {col[k] for k in side_keys}
-    leaked = side_cols & cross_colours
+    side_cols = psi.colours(side_keys)
+    leaked = cross_colours.intersection(side_cols)
     if leaked:
         c = min(leaked)
-        edges = [k for k in side_keys if col[k] == c]
+        edges = [k for k, kc in zip(side_keys, side_cols) if kc == c]
         _fail_precondition(
             "cross-avoids-side",
             f"colour {c} appears both on a cross edge and on side edges {edges}",
@@ -495,11 +493,10 @@ def extract_rainbow_k4(scaffold: StarJoinScaffold, psi: EdgeColouring) -> tuple[
     """
     g = scaffold.graph
     _check_total_proper(g, psi)
-    col = psi._col
-    left_cols = {col[k] for k in scaffold.left_edges()}
+    left_cols = set(psi.colours(scaffold.left_edges()))
     fresh_edge = None
-    for z in scaffold.right_leaves:
-        if col[_norm(scaffold.right_centre, z)] not in left_cols:
+    for z, c in zip(scaffold.right_leaves, psi.colours(scaffold.right_edges())):
+        if c not in left_cols:
             fresh_edge = (scaffold.right_centre, z)
             break
     if fresh_edge is None:
@@ -511,7 +508,7 @@ def extract_rainbow_k4(scaffold: StarJoinScaffold, psi: EdgeColouring) -> tuple[
     y1, y2 = fresh_edge
     for x in scaffold.left_leaves:
         quad = (scaffold.left_centre, x, y1, y2)
-        cols = [col[_norm(u, v)] for i, u in enumerate(quad) for v in quad[i + 1 :]]
+        cols = psi.colours([_norm(u, v) for i, u in enumerate(quad) for v in quad[i + 1 :]])
         if len(set(cols)) == 6:
             return _validated_rainbow_clique(g, psi, quad, "rainbow-k4")
     _counterexample(
@@ -535,11 +532,9 @@ def extract_rainbow_k5(scaffold: TriangleStarScaffold, psi: EdgeColouring) -> tu
     g = scaffold.graph
     _check_total_proper(g, psi)
     _check_rainbow_edges(psi, scaffold.core_keys, "rainbow-core", "core")
-    col = psi._col
-    x1, x2, x3 = scaffold.triangle
-    tri_cols = {col[_norm(x1, x2)], col[_norm(x1, x3)], col[_norm(x2, x3)]}
-    for z in scaffold.star_leaves:
-        if col[_norm(scaffold.star_centre, z)] not in tri_cols:
+    tri_cols = _triangle_colours(psi, scaffold.triangle)
+    for z, c in zip(scaffold.star_leaves, psi.colours(scaffold.star_edges())):
+        if c not in tri_cols:
             vs = scaffold.triangle + (scaffold.star_centre, z)
             return _validated_rainbow_clique(g, psi, vs, "rainbow-k5")
     _counterexample(
@@ -571,24 +566,28 @@ def _triangle_pair_core(psi: EdgeColouring, cherry: DoubleTriangleCherry, fan: T
       two more fan triangles are polluted by its pendant colour.
     """
     g = psi.graph
-    col = psi._col
 
     u1, u2, u3 = cherry.left, cherry.hub, cherry.right
     w1, w2 = cherry.left_tips
     w3, w4 = cherry.right_tips
 
-    h_left = col[_norm(u1, u2)]
-    h_l1 = col[_norm(u2, w1)]
-    h_l2 = col[_norm(u2, w2)]
-    h_r1 = col[_norm(u2, w3)]
-    h_r2 = col[_norm(u2, w4)]
-    h_right = col[_norm(u2, u3)]
+    # hub edges, pendant edges, then each fan triangle's two hub-side edges,
+    # then each fan triangle's base
+    x = fan.hub
+    cols = psi.colours(
+        [_norm(u1, u2), _norm(u2, w1), _norm(u2, w2), _norm(u2, w3), _norm(u2, w4),
+         _norm(u2, u3), _norm(u1, w1), _norm(u1, w2), _norm(u3, w3), _norm(u3, w4)]
+        + [_norm(x, v) for pair in fan.rim for v in pair]
+        + [_norm(a, b) for a, b in fan.rim]
+    )
+    h_left, h_l1, h_l2, h_r1, h_r2, h_right, p_l1, p_l2, p_r3, p_r4 = cols[:10]
+    bases = 10 + 2 * len(fan.rim)
+    spoke = list(zip(cols[10:bases:2], cols[11:bases:2]))
+    base_cols = cols[bases:]
     hub_cols = {h_left, h_l1, h_l2, h_r1, h_r2, h_right}
     if len(hub_cols) != 6:
         _counterexample("cherry hub colours not distinct under a proper colouring", g, psi)
 
-    x = fan.hub
-    spoke = [(col[_norm(x, a)], col[_norm(x, b)]) for a, b in fan.rim]
     surviving = [
         i for i, (ca, cb) in enumerate(spoke) if ca not in hub_cols and cb not in hub_cols
     ]
@@ -600,7 +599,7 @@ def _triangle_pair_core(psi: EdgeColouring, cherry: DoubleTriangleCherry, fan: T
             surviving=tuple(surviving),
         )
     s4 = surviving[:4]
-    base = {i: col[_norm(*fan.rim[i])] for i in s4}
+    base = {i: base_cols[i] for i in s4}
 
     dup = None
     for ii in range(4):
@@ -615,15 +614,9 @@ def _triangle_pair_core(psi: EdgeColouring, cherry: DoubleTriangleCherry, fan: T
         i, j = dup
         shared = base[i]
         if shared not in (h_left, h_l1, h_l2):
-            options = [
-                ((u1, u2, w1), col[_norm(u1, w1)]),
-                ((u1, u2, w2), col[_norm(u1, w2)]),
-            ]
+            options = [((u1, u2, w1), p_l1), ((u1, u2, w2), p_l2)]
         else:
-            options = [
-                ((u2, u3, w3), col[_norm(u3, w3)]),
-                ((u2, u3, w4), col[_norm(u3, w4)]),
-            ]
+            options = [((u2, u3, w3), p_r3), ((u2, u3, w4), p_r4)]
         tri2, pendant = options[0] if shared != options[0][1] else options[1]
         for k in (i, j):
             if pendant not in spoke[k]:
@@ -637,10 +630,10 @@ def _triangle_pair_core(psi: EdgeColouring, cherry: DoubleTriangleCherry, fan: T
         )
 
     candidates = [
-        ((u1, u2, w1), (h_left, h_l1), col[_norm(u1, w1)]),
-        ((u1, u2, w2), (h_left, h_l2), col[_norm(u1, w2)]),
-        ((u2, u3, w3), (h_right, h_r1), col[_norm(u3, w3)]),
-        ((u2, u3, w4), (h_right, h_r2), col[_norm(u3, w4)]),
+        ((u1, u2, w1), (h_left, h_l1), p_l1),
+        ((u1, u2, w2), (h_left, h_l2), p_l2),
+        ((u2, u3, w3), (h_right, h_r1), p_r3),
+        ((u2, u3, w4), (h_right, h_r2), p_r4),
     ]
     for tri2, pair, pendant in candidates:
         if sum(base[k] in pair for k in s4) > 1:
@@ -659,8 +652,7 @@ def _triangle_pair_core(psi: EdgeColouring, cherry: DoubleTriangleCherry, fan: T
 
 def _triangle_colours(psi: EdgeColouring, tri) -> set[int]:
     a, b, c = tri
-    col = psi._col
-    return {col[_norm(a, b)], col[_norm(a, c)], col[_norm(b, c)]}
+    return set(psi.colours((_norm(a, b), _norm(a, c), _norm(b, c))))
 
 
 def disjoint_colour_triangles(
@@ -716,9 +708,8 @@ def extract_rainbow_k6(scaffold: RainbowK6Scaffold, psi: EdgeColouring) -> tuple
         )
     q = scaffold.fan.triangle(chosen_k)
     q_cols = _triangle_colours(psi, q)
-    col = psi._col
     for tri2 in cherry_tris:
-        cross_block = {col[_norm(u, w)] for u in tri2 for w in q}
+        cross_block = set(psi.colours([_norm(u, w) for u in tri2 for w in q]))
         if not (cross_block & q_cols):
             return _validated_rainbow_clique(g, psi, tri2 + q, "rainbow-k6")
     _counterexample(
@@ -799,16 +790,14 @@ def rainbow_k4_in_block(psi: EdgeColouring, block: JoinedTriangleBlock) -> tuple
     with the opposite triangle edge; each of the three clash patterns
     rules out at most one of the four free vertices.
     """
-    col = psi._col
     x1, x2, x3 = block.triangle
-    t12 = col[_norm(x1, x2)]
-    t13 = col[_norm(x1, x3)]
-    t23 = col[_norm(x2, x3)]
-    for z in block.free:
+    # block.edges(): the triangle x1x2, x1x3, x2x3, then x1z, x2z, x3z per z
+    t12, t13, t23, *cross = psi.colours(block.edges())
+    for i, z in enumerate(block.free):
         if (
-            col[_norm(x1, z)] != t23
-            and col[_norm(x2, z)] != t13
-            and col[_norm(x3, z)] != t12
+            cross[3 * i] != t23
+            and cross[3 * i + 1] != t13
+            and cross[3 * i + 2] != t12
         ):
             return (x1, x2, x3, z)
     _counterexample(
@@ -831,16 +820,15 @@ def extract_rainbow_k7(scaffold: RainbowK7Scaffold, psi: EdgeColouring) -> tuple
     _check_total_proper(g, psi)
     cross_cols = _check_rainbow_edges(psi, scaffold.cross_keys, "cross-rainbow", "cross")
     _check_cross_avoids_side(psi, cross_cols, scaffold.left_keys)
-    col = psi._col
 
     quads = []
     bad_cols: set[int] = set()
     for block in scaffold.blocks:
         quad = rainbow_k4_in_block(psi, block)
         quads.append(quad)
-        bad_cols |= {
-            col[_norm(u, v)] for i, u in enumerate(quad) for v in quad[i + 1 :]
-        }
+        bad_cols.update(
+            psi.colours([_norm(u, v) for i, u in enumerate(quad) for v in quad[i + 1 :]])
+        )
     if len(bad_cols) > SPOKES - 1:
         _counterexample(
             "four rainbow K4s produced more prunable colours than edges",
@@ -849,12 +837,14 @@ def extract_rainbow_k7(scaffold: RainbowK7Scaffold, psi: EdgeColouring) -> tuple
             colours=len(bad_cols),
         )
 
-    removed = {k for k in scaffold.right_keys if col[k] in bad_cols}
+    removed = {
+        k for k, c in zip(scaffold.right_keys, psi.colours(scaffold.right_keys)) if c in bad_cols
+    }
     tri = _surviving_triangle_core(g, psi, scaffold.fan, removed, "rainbow-k7")
     tri_cols = _triangle_colours(psi, tri)
 
     for quad in quads:
-        cross_block = {col[_norm(u, w)] for u in quad for w in tri}
+        cross_block = set(psi.colours([_norm(u, w) for u in quad for w in tri]))
         if not (cross_block & tri_cols):
             return _validated_rainbow_clique(g, psi, quad + tri, "rainbow-k7")
     _counterexample(
@@ -1057,8 +1047,9 @@ class LemmaTrialReport:
     def passed(self) -> bool:
         return self.failures == 0
 
-    def to_json_dict(self, include_timing: bool = True) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        """Everything but `elapsed_ms`, so a report is reproducible."""
+        return {
             "lemma": self.lemma,
             "trials": self.trials,
             "failures": self.failures,
@@ -1066,9 +1057,6 @@ class LemmaTrialReport:
             "passed": self.passed,
             "archive": self.archive,
         }
-        if include_timing:
-            out["elapsed_ms"] = round(self.elapsed_ms, 3)
-        return out
 
 
 _LEMMAS = {

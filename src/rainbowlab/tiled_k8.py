@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .colouring import EdgeColouring, is_proper, rainbow_copies
@@ -33,7 +33,6 @@ __all__ = [
     "GenStep",
     "GeneratingSequence",
     "CoverCertificate",
-    "PartialColouringState",
     "RED",
     "k4_components",
     "is_k4_tiled",
@@ -90,10 +89,12 @@ class GenStep:
 
 @dataclass(frozen=True)
 class GeneratingSequence:
-    """Nested growth from a K4 (or K5) base reaching a K4-tiled graph."""
+    """Nested growth from a K4 (or K5) base reaching a K4-tiled graph on
+    vertices 0..n-1."""
 
     base_vertices: tuple
     steps: tuple
+    n: int
 
     @property
     def base_kind(self) -> str:
@@ -132,9 +133,7 @@ class GeneratingSequence:
         return sorted(set(out))
 
     def graph(self) -> Graph:
-        edges = self.all_edges()
-        n = 1 + max(max(e) for e in edges)
-        return Graph(n, edges)
+        return Graph(self.n, self.all_edges())
 
 
 @dataclass(frozen=True)
@@ -170,17 +169,6 @@ def certificate_covers(cert: CoverCertificate, quads) -> bool:
     return all(
         any(u in q and v in q for u, v in matching) for q in quads
     )
-
-
-@dataclass
-class PartialColouringState:
-    """Result of replaying the growth sequence's partial colouring."""
-
-    colouring: EdgeColouring
-    saturation: dict          # triangle -> number of saturating colours (final)
-    problematic: list         # triangles whose extension step coloured nothing
-    vertex_steps: dict        # triangle -> number of vertex-steps attached to it
-    saturation_bound_ok: bool = True
 
 
 # -- decomposition -------------------------------------------------------
@@ -370,7 +358,7 @@ def find_stretched_sequence(h: Graph, node_budget: int = _SEQUENCE_BUDGET) -> Ge
         steps.append(tab.materialize(mask, vset, qi))
         vset |= tab.vmask[qi]
         mask = nm
-    return GeneratingSequence(tuple(base), tuple(steps))
+    return GeneratingSequence(tuple(base), tuple(steps), h.n)
 
 
 def random_tiled_graph(rng: random.Random, max_vertices: int = 12,
@@ -423,7 +411,7 @@ def _k4_matchings(vs):
 
 
 def partial_colouring(seq: GeneratingSequence, *, suppress=frozenset(),
-                      pair_first_edge_step: bool = False) -> PartialColouringState:
+                      pair_first_edge_step: bool = False) -> EdgeColouring:
     """Replay the sequence, colouring so each new K4 repeats a colour.
 
     Base K4: one matching of size two shares a colour (K5 base: the cyclic
@@ -431,16 +419,12 @@ def partial_colouring(seq: GeneratingSequence, *, suppress=frozenset(),
     two opposite new edges under a new colour.  Vertex-steps reuse a triangle
     colour on the opposite new edge when proper, else pair an uncoloured
     triangle edge (possibly the just-added missing edge) with the opposite
-    new edge under a new colour, else mark the triangle problematic.  Steps
-    in `suppress` colour nothing; with `pair_first_edge_step` the first
-    1-edge-step pairs its new edge with the opposite one, which earlier
-    steps keep uncoloured when a choice exists.
+    new edge under a new colour, else colour nothing (the triangle is then
+    problematic).  Steps in `suppress` colour nothing; with
+    `pair_first_edge_step` the first 1-edge-step pairs its new edge with the
+    opposite one, which earlier steps keep uncoloured when a choice exists.
     """
-    g = seq.graph()
-    psi = EdgeColouring(g)
-    problematic: list = []
-    vertex_steps: Counter = Counter()
-    sat_ok = True
+    psi = EdgeColouring(seq.graph())
 
     avoid: set = set()
     target_idx = None
@@ -452,39 +436,6 @@ def partial_colouring(seq: GeneratingSequence, *, suppress=frozenset(),
                 zw = _k(*(set(st.quad) - set(xy)))
                 avoid = {zw}
                 break
-
-    current: set = set(_pairs(seq.base_vertices))
-
-    def colours_by_vertex() -> list[set]:
-        """Colours at each vertex; every coloured edge is in `current`."""
-        at = [set() for _ in range(g.n)]
-        for a, b in current:
-            col = psi.get(a, b)
-            if col is not None:
-                at[a].add(col)
-                at[b].add(col)
-        return at
-
-    def saturating(tri, at) -> set:
-        cols = set()
-        for a, b in _pairs(tri):
-            if (a, b) not in current:
-                continue
-            col = psi.get(a, b)
-            if col is None:
-                continue
-            third = next(v for v in tri if v not in (a, b))
-            if col in at[third]:
-                cols.add(col)
-        return cols
-
-    def check_saturation():
-        nonlocal sat_ok
-        cg = Graph(g.n, sorted(current))
-        at = colours_by_vertex()
-        for tri in cg.triangles():
-            if len(saturating(tri, at)) > vertex_steps[tri] + 1:
-                sat_ok = False
 
     base = tuple(sorted(seq.base_vertices))
     if seq.base_kind == "K4":
@@ -498,19 +449,10 @@ def partial_colouring(seq: GeneratingSequence, *, suppress=frozenset(),
             colour = psi.fresh_colour()
             psi.assign(base[(i + 1) % 5], base[(i + 4) % 5], colour)
             psi.assign(base[(i + 2) % 5], base[(i + 3) % 5], colour)
-    check_saturation()
 
     for idx, st in enumerate(seq.steps):
-        current.update(st.added_edges)
-        if st.kind == "vertex":
-            tri = tuple(sorted(st.anchor))
-            vertex_steps[tri] += 1
         if idx in suppress:
-            if st.kind == "vertex":
-                problematic.append(tuple(sorted(st.anchor)))
-            check_saturation()
             continue
-
         if st.kind == "standard":
             x, y = st.new_vertices
             z, w = st.anchor
@@ -521,42 +463,30 @@ def partial_colouring(seq: GeneratingSequence, *, suppress=frozenset(),
                 psi.assign(a, b, colour)
         elif st.kind == "vertex":
             x = st.new_vertices[0]
-            tri_pairs = sorted(_pairs(st.anchor))
+            tri_pairs = _pairs(st.anchor)
             third_of = {e: next(v for v in st.anchor if v not in e) for e in tri_pairs}
-            done = False
             for e in tri_pairs:  # reuse an existing triangle colour
                 col = psi.get(*e)
-                if col is None or _k(x, third_of[e]) in avoid:
-                    continue
-                if not psi.would_clash(x, third_of[e], col):
+                if (col is not None and _k(x, third_of[e]) not in avoid
+                        and not psi.would_clash(x, third_of[e], col)):
                     psi.assign(x, third_of[e], col)
-                    done = True
                     break
-            if not done:
+            else:
                 for e in tri_pairs:  # pair an uncoloured triangle edge
                     if (psi.get(*e) is None and e not in avoid
                             and _k(x, third_of[e]) not in avoid):
                         colour = psi.fresh_colour()
                         psi.assign(*e, colour)
                         psi.assign(x, third_of[e], colour)
-                        done = True
                         break
-            if not done:
-                problematic.append(tuple(sorted(st.anchor)))
-        else:  # edge step: colour nothing, except the designated pairing
-            if idx == target_idx:
-                xy = st.added_edges[0]
-                zw = _k(*(set(st.quad) - set(xy)))
-                if psi.get(*zw) is None:
-                    colour = psi.fresh_colour()
-                    psi.assign(*xy, colour)
-                    psi.assign(*zw, colour)
-        check_saturation()
-
-    at = colours_by_vertex()
-    saturation = {tri: len(saturating(tri, at)) for tri in g.triangles()}
-    return PartialColouringState(psi, saturation, problematic,
-                                 dict(vertex_steps), sat_ok)
+        elif idx == target_idx:  # edge steps colour nothing but this pairing
+            xy = st.added_edges[0]
+            zw = _k(*(set(st.quad) - set(xy)))
+            if psi.get(*zw) is None:
+                colour = psi.fresh_colour()
+                psi.assign(*xy, colour)
+                psi.assign(*zw, colour)
+    return psi
 
 
 # -- certificates -----------------------------------------------------------
@@ -637,11 +567,8 @@ def colour_tiled(h: Graph, node_budget: int = _SEQUENCE_BUDGET):
         raise OutOfRegime(f"phi = {f} > 7", offending=h)
     seq = find_stretched_sequence(h, node_budget)
     for cfg in _colour_variants(seq):
-        state = partial_colouring(seq, **cfg)
-        psi = state.colouring
-        for u, v in h.edges:
-            if psi.get(u, v) is None:
-                psi.assign_fresh(u, v)
+        psi = partial_colouring(seq, **cfg)
+        psi.fill_fresh()
         cert = cover_certificate(h, psi)
         if certificate_allowed(cert, f):
             return psi, cert
@@ -654,6 +581,20 @@ def colour_tiled(h: Graph, node_budget: int = _SEQUENCE_BUDGET):
 
 def _lift(edge, back):
     return _k(back[edge[0]], back[edge[1]])
+
+
+def _assign_renumbered(psi: EdgeColouring, edges, colours, keep_red: bool = False):
+    """Colour `edges` with `colours` renumbered to fresh ids above RED, in
+    order of first appearance; with keep_red, RED stays RED."""
+    fresh = max(psi.next_colour, RED + 1)
+    remap: dict = {RED: RED} if keep_red else {}
+    out = []
+    for col in colours:
+        if col not in remap:
+            remap[col] = fresh
+            fresh += 1
+        out.append(remap[col])
+    psi.assign_many(edges, out)
 
 
 def colour_component_tree(c: Graph, parts) -> EdgeColouring:
@@ -709,18 +650,12 @@ def colour_component_tree(c: Graph, parts) -> EdgeColouring:
                                    offending=tuple(order))
 
     psi = EdgeColouring(c)
-    next_colour = 1
     red_edges = []
     for i in order:
         sub, back = parts[i]
         local_psi, cert = colour_tiled(sub)
-        remap: dict = {}
-        for u, v in sub.edges:
-            col = local_psi.get(u, v)
-            if col not in remap:
-                remap[col] = next_colour
-                next_colour += 1
-            psi.assign(*_lift((u, v), back), remap[col])
+        _assign_renumbered(psi, [_lift(e, back) for e in sub.edges],
+                           local_psi.colours(sub.edges))
         if i == root:
             if cert.kind == "triangle":
                 red_edges.append(_lift(_pairs(cert.triangle)[0], back))
@@ -753,7 +688,7 @@ def avoid_k8(r: Graph) -> EdgeColouring:
     assemblies coloured by colour_component_tree (one global red); edges in
     no K4 get fresh unique colours.
     """
-    parts, leftover = k4_components(r)
+    parts, _ = k4_components(r)
     for sub, back in parts:
         if phi(sub) > 7:
             raise OutOfRegime(f"K4-component with phi = {phi(sub)} > 7",
@@ -779,38 +714,24 @@ def avoid_k8(r: Graph) -> EdgeColouring:
     groups = sets.groups()
 
     psi = EdgeColouring(r)
-    next_colour = 1
-
-    def remap_into(edge_cols, preserve_red: bool):
-        nonlocal next_colour
-        remap: dict = {}
-        for (u, v), col in edge_cols:
-            if preserve_red and col == RED:
-                psi.assign(u, v, RED)
-                continue
-            if col not in remap:
-                remap[col] = next_colour
-                next_colour += 1
-            psi.assign(u, v, remap[col])
-
     for i in range(len(parts)):
         if i in high:
             continue
         sub, back = parts[i]
         local_psi, cert = colour_tiled(sub)
-        remap_into((( _lift((u, v), back), local_psi.get(u, v))
-                    for u, v in sub.edges), preserve_red=False)
+        _assign_renumbered(psi, [_lift(e, back) for e in sub.edges],
+                           local_psi.colours(sub.edges))
 
     for members in (groups[g] for g in sorted(groups)):
         union_edges = sorted({e for i in members
                               for e in (_lift(ed, parts[i][1]) for ed in parts[i][0].edges)})
         c = Graph(r.n, union_edges)
         tree_psi = colour_component_tree(c, [parts[i] for i in members])
-        remap_into(((e, tree_psi.get(*e)) for e in union_edges), preserve_red=True)
+        _assign_renumbered(psi, union_edges, tree_psi.colours(union_edges),
+                           keep_red=True)
 
-    for u, v in leftover:
-        psi.assign(u, v, next_colour)
-        next_colour += 1
+    # only the edges in no K4 are left
+    psi.fill_fresh(max(psi.next_colour, RED + 1))
     return psi
 
 
@@ -827,7 +748,6 @@ def avoid_k8_perturbed(instance: PerturbedInstance) -> EdgeColouring:
     base = avoid_k8(rg)
     g = instance.graph()
     psi = EdgeColouring(g)
-    for u, v in rg.edges:
-        psi.assign(u, v, base.get(u, v))
+    psi.assign_many(rg.edges, base.colours(rg.edges))
     psi.fill_fresh()
     return psi

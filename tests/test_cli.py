@@ -107,6 +107,20 @@ class TestUsageErrors:
         assert rc == 3
         assert message in err
 
+    @pytest.mark.parametrize("command", [
+        ("avoid-k4", "--n", "50", "--p", "0.001", "--seed", "-1"),
+        ("avoid-k6", "--n", "50", "--p", "0.001", "--seed", "-1"),
+        ("avoid-k8", "--n", "50", "--p", "0.001", "--seed", "-1"),
+        ("scan", "--mode", "containment-rate", "--ell", "4", "--n", "20",
+         "--p", "0.1", "--trials", "2", "--seed", "-3"),
+        ("verify-all", "--seed", "-1"),
+    ])
+    def test_negative_seed(self, capsys, command):
+        rc, out, err = run(capsys, *command)
+        assert rc == 3
+        assert out == ""
+        assert "--seed" in err and "must be >= 0" in err
+
     @pytest.mark.parametrize("ell", [4, 6, 8])
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_avoider_trials_below_one(self, capsys, ell, trials):
@@ -261,6 +275,22 @@ class TestTiled:
         assert data["certificate"]["kind"] == "no-rainbow"
         assert data["proper"] and data["sound"] and data["class_consistent"]
         assert data["rainbow_k4_count"] == 0
+
+    def test_trailing_isolated_vertex(self, capsys):
+        rc, out, _ = run(capsys, "tiled", "--graph", "DisjointUnion(K4,K1)")
+        assert rc == 0
+        data = json.loads(out)
+        assert data["proper"] is True
+        assert data["certificate"]["kind"] == "no-rainbow"
+
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_any_integer_seed(self, capsys, seed):
+        """tiled and certify seed string-keyed streams, so any integer works."""
+        rc, _, _ = run(capsys, "tiled", "--seed", seed)
+        assert rc == 0
+        rc, _, _ = run(capsys, "certify", "--lemma", "extract-rainbow-k4",
+                       "--trials", "3", "--seed", seed)
+        assert rc == 0
 
     def test_corpus_audit(self, capsys):
         rc, out, _ = run(capsys, "tiled", "--seed", "5", "--budget", "quick")

@@ -342,6 +342,43 @@ class TestDensityCondition:
             assert induced_margin_value(h, wit_cut, x) == Fraction(scaled_exh, b)
             checked += 1
 
+    def test_mincut_matches_networkx_max_closure(self):
+        """On 17-40 vertices, where density_condition takes the mincut path,
+        its minimum equals an independent max-closure cut in networkx: the
+        source pays a per edge, each vertex costs b to the sink, an edge
+        node needs both its endpoints (uncapacitated arcs, infinite in
+        networkx), and forcing the endpoints of each edge in turn keeps at
+        least one edge in the chosen set."""
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(20261018)
+        exponents = [Fraction(1, 3), Fraction(7, 15), Fraction(2, 3), Fraction(1)]
+        for _ in range(12):
+            n = rng.randint(17, 40)
+            edges = [e for e in combinations(range(n), 2) if rng.random() < 3 / n]
+            if not edges:
+                continue
+            h = Graph(n, edges)
+            x = rng.choice(exponents)
+            a, b = x.numerator, x.denominator
+            net = nx.DiGraph()
+            for i, (u, v) in enumerate(h.edges):
+                net.add_edge("s", ("e", i), capacity=a)
+                net.add_edge(("e", i), ("v", u))
+                net.add_edge(("e", i), ("v", v))
+            for w in range(n):
+                net.add_edge(("v", w), "t", capacity=b)
+            best = None
+            for u, v in h.edges:
+                forced = net.copy()
+                forced.add_edge("s", ("v", u))
+                forced.add_edge("s", ("v", v))
+                best_with_uv = a * h.m - nx.minimum_cut_value(forced, "s", "t")
+                best = best_with_uv if best is None else max(best, best_with_uv)
+            report = density_condition(h, x, MARGIN_UNIT)
+            assert report.strategy == "mincut"
+            assert report.min_value == Fraction(-best, b)
+            assert induced_margin_value(h, report.witness, x) == report.min_value
+
     def test_disjoint_copies_share_the_minimum(self):
         doubled = disjoint_union([hat_k(3, 4), hat_k(3, 4)])
         report = density_condition(doubled, Fraction(7, 15), MARGIN_UNIT)
@@ -536,6 +573,8 @@ class TestScanHelpers:
             ScanConfig(**{**good, "trials": 0})
         with pytest.raises(ParameterError):
             ScanConfig(**{**good, "threads": 0})
+        with pytest.raises(ParameterError, match="seed"):
+            ScanConfig(**{**good, "seed": -1})
         with pytest.raises(ParameterError):
             ScanConfig(**{**good, "n_values": ()})
         with pytest.raises(ParameterError):

@@ -351,6 +351,31 @@ def test_aut_order_matches_networkx(g):
     assert aut_order(g) == expected
 
 
+@given(small_graphs(max_n=10))
+@settings(max_examples=150, deadline=None)
+def test_cliques_match_networkx(g):
+    nx = pytest.importorskip("networkx")
+    by_size: dict = {}
+    for c in nx.enumerate_all_cliques(_nx(g)):
+        by_size.setdefault(len(c), []).append(tuple(sorted(c)))
+    for r in (3, 4, 5):
+        assert sorted(g.cliques(r)) == sorted(by_size.get(r, []))
+    assert g.triangles() == g.cliques(3)
+
+
+@given(small_graphs(max_n=10))
+@settings(max_examples=150, deadline=None)
+def test_components_match_networkx(g):
+    nx = pytest.importorskip("networkx")
+    ours = components(g)
+    assert sorted(back for _, back in ours) == sorted(
+        sorted(c) for c in nx.connected_components(_nx(g)))
+    for sub, back in ours:
+        assert sub.n == len(back)
+        assert sorted(tuple(sorted((back[u], back[v]))) for u, v in sub.edges) == [
+            (u, v) for u, v in g.edges if u in back]
+
+
 @given(small_graphs(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_is_isomorphic_matches_networkx(g, data):

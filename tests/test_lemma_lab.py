@@ -513,9 +513,7 @@ class TestCertifyLemma:
     def test_reports_are_deterministic(self):
         a = certify_lemma("disjoint-colour-triangles", 40, seed=5)
         b = certify_lemma("disjoint-colour-triangles", 40, seed=5)
-        assert a.to_json_dict(include_timing=False) == b.to_json_dict(
-            include_timing=False
-        )
+        assert a.to_json_dict() == b.to_json_dict()
 
     def test_unknown_lemma_rejected(self):
         with pytest.raises(ParameterError, match="unknown lemma"):

@@ -1,4 +1,5 @@
-"""No module of the package imports another module's private names."""
+"""No module of the package reaches into another module's private names:
+it neither imports them nor reads them as attributes."""
 
 import ast
 from pathlib import Path
@@ -8,14 +9,39 @@ import rainbowlab
 PACKAGE = Path(rainbowlab.__file__).parent
 
 
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def private_imports(source: str) -> list[str]:
     out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and node.level > 0:
             for alias in node.names:
-                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                if is_private(alias.name):
                     out.append(f"from {'.' * node.level}{node.module or ''} import {alias.name}")
     return out
+
+
+def foreign_private_reads(source: str) -> list[str]:
+    """`obj._name` reads where the module itself never defines `_name`: no
+    def or class of that name, no assignment to it, no `obj._name = ...`."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+    reads = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and is_private(node.attr) and node.attr not in defined
+    ]
+    return [f"line {node.lineno}: .{node.attr}"
+            for node in sorted(reads, key=lambda n: (n.lineno, n.col_offset))]
 
 
 def test_detector_sees_private_imports():
@@ -25,10 +51,33 @@ def test_detector_sees_private_imports():
     assert private_imports("from . import __version__\nfrom os import _exit\n") == []
 
 
+def test_detector_sees_foreign_private_reads():
+    source = (
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self._x = 1\n"
+        "    def _helper(self, other):\n"
+        "        return other._x + other._y + self._helper.__name__\n"
+        "def f(a):\n"
+        "    a._z = 2\n"
+        "    return a._z, a.__dict__, a._y\n"
+    )
+    assert foreign_private_reads(source) == ["line 5: ._y", "line 8: ._y"]
+
+
 def test_no_module_imports_private_names():
     offenders = [
         f"{path.name}: {line}"
         for path in sorted(PACKAGE.glob("*.py"))
         for line in private_imports(path.read_text())
+    ]
+    assert not offenders, offenders
+
+
+def test_no_module_reads_foreign_private_attributes():
+    offenders = [
+        f"{path.name}: {line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in foreign_private_reads(path.read_text())
     ]
     assert not offenders, offenders

@@ -7,6 +7,7 @@ vertex/edge counts of the produced graphs.
 """
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -20,6 +21,7 @@ from rainbowlab.model import PerturbedInstance, sample_perturbed, rng_for_trial
 from rainbowlab.tiled_k8 import (
     RED,
     CoverCertificate,
+    GeneratingSequence,
     avoid_k8,
     avoid_k8_perturbed,
     certificate_allowed,
@@ -288,20 +290,71 @@ def test_random_tiled_graph_always_tiled():
 # -- partial colouring --------------------------------------------------------
 
 
+def replay_ledger(seq):
+    """Per-step facts of the default replay, read off the replay of every
+    prefix of seq (the replay of a prefix is the replay's state after it).
+
+    Returns (bound_ok, problematic, vertex_steps): whether after every step
+    each triangle has at most (its vertex-steps so far) + 1 saturating
+    colours, the anchor triangles of the vertex-steps that coloured no edge
+    (in step order), and the vertex-steps attached to each triangle.  A
+    colour on an edge of a triangle saturates it when the third vertex
+    also sees that colour.
+    """
+    bound_ok, problematic, coloured_before = True, [], 0
+    for i in range(len(seq.steps) + 1):
+        prefix = GeneratingSequence(seq.base_vertices, seq.steps[:i], seq.n)
+        psi = partial_colouring(prefix)
+        coloured = psi.domain()
+        vertex_steps = Counter(tuple(sorted(s.anchor))
+                               for s in prefix.steps if s.kind == "vertex")
+        seen = {}
+        for a, b in coloured:
+            seen.setdefault(a, set()).add(psi.get(a, b))
+            seen.setdefault(b, set()).add(psi.get(a, b))
+        for tri in prefix.graph().triangles():
+            saturating = {psi.get(a, b) for a, b in pairs(tri)
+                          if psi.get(a, b) in seen.get(sum(tri) - a - b, ())}
+            if len(saturating) > vertex_steps[tri] + 1:
+                bound_ok = False
+        if i and seq.steps[i - 1].kind == "vertex" and len(coloured) <= coloured_before:
+            problematic.append(tuple(sorted(seq.steps[i - 1].anchor)))
+        coloured_before = len(coloured)
+    return bound_ok, problematic, dict(vertex_steps)
+
+
+# Two vertex-steps; the second, on triangle 145, colours nothing.
+TWO_VERTEX_STEPS = Graph(7, [
+    (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4),
+    (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (4, 5), (4, 6), (5, 6)])
+
+
+@pytest.mark.parametrize("g,expected", [
+    (TRI_SHARE, (True, [], {(0, 1, 2): 1})),
+    # the K5 one-factorisation saturates every triangle twice, with no
+    # vertex-step: the bound is only proven from a K4 base
+    (complete_graph(5), (False, [], {})),
+    (TWO_VERTEX_STEPS, (False, [(1, 4, 5)], {(0, 1, 2): 1, (1, 4, 5): 1})),
+], ids=["triangle-share", "K5", "two-vertex-steps"])
+def test_replay_ledger_examples(g, expected):
+    """The expected values come from an independent count: the per-step
+    saturation bookkeeping the replay itself once kept."""
+    assert replay_ledger(find_stretched_sequence(g)) == expected
+
+
 def test_partial_base_k4():
-    state = partial_colouring(find_stretched_sequence(complete_graph(4)))
-    psi = state.colouring
+    seq = find_stretched_sequence(complete_graph(4))
+    psi = partial_colouring(seq)
     coloured = [e for e in pairs(range(4)) if psi.get(*e) is not None]
     assert len(coloured) == 2
     c1, c2 = (psi.get(*e) for e in coloured)
     assert c1 == c2
     assert set(coloured[0]).isdisjoint(coloured[1])
-    assert state.problematic == []
+    assert replay_ledger(seq)[1] == []
 
 
 def test_partial_base_k5_factorisation():
-    state = partial_colouring(find_stretched_sequence(complete_graph(5)))
-    psi = state.colouring
+    psi = partial_colouring(find_stretched_sequence(complete_graph(5)))
     assert psi.is_total()
     assert is_proper(complete_graph(5), psi)
     classes = {}
@@ -324,9 +377,8 @@ def test_partial_all_standard_never_problematic():
         n += 2
     seq = find_stretched_sequence(Graph(n, sorted(edges)))
     assert all(s.kind == "standard" for s in seq.steps)
-    state = partial_colouring(seq)
-    assert state.problematic == []
-    assert rainbow_quads(seq.graph(), state.colouring) == []
+    assert replay_ledger(seq)[1] == []
+    assert rainbow_quads(seq.graph(), partial_colouring(seq)) == []
 
 
 def test_partial_properness_corpus():
@@ -334,8 +386,7 @@ def test_partial_properness_corpus():
     for _ in range(60):
         g = random_tiled_graph(rng, max_vertices=8, steps=4)
         seq = find_stretched_sequence(g)
-        state = partial_colouring(seq)
-        assert is_proper(g, state.colouring)
+        assert is_proper(g, partial_colouring(seq))
 
 
 def test_partial_saturation_bound_where_proven():
@@ -352,10 +403,10 @@ def test_partial_saturation_bound_where_proven():
         if seq.gamma != 0 or seq.base_kind != "K4":
             continue
         in_scope += 1
-        state = partial_colouring(seq)
-        assert state.saturation_bound_ok
-        for tri in state.problematic:
-            assert state.vertex_steps.get(tri, 0) >= 3
+        bound_ok, problematic, vertex_steps = replay_ledger(seq)
+        assert bound_ok
+        for tri in problematic:
+            assert vertex_steps.get(tri, 0) >= 3
     assert in_scope >= 10
 
 
@@ -463,6 +514,16 @@ def test_colour_tiled_matching_class():
     psi, cert = colour_tiled(g)
     assert psi.is_total() and is_proper(g, psi)
     assert_certificate_sound(g, psi, cert)
+
+
+def test_colour_tiled_keeps_isolated_vertices():
+    g = Graph(6, pairs(range(4)))  # vertices 4 and 5 are isolated
+    seq = find_stretched_sequence(g)
+    assert seq.n == 6 and seq.graph() == g
+    psi, cert = colour_tiled(g)
+    assert psi.graph == g
+    assert psi.is_total() and is_proper(g, psi)
+    assert cert.kind == "no-rainbow"
 
 
 def test_colour_tiled_out_of_regime():
