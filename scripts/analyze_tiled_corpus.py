@@ -13,14 +13,16 @@ from collections import Counter
 
 from rainbowlab.tiled_k8 import colour_tiled, phi, random_tiled_graph
 
+# The certificate classes end at phi = 7; colour_tiled refuses larger
+# deficiencies, so such graphs are redrawn.
+MAX_PHI = 7
 
-def main() -> int:
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--size", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-phi", type=int, default=7,
-                        help="redraw graphs whose deficiency exceeds this")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     table: Counter = Counter()
     attempts = 0
@@ -30,18 +32,18 @@ def main() -> int:
             attempts += 1
             g = random_tiled_graph(rng, steps=rng.randint(1, 6))
             f = phi(g)
-            if f <= args.max_phi:
+            if f <= MAX_PHI:
                 break
         _, cert = colour_tiled(g)
         table[(f, cert.kind)] += 1
 
     kinds = ("no-rainbow", "triangle", "matching")
     print(f"{'phi':>4} " + "".join(f"{k:>12}" for k in kinds) + f"{'total':>8}")
-    for f in range(args.max_phi + 1):
+    for f in range(MAX_PHI + 1):
         row = [table.get((f, k), 0) for k in kinds]
         print(f"{f:>4} " + "".join(f"{c:>12}" for c in row) + f"{sum(row):>8}")
-    totals = [sum(table.get((f, k), 0) for f in range(args.max_phi + 1)) for k in kinds]
-    print(f"{'all':>4} " + "".join(f"{c:>12}" for c in totals) + f"{args.size:>8}")
+    totals = [sum(table.get((f, k), 0) for f in range(MAX_PHI + 1)) for k in kinds]
+    print(f"{'all':>4} " + "".join(f"{c:>12}" for c in totals) + f"{sum(totals):>8}")
     print(f"\n{attempts} draws for {args.size} graphs "
           f"({attempts / args.size:.2f} per kept graph)")
     return 0

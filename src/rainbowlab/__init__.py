@@ -1,130 +1,5 @@
 """Constructive colourings, certificates and Monte Carlo scans for
-rainbow-clique emergence in randomly perturbed dense graphs."""
-
-from .avoider_k4 import avoid_k4
-from .avoider_k6 import avoid_k6, find_matchings
-from .avoiders import validate
-from .canon import aut_order, is_isomorphic
-from .colouring import (
-    ArrowsVerdict,
-    EdgeColouring,
-    decide_arrows,
-    is_proper,
-    rainbow_copies,
-)
-from .emergence import (
-    DensityMarginReport,
-    JansonEstimate,
-    MARGIN_LINEAR,
-    MARGIN_UNIT,
-    ScanConfig,
-    ScanRow,
-    StructureAudit,
-    density_condition,
-    has_clique,
-    janson_bound,
-    parse_probability,
-    scan_rows_to_csv,
-    threshold_scan,
-    verify_structure,
-    wilson_interval,
-)
-from .errors import (
-    CounterexampleFound,
-    OutOfRegime,
-    ParameterError,
-    RainbowLabError,
-    SearchExhausted,
-    StructureUnsupported,
-)
-from .graph import (
-    Graph,
-    clique,
-    complete_bipartite,
-    densities,
-    disjoint_union,
-    empty_graph,
-    enumerate_copies,
-    hat_k,
-    k_delta,
-    path_graph,
-    r7,
-    star,
-    t_graph,
-)
-from .lemma_lab import LEMMA_NAMES, certify_lemma
-from .model import PerturbedInstance, rng_for_trial, sample_gnp, sample_perturbed
-from .tiled_k8 import (
-    avoid_k8,
-    avoid_k8_perturbed,
-    colour_tiled,
-    cover_certificate,
-    is_k4_tiled,
-    k4_components,
-    phi,
-    random_tiled_graph,
-)
+rainbow-clique emergence in randomly perturbed dense graphs.  Each name
+is imported from the module that defines it."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ArrowsVerdict",
-    "CounterexampleFound",
-    "DensityMarginReport",
-    "EdgeColouring",
-    "Graph",
-    "JansonEstimate",
-    "LEMMA_NAMES",
-    "MARGIN_LINEAR",
-    "MARGIN_UNIT",
-    "OutOfRegime",
-    "ParameterError",
-    "PerturbedInstance",
-    "RainbowLabError",
-    "ScanConfig",
-    "ScanRow",
-    "SearchExhausted",
-    "StructureAudit",
-    "StructureUnsupported",
-    "aut_order",
-    "avoid_k4",
-    "avoid_k6",
-    "avoid_k8",
-    "avoid_k8_perturbed",
-    "certify_lemma",
-    "clique",
-    "colour_tiled",
-    "complete_bipartite",
-    "cover_certificate",
-    "decide_arrows",
-    "densities",
-    "density_condition",
-    "disjoint_union",
-    "empty_graph",
-    "enumerate_copies",
-    "find_matchings",
-    "has_clique",
-    "hat_k",
-    "is_isomorphic",
-    "is_k4_tiled",
-    "is_proper",
-    "janson_bound",
-    "k4_components",
-    "k_delta",
-    "parse_probability",
-    "path_graph",
-    "phi",
-    "r7",
-    "rainbow_copies",
-    "random_tiled_graph",
-    "rng_for_trial",
-    "sample_gnp",
-    "sample_perturbed",
-    "scan_rows_to_csv",
-    "star",
-    "t_graph",
-    "threshold_scan",
-    "validate",
-    "verify_structure",
-    "wilson_interval",
-]

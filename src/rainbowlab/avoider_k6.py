@@ -415,12 +415,3 @@ def avoid_k6(instance: PerturbedInstance) -> EdgeColouring:
 
     psi.fill_fresh(start=next_colour)
     return psi
-
-
-def k6_triangle_pairs(instance: PerturbedInstance):
-    """All K6 copies of the union as (A-triangle, B-triangle) pairs; with a
-    K4-free perturbation these are the only K6s."""
-    off = instance.u_size
-    left_tris = [t for t in instance.left.triangles()]
-    right_tris = [(a + off, b + off, c + off) for a, b, c in instance.right.triangles()]
-    return [(ta, tb) for ta in left_tris for tb in right_tris]

@@ -156,7 +156,7 @@ def _load_graph(spec: str) -> Graph:
 
 def _default_threads(value) -> int:
     """--threads, else RAINBOW_LAB_THREADS, else 1; a value below 1 is a
-    usage error.  The value is passed on, but no command starts threads."""
+    usage error.  Only ``scan`` passes the value on; no command starts threads."""
     source = "--threads"
     if value is None:
         source = "RAINBOW_LAB_THREADS"
@@ -383,9 +383,9 @@ def _cmd_scan(args) -> int:
 
 def _cmd_verify_all(args) -> int:
     started = _now()
-    threads = _default_threads(args.threads)
+    _default_threads(args.threads)  # validated for the exit-3 rule, then unused
     archive_dir = Path(args.emit) / "counterexamples" if args.emit else None
-    results = run_all(args.seed, args.budget, threads, archive_dir)
+    results = run_all(args.seed, args.budget, archive_dir)
     for r in results:
         print(r.line())
     payload = results_to_json_dict(args.seed, args.budget, results)

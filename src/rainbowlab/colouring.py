@@ -144,9 +144,6 @@ class EdgeColouring:
                 f"{exc.args[0]} is not a coloured edge (u < v) of the companion graph"
             ) from None
 
-    def fresh_colour(self) -> int:
-        return self.next_colour
-
     def assign_fresh(self, u: int, v: int) -> int:
         c = self.next_colour
         self.assign(u, v, c)

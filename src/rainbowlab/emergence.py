@@ -14,9 +14,6 @@ Four groups of tools:
 * ``threshold_scan`` -- a deterministic Monte Carlo driver producing CSV
   rows of success rates with Wilson confidence intervals; an avoider
   trial succeeds only when ``avoiders.validate`` accepts its colouring.
-
-The G(n,p) and perturbed-instance samplers live in ``rainbowlab.model``
-and are re-exported here for convenience.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from .errors import (
     StructureUnsupported,
 )
 from .graph import DisjointSets, Graph, bits, clique, edge_counts_all_subsets
-from .model import PerturbedInstance, rng_for_trial, sample_gnp, sample_perturbed
+from .model import sample_gnp, sample_perturbed
 from .tiled_k8 import k4_components, phi
 
 __all__ = [
@@ -61,11 +58,6 @@ __all__ = [
     "scan_rows_to_csv",
     "SCAN_MODES",
     "wilson_interval",
-    # re-exports
-    "PerturbedInstance",
-    "sample_gnp",
-    "sample_perturbed",
-    "rng_for_trial",
 ]
 
 

@@ -218,9 +218,6 @@ class SpokedTriangleFan:
         )
         return cls(off, spokes, apexes)
 
-    def skeleton_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(_norm(self.centre, s) for s in self.spokes)
-
     def triangle(self, i: int, j: int) -> tuple[int, int, int]:
         return (self.centre, self.spokes[i], self.apexes[i][j])
 

@@ -441,12 +441,12 @@ def partial_colouring(seq: GeneratingSequence, *, suppress=frozenset(),
     if seq.base_kind == "K4":
         pair = next((m for m in _k4_matchings(base)
                      if not (set(m) & avoid)), _k4_matchings(base)[0])
-        colour = psi.fresh_colour()
+        colour = psi.next_colour
         for a, b in pair:
             psi.assign(a, b, colour)
     else:
         for i in range(5):
-            colour = psi.fresh_colour()
+            colour = psi.next_colour
             psi.assign(base[(i + 1) % 5], base[(i + 4) % 5], colour)
             psi.assign(base[(i + 2) % 5], base[(i + 3) % 5], colour)
 
@@ -458,7 +458,7 @@ def partial_colouring(seq: GeneratingSequence, *, suppress=frozenset(),
             z, w = st.anchor
             options = (( _k(x, z), _k(y, w)), (_k(x, w), _k(y, z)))
             pair = next((p for p in options if not (set(p) & avoid)), options[0])
-            colour = psi.fresh_colour()
+            colour = psi.next_colour
             for a, b in pair:
                 psi.assign(a, b, colour)
         elif st.kind == "vertex":
@@ -475,7 +475,7 @@ def partial_colouring(seq: GeneratingSequence, *, suppress=frozenset(),
                 for e in tri_pairs:  # pair an uncoloured triangle edge
                     if (psi.get(*e) is None and e not in avoid
                             and _k(x, third_of[e]) not in avoid):
-                        colour = psi.fresh_colour()
+                        colour = psi.next_colour
                         psi.assign(*e, colour)
                         psi.assign(x, third_of[e], colour)
                         break
@@ -483,7 +483,7 @@ def partial_colouring(seq: GeneratingSequence, *, suppress=frozenset(),
             xy = st.added_edges[0]
             zw = _k(*(set(st.quad) - set(xy)))
             if psi.get(*zw) is None:
-                colour = psi.fresh_colour()
+                colour = psi.next_colour
                 psi.assign(*xy, colour)
                 psi.assign(*zw, colour)
     return psi
@@ -554,7 +554,7 @@ def _colour_variants(seq: GeneratingSequence):
                 yield {"pair_first_edge_step": True, "suppress": sup | multi}
 
 
-def colour_tiled(h: Graph, node_budget: int = _SEQUENCE_BUDGET):
+def colour_tiled(h: Graph):
     """Proper colouring of a K4-tiled graph plus a phi-class certificate.
 
     phi <= 2 yields no-rainbow, phi in [3,5] a shared triangle, phi in [6,7]
@@ -565,7 +565,7 @@ def colour_tiled(h: Graph, node_budget: int = _SEQUENCE_BUDGET):
     f = phi(h)
     if f > 7:
         raise OutOfRegime(f"phi = {f} > 7", offending=h)
-    seq = find_stretched_sequence(h, node_budget)
+    seq = find_stretched_sequence(h)
     for cfg in _colour_variants(seq):
         psi = partial_colouring(seq, **cfg)
         psi.fill_fresh()

@@ -432,21 +432,15 @@ def check_reference_bounds(budget: str = "quick") -> CheckResult:
 # -- composition -----------------------------------------------------------------
 
 
-def run_all(
-    seed: int,
-    budget: str = "quick",
-    threads: int = 1,
-    archive_dir=None,
-) -> list[CheckResult]:
-    """Run every acceptance criterion; deterministic w.r.t. (seed, budget).
-    ``threads`` is accepted and starts no threads."""
+def run_all(seed: int, budget: str = "quick", archive_dir=None) -> list[CheckResult]:
+    """Run every acceptance criterion; deterministic w.r.t. (seed, budget)."""
     _require_budget(budget)
     return [
         check_certificates(budget),
-        check_avoid_k4(seed, budget, threads),
-        check_avoid_k6(seed, budget, threads),
-        check_tiled_corpus(seed, budget, threads),
-        check_avoid_k8(seed, budget, threads),
+        check_avoid_k4(seed, budget),
+        check_avoid_k6(seed, budget),
+        check_tiled_corpus(seed, budget),
+        check_avoid_k8(seed, budget),
         check_lemma_falsification(seed, budget, archive_dir),
         check_reference_bounds(budget),
     ]

@@ -1,0 +1,25 @@
+"""scripts/analyze_tiled_corpus.py tabulates deficiency against
+certificate kind over a random tiled corpus."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "analyze_tiled_corpus.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("analyze_tiled_corpus", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_corpus_table_counts_every_graph(capsys):
+    assert load_script().main(["--size", "40", "--seed", "11"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = {line.split()[0]: [int(c) for c in line.split()[1:]]
+            for line in lines[1:10]}
+    assert sorted(rows) == ["0", "1", "2", "3", "4", "5", "6", "7", "all"]
+    *kinds, total = rows["all"]
+    assert sum(kinds) == total == 40
+    assert sum(row[-1] for f, row in rows.items() if f != "all") == 40

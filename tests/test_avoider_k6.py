@@ -10,10 +10,10 @@ from rainbowlab.avoider_k6 import (
     MatchingQuadruple,
     avoid_k6,
     find_matchings,
-    k6_triangle_pairs,
     triangle_union,
     verify_quadruple,
 )
+from rainbowlab.avoiders import perturbed_cliques
 from rainbowlab.colouring import is_proper
 from rainbowlab.errors import ParameterError, SearchExhausted, StructureUnsupported
 from rainbowlab.graph import Graph, clique, components, path_graph, r7, t_graph
@@ -129,13 +129,12 @@ def test_avoid_k6_two_triangles_share_red():
     left_cols = {psi.get(0, 1), psi.get(1, 2), psi.get(0, 2)}
     right_cols = {psi.get(3, 4), psi.get(4, 5), psi.get(3, 5)}
     assert RED in left_cols and RED in right_cols
-    pairs = k6_triangle_pairs(inst)
-    assert len(pairs) == 1
-    assert not _pair_rainbow(psi, *pairs[0])
+    k6s = perturbed_cliques(inst, 6)
+    assert k6s == [(0, 1, 2, 3, 4, 5)]
+    assert not _rainbow(psi, k6s[0])
 
 
-def _pair_rainbow(psi, ta, tb) -> bool:
-    vs = list(ta) + list(tb)
+def _rainbow(psi, vs) -> bool:
     cols = [psi.get(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]]
     return len(set(cols)) == len(cols)
 
@@ -153,8 +152,9 @@ def test_avoid_k6_sampled_instances(n):
         g = inst.graph()
         assert psi.is_total()
         assert is_proper(g, psi)
-        assert all(not _pair_rainbow(psi, ta, tb)
-                   for ta, tb in k6_triangle_pairs(inst))
+        # With both sides K4-free every K6 splits 3+3: a triangle per side.
+        assert not inst.left.cliques(4) and not inst.right.cliques(4)
+        assert all(not _rainbow(psi, vs) for vs in perturbed_cliques(inst, 6))
         done += 1
     assert done >= 3
 

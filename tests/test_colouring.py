@@ -206,7 +206,7 @@ def test_recolouring_keeps_books_straight():
     assert not is_proper(K3, psi)
     psi.assign(0, 1, 2)
     assert is_proper(K3, psi)
-    assert psi.fresh_colour() == 3
+    assert psi.next_colour == 3
 
 
 def _brute_clash(g: Graph, col: dict):

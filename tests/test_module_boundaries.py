@@ -1,5 +1,6 @@
 """No module of the package reaches into another module's private names:
-it neither imports them nor reads them as attributes."""
+it neither imports them nor reads them as attributes.  Every public name
+has one import path: a module's ``__all__`` lists only names it defines."""
 
 import ast
 from pathlib import Path
@@ -44,6 +45,26 @@ def foreign_private_reads(source: str) -> list[str]:
             for node in sorted(reads, key=lambda n: (n.lineno, n.col_offset))]
 
 
+def reexports(source: str) -> list[str]:
+    """Names in the module's ``__all__`` that no def, class or assignment at
+    module level binds; an import alone does not count."""
+    tree = ast.parse(source)
+    bound, exported = set(), []
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            exported = ast.literal_eval(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return [name for name in exported if name not in bound]
+
+
 def test_detector_sees_private_imports():
     assert private_imports("from .graph import Graph, _edge_counts\n") == [
         "from .graph import _edge_counts"
@@ -65,6 +86,22 @@ def test_detector_sees_foreign_private_reads():
     assert foreign_private_reads(source) == ["line 5: ._y", "line 8: ._y"]
 
 
+def test_detector_sees_reexports():
+    source = (
+        "import math as m\n"
+        "from .model import rng_for_trial, sample_gnp\n"
+        "RED, BLUE = 0, 1\n"
+        "LIMIT: int = 3\n"
+        "def f():\n"
+        "    local = 1\n"
+        "class C:\n"
+        "    pass\n"
+        "__all__ = ['f', 'C', 'RED', 'BLUE', 'LIMIT', 'sample_gnp', 'm', 'local']\n"
+    )
+    assert reexports(source) == ["sample_gnp", "m", "local"]
+    assert reexports("from .graph import Graph\n") == []
+
+
 def test_no_module_imports_private_names():
     offenders = [
         f"{path.name}: {line}"
@@ -79,5 +116,14 @@ def test_no_module_reads_foreign_private_attributes():
         f"{path.name}: {line}"
         for path in sorted(PACKAGE.glob("*.py"))
         for line in foreign_private_reads(path.read_text())
+    ]
+    assert not offenders, offenders
+
+
+def test_every_exported_name_is_defined_in_its_module():
+    offenders = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in reexports(path.read_text())
     ]
     assert not offenders, offenders
