@@ -1,10 +1,14 @@
-"""The perturbed-instance avoiders and the one check that trusts their output.
+"""The perturbed-instance avoiders, the one avoider trial and its check.
 
 ``AVOIDERS`` maps a clique order ell to the constructor whose colouring
 has no rainbow K_ell: the K4 avoider serves ell in {4, 5}, the K6 avoider
-ell in {6, 7}, the tiled-K8 avoider ell = 8.  ``validate`` is the check
-every such colouring passes before the acceptance sweeps, the
-``avoid-k*`` commands or the avoider-success-rate scan count it.
+ell in {6, 7}, the tiled-K8 avoider ell = 8.  Every avoider trial (the
+``avoid-k*`` commands, the avoider-success-rate scan, the acceptance
+sweeps) goes through ``attempt``: it runs ``AVOIDERS[ell]``, returns a
+refusal by design as declined, and otherwise returns the verdict of
+``validate``, the one check of avoider output.  A refusal is reported as
+out of regime, except that the K8 acceptance sweep counts a
+``SearchExhausted`` as a violation.
 """
 
 from __future__ import annotations
@@ -14,11 +18,12 @@ from itertools import combinations
 from .avoider_k4 import avoid_k4
 from .avoider_k6 import avoid_k6
 from .colouring import EdgeColouring, is_proper
+from .errors import OutOfRegime, RainbowLabError, SearchExhausted, StructureUnsupported
 from .graph import Graph
 from .model import PerturbedInstance
 from .tiled_k8 import RED, avoid_k8_perturbed
 
-__all__ = ["AVOIDERS", "perturbed_cliques", "validate"]
+__all__ = ["AVOIDERS", "attempt", "perturbed_cliques", "validate"]
 
 AVOIDERS = {4: avoid_k4, 5: avoid_k4, 6: avoid_k6, 7: avoid_k6, 8: avoid_k8_perturbed}
 
@@ -86,3 +91,17 @@ def validate(instance: PerturbedInstance, psi: EdgeColouring, ell: int) -> str |
         if len(set(_colours(psi, vs))) == pairs:
             return f"rainbow K{ell} at {vs}"
     return None
+
+
+def attempt(instance: PerturbedInstance, ell: int) -> tuple[RainbowLabError | None, str | None]:
+    """One avoider trial: (declined, problem).
+
+    ``declined`` is the refusal ``AVOIDERS[ell]`` raised by design, with
+    ``problem`` None; otherwise ``declined`` is None and ``problem`` is
+    ``validate``'s verdict on the colouring, None when it is accepted.
+    """
+    try:
+        psi = AVOIDERS[ell](instance)
+    except (StructureUnsupported, OutOfRegime, SearchExhausted) as exc:
+        return exc, None
+    return None, validate(instance, psi, ell)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .avoiders import AVOIDERS, validate
+from .avoiders import attempt
 from .colouring import decide_arrows, is_proper, rainbow_copies
 from .emergence import (
     MARGIN_LINEAR,
@@ -215,14 +215,10 @@ def _run_avoider(args, ell: int) -> int:
     violations: list[str] = []
     for trial in range(args.trials):
         rng = np.random.default_rng([args.seed, ell, trial])
-        instance = sample_perturbed(n, p, rng)
-        try:
-            psi = AVOIDERS[ell](instance)
-        except (StructureUnsupported, OutOfRegime, SearchExhausted) as exc:
-            out_of_regime.append(f"trial {trial}: {type(exc).__name__}: {exc}")
-            continue
-        problem = validate(instance, psi, ell)
-        if problem:
+        declined, problem = attempt(sample_perturbed(n, p, rng), ell)
+        if declined:
+            out_of_regime.append(f"trial {trial}: {type(declined).__name__}: {declined}")
+        elif problem:
             violations.append(f"trial {trial}: {problem}")
         else:
             validated += 1
@@ -384,6 +380,8 @@ def _cmd_scan(args) -> int:
 def _cmd_verify_all(args) -> int:
     started = _now()
     _default_threads(args.threads)  # validated for the exit-3 rule, then unused
+    if args.emit:  # an unusable --emit fails before the gate runs
+        Path(args.emit).mkdir(parents=True, exist_ok=True)
     archive_dir = Path(args.emit) / "counterexamples" if args.emit else None
     results = run_all(args.seed, args.budget, archive_dir)
     for r in results:
@@ -391,9 +389,7 @@ def _cmd_verify_all(args) -> int:
     payload = results_to_json_dict(args.seed, args.budget, results)
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.emit:
-        target = Path(args.emit)
-        target.mkdir(parents=True, exist_ok=True)
-        out = target / "results.json"
+        out = Path(args.emit) / "results.json"
         out.write_text(text + "\n")
         _write_manifest(args, out, passed=payload["passed"], started=started)
     return EXIT_PASS if payload["passed"] else EXIT_VIOLATION

@@ -315,6 +315,8 @@ def decide_arrows(g: Graph, h: Graph, node_budget: int = 2_000_000) -> ArrowsVer
     """
     if node_budget <= 0:
         raise ParameterError(f"node budget must be positive, got {node_budget}")
+    if h.m == 0 and h.n <= g.n:  # every copy of an edgeless h is rainbow
+        return ArrowsVerdict("arrows", None, 0)
     m = g.m
     copy_sets = sorted({
         frozenset(g.edge_id(emb[u], emb[v]) for u, v in h.edges)

@@ -13,7 +13,7 @@ Four groups of tools:
   the meet graph of the dense parts.
 * ``threshold_scan`` -- a deterministic Monte Carlo driver producing CSV
   rows of success rates with Wilson confidence intervals; an avoider
-  trial succeeds only when ``avoiders.validate`` accepts its colouring.
+  trial succeeds only when ``avoiders.attempt`` neither declines nor rejects it.
 """
 
 from __future__ import annotations
@@ -29,15 +29,10 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .avoiders import AVOIDERS, validate
+from .avoiders import attempt
 from .canon import aut_order
 from .colouring import decide_arrows
-from .errors import (
-    OutOfRegime,
-    ParameterError,
-    SearchExhausted,
-    StructureUnsupported,
-)
+from .errors import ParameterError, SearchExhausted, StructureUnsupported
 from .graph import DisjointSets, Graph, bits, clique, edge_counts_all_subsets
 from .model import sample_gnp, sample_perturbed
 from .tiled_k8 import k4_components, phi
@@ -708,12 +703,8 @@ def _scan_trial(config: ScanConfig, n: int, p: float, rng) -> bool:
         g = sample_gnp(n, p, rng)
         return has_clique(g, (config.ell + 1) // 2)
     if config.mode == "avoider-success-rate":
-        instance = sample_perturbed(n, p, rng)
-        try:
-            psi = AVOIDERS[config.ell](instance)
-        except (OutOfRegime, StructureUnsupported, SearchExhausted):
-            return False
-        return validate(instance, psi, config.ell) is None
+        declined, problem = attempt(sample_perturbed(n, p, rng), config.ell)
+        return declined is None and problem is None
     instance = sample_perturbed(n, p, rng)
     try:
         verdict = decide_arrows(instance.graph(), clique(config.ell))

@@ -16,9 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .avoider_k4 import avoid_k4
-from .avoider_k6 import avoid_k6, find_matchings, triangle_union, verify_quadruple
-from .avoiders import perturbed_cliques, validate  # noqa: F401 (re-exported)
+from .avoiders import attempt, perturbed_cliques  # noqa: F401 (perturbed_cliques re-exported)
 from .colouring import decide_arrows, is_proper, rainbow_copies
 from .emergence import (
     MARGIN_LINEAR,
@@ -27,15 +25,9 @@ from .emergence import (
     janson_bound,
     verify_structure,
 )
-from .errors import (
-    OutOfRegime,
-    ParameterError,
-    SearchExhausted,
-    StructureUnsupported,
-)
+from .errors import OutOfRegime, ParameterError, SearchExhausted
 from .graph import (
     clique,
-    components,
     densities,
     disjoint_union,
     hat_k,
@@ -47,7 +39,6 @@ from .graph import (
 from .lemma_lab import LEMMA_NAMES, certify_lemma
 from .model import sample_perturbed
 from .tiled_k8 import (
-    avoid_k8_perturbed,
     certificate_allowed,
     certificate_covers,
     colour_tiled,
@@ -151,12 +142,9 @@ def check_avoid_k4(seed: int, budget: str = "quick", threads: int = 1) -> CheckR
     def one(ni, ci, trial):
         n, c = ns[ni], cs[ci]
         rng = np.random.default_rng([seed, 2, ni, ci, trial])
-        instance = sample_perturbed(n, c * n ** -1.25, rng)
-        try:
-            psi = avoid_k4(instance)
-        except (StructureUnsupported, OutOfRegime, SearchExhausted):
+        declined, problem = attempt(sample_perturbed(n, c * n ** -1.25, rng), 4)
+        if declined:
             return "skip"
-        problem = validate(instance, psi, 4)
         if problem:
             return f"n={n} c={c} trial={trial}: {problem}"
         return "ok"
@@ -194,20 +182,9 @@ def check_avoid_k6(seed: int, budget: str = "quick", threads: int = 1) -> CheckR
     def one(ni, trial):
         n = ns[ni]
         rng = np.random.default_rng([seed, 3, ni, trial])
-        instance = sample_perturbed(n, n ** -0.7, rng)
-        try:
-            for part in (instance.left, instance.right):
-                tu = triangle_union(part)
-                for sub, _back in components(tu):
-                    if sub.m == 0:
-                        continue
-                    quad = find_matchings(sub)
-                    if not verify_quadruple(sub.triangles(), quad):
-                        return f"n={n} trial={trial}: quadruple fails direct scan"
-            psi = avoid_k6(instance)
-        except (StructureUnsupported, OutOfRegime, SearchExhausted):
+        declined, problem = attempt(sample_perturbed(n, n ** -0.7, rng), 6)
+        if declined:
             return "skip"
-        problem = validate(instance, psi, 6)
         if problem:
             return f"n={n} trial={trial}: {problem}"
         return "ok"
@@ -306,18 +283,17 @@ def check_avoid_k8(seed: int, budget: str = "quick", threads: int = 1) -> CheckR
         rng = np.random.default_rng([seed, 5, ni, trial])
         instance = sample_perturbed(n, n ** -0.45, rng)
         audit = verify_structure(disjoint_union((instance.left, instance.right)))
-        try:
-            psi = avoid_k8_perturbed(instance)
-        except (StructureUnsupported, OutOfRegime):
+        declined, problem = attempt(instance, 8)
+        # Only here is SearchExhausted a violation: it leaves a K8-regime component unsolved.
+        if isinstance(declined, SearchExhausted):
+            return f"n={n} trial={trial}: SearchExhausted: {declined}"
+        if declined:
             return "skip"
-        except SearchExhausted as exc:
-            return f"n={n} trial={trial}: SearchExhausted: {exc}"
         if not audit.ok:
             return (
                 f"n={n} trial={trial}: colouring produced despite structural "
                 f"violation {audit.violations[0].claim}"
             )
-        problem = validate(instance, psi, 8)
         if problem:
             return f"n={n} trial={trial}: {problem}"
         return "ok"

@@ -34,9 +34,9 @@ def test_criterion_2_avoid_k4_sweep():
 
 
 def test_criterion_3_avoid_k6_sweep():
-    # >= 300 perturbed instances, n in {100,200,300}, p = n^-0.7: matching
-    # quadruples re-checked by direct scan on every component, colourings
-    # proper, zero rainbow K6.
+    # >= 300 perturbed instances, n in {100,200,300}, p = n^-0.7: every
+    # matching quadruple re-checked by direct scan inside find_matchings,
+    # colourings proper, zero rainbow K6.
     report(verification.check_avoid_k6(SEED, BUDGET))
 
 

@@ -1,19 +1,22 @@
-"""Tests for the avoider table and the one validator of avoider output.
+"""Tests for the avoider table, the one avoider trial and the one validator
+of avoider output.
 
 Each defect ``validate`` reports is planted by hand in a small perturbed
 instance, and its clique enumeration is compared with a brute-force scan
-of the whole perturbed graph.
+of the whole perturbed graph.  The acceptance sweeps are run with a
+planted avoider to show that they reach it through ``attempt``.
 """
 
 from itertools import combinations
 
 import pytest
 
+from rainbowlab import verification
 from rainbowlab.avoider_k4 import avoid_k4
 from rainbowlab.avoider_k6 import avoid_k6
-from rainbowlab.avoiders import AVOIDERS, perturbed_cliques, validate
+from rainbowlab.avoiders import AVOIDERS, attempt, perturbed_cliques, validate
 from rainbowlab.colouring import EdgeColouring
-from rainbowlab.errors import ParameterError
+from rainbowlab.errors import OutOfRegime, ParameterError, SearchExhausted, StructureUnsupported
 from rainbowlab.graph import Graph, clique, disjoint_union, empty_graph
 from rainbowlab.model import PerturbedInstance, rng_for_trial, sample_perturbed
 from rainbowlab.tiled_k8 import RED, avoid_k8_perturbed
@@ -37,6 +40,47 @@ def test_avoider_output_validates(ell):
             7: (100, 100 ** -0.7), 8: (80, 80 ** -0.45)}[ell]
     inst = sample_perturbed(n, p, rng_for_trial(17, ell))
     assert validate(inst, AVOIDERS[ell](inst), ell) is None
+
+
+@pytest.mark.parametrize("error", [StructureUnsupported, OutOfRegime, SearchExhausted])
+def test_attempt_returns_a_refusal_as_declined(monkeypatch, error):
+    refusal = error("declined by design")
+
+    def refuse(instance):
+        raise refusal
+
+    monkeypatch.setitem(AVOIDERS, 6, refuse)
+    inst = PerturbedInstance(n=4, p=0.0, left=clique(2), right=clique(2))
+    assert attempt(inst, 6) == (refusal, None)
+
+
+def test_k4_sweep_validates_through_attempt(monkeypatch):
+    monkeypatch.setitem(AVOIDERS, 4, lambda instance: EdgeColouring(instance.graph()))
+    result = verification.check_avoid_k4(seed=1, budget="quick")
+    assert not result.passed
+    assert result.details["violations"]
+    assert all(v.endswith(": colouring not total") for v in result.details["violations"])
+
+
+def test_k6_sweep_counts_a_refusal_as_out_of_regime(monkeypatch):
+    def exhausted(instance):
+        raise SearchExhausted("planted")
+
+    monkeypatch.setitem(AVOIDERS, 6, exhausted)
+    result = verification.check_avoid_k6(seed=1, budget="quick")
+    assert result.passed
+    assert (result.details["validated"], result.details["out_of_regime"]) == (0, 12)
+
+
+def test_k8_sweep_counts_search_exhausted_as_a_violation(monkeypatch):
+    def exhausted(instance):
+        raise SearchExhausted("planted")
+
+    monkeypatch.setitem(AVOIDERS, 8, exhausted)
+    result = verification.check_avoid_k8(seed=1, budget="quick")
+    assert not result.passed
+    assert result.details["violations"][0] == "n=80 trial=0: SearchExhausted: planted"
+    assert result.details["out_of_regime"] == 0
 
 
 def test_uncoloured_edge():

@@ -144,6 +144,15 @@ def test_unexpected_exception_exits_4(capsys, monkeypatch):
     assert err == "internal error: RuntimeError: avoider fell over second line\n"
 
 
+def test_verify_all_unusable_emit_fails_before_the_gate(capsys, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("a regular file\n")
+    rc, out, err = run(capsys, "verify-all", "--seed", "1", "--emit", str(taken))
+    assert rc == 4
+    assert "[PASS]" not in out
+    assert err.startswith("internal error: FileExistsError")
+
+
 # -- construct ----------------------------------------------------------------
 
 
@@ -209,6 +218,11 @@ class TestDecide:
         assert data["outcome"] == "witness"
         assert len(data["witness"]) == 6
         assert all(isinstance(c, int) for _, _, c in data["witness"])
+
+    def test_edgeless_target_arrows(self, capsys):
+        rc, out, _ = run(capsys, "decide", "--graph", "K3", "--target", "K1")
+        assert rc == 0
+        assert json.loads(out) == {"nodes": 0, "outcome": "arrows"}
 
     def test_undecided_exits_2(self, capsys):
         # deciding K4-arrowing for K10 exhausts the quick node budget

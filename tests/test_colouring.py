@@ -23,7 +23,7 @@ from rainbowlab.colouring import (
     random_proper_colouring,
 )
 from rainbowlab.errors import ParameterError
-from rainbowlab.graph import Graph, clique, hat_k, path_graph, star
+from rainbowlab.graph import Graph, clique, empty_graph, hat_k, path_graph, star
 
 K3 = clique(3)
 K4 = clique(4)
@@ -369,6 +369,21 @@ def test_decide_arrows_budget_and_validation():
     v = decide_arrows(hat_k(3, 4), K4, node_budget=10)
     assert v.outcome == "unknown"
     assert v.nodes > 10
+
+
+@pytest.mark.parametrize("g,h", [
+    (K3, clique(1)), (K3, empty_graph(2)), (K3, empty_graph(0)), (empty_graph(3), clique(1)),
+])
+def test_decide_arrows_edgeless_target_always_arrows(g, h):
+    # every colouring holds a copy of an edgeless h on at most g.n vertices,
+    # and that copy has no edge to repeat a colour on
+    assert decide_arrows(g, h) == ArrowsVerdict("arrows", None, 0)
+
+
+def test_decide_arrows_edgeless_target_too_large_has_witness():
+    v = decide_arrows(clique(2), empty_graph(3))
+    assert v.outcome == "witness"
+    assert v.witness.is_total()
 
 
 def random_small_graph(seed: int) -> Graph:

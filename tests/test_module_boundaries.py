@@ -1,6 +1,8 @@
 """No module of the package reaches into another module's private names:
 it neither imports them nor reads them as attributes.  Every public name
-has one import path: a module's ``__all__`` lists only names it defines."""
+has one import path: a module's ``__all__`` lists only names it defines.
+Every avoider trial goes through ``avoiders.attempt``: no other module
+imports the avoider table or the validator."""
 
 import ast
 from pathlib import Path
@@ -65,6 +67,19 @@ def reexports(source: str) -> list[str]:
     return [name for name in exported if name not in bound]
 
 
+def avoider_trial_imports(source: str) -> list[str]:
+    """`AVOIDERS` or `validate` imported from the avoiders module, the two
+    names a second copy of ``avoiders.attempt`` would need."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level, node.module) in ((1, "avoiders"), (0, "rainbowlab.avoiders"))
+        for alias in node.names
+        if alias.name in ("AVOIDERS", "validate")
+    ]
+
+
 def test_detector_sees_private_imports():
     assert private_imports("from .graph import Graph, _edge_counts\n") == [
         "from .graph import _edge_counts"
@@ -102,6 +117,17 @@ def test_detector_sees_reexports():
     assert reexports("from .graph import Graph\n") == []
 
 
+def test_detector_sees_avoider_trial_imports():
+    source = (
+        "from .avoiders import AVOIDERS, attempt, perturbed_cliques\n"
+        "from rainbowlab.avoiders import validate as check\n"
+        "from .avoider_k4 import avoid_k4\n"
+        "from .colouring import validate\n"
+    )
+    assert avoider_trial_imports(source) == ["AVOIDERS", "validate"]
+    assert avoider_trial_imports("from .avoiders import attempt\n") == []
+
+
 def test_no_module_imports_private_names():
     offenders = [
         f"{path.name}: {line}"
@@ -125,5 +151,15 @@ def test_every_exported_name_is_defined_in_its_module():
         f"{path.name}: {name}"
         for path in sorted(PACKAGE.glob("*.py"))
         for name in reexports(path.read_text())
+    ]
+    assert not offenders, offenders
+
+
+def test_avoider_trials_go_through_attempt():
+    offenders = [
+        f"{path.stem}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "avoiders"
+        for name in avoider_trial_imports(path.read_text())
     ]
     assert not offenders, offenders
