@@ -7,15 +7,10 @@ Example:
 """
 
 import argparse
-import random
 import sys
 from collections import Counter
 
-from rainbowlab.tiled_k8 import colour_tiled, phi, random_tiled_graph
-
-# The certificate classes end at phi = 7; colour_tiled refuses larger
-# deficiencies, so such graphs are redrawn.
-MAX_PHI = 7
+from rainbowlab.tiled_k8 import PHI_CEILING, colour_tiled, corpus_graph, phi
 
 
 def main(argv=None) -> int:
@@ -27,22 +22,17 @@ def main(argv=None) -> int:
     table: Counter = Counter()
     attempts = 0
     for index in range(args.size):
-        rng = random.Random(f"corpus:{args.seed}:{index}")
-        while True:
-            attempts += 1
-            g = random_tiled_graph(rng, steps=rng.randint(1, 6))
-            f = phi(g)
-            if f <= MAX_PHI:
-                break
+        g, draws = corpus_graph(args.seed, index)
+        attempts += draws
         _, cert = colour_tiled(g)
-        table[(f, cert.kind)] += 1
+        table[(phi(g), cert.kind)] += 1
 
     kinds = ("no-rainbow", "triangle", "matching")
     print(f"{'phi':>4} " + "".join(f"{k:>12}" for k in kinds) + f"{'total':>8}")
-    for f in range(MAX_PHI + 1):
+    for f in range(PHI_CEILING + 1):
         row = [table.get((f, k), 0) for k in kinds]
         print(f"{f:>4} " + "".join(f"{c:>12}" for c in row) + f"{sum(row):>8}")
-    totals = [sum(table.get((f, k), 0) for f in range(MAX_PHI + 1)) for k in kinds]
+    totals = [sum(table.get((f, k), 0) for f in range(PHI_CEILING + 1)) for k in kinds]
     print(f"{'all':>4} " + "".join(f"{c:>12}" for c in totals) + f"{sum(totals):>8}")
     print(f"\n{attempts} draws for {args.size} graphs "
           f"({attempts / args.size:.2f} per kept graph)")

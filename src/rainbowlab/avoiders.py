@@ -31,8 +31,6 @@ AVOIDERS = {4: avoid_k4, 5: avoid_k4, 6: avoid_k6, 7: avoid_k6, 8: avoid_k8_pert
 def _side_cliques(part: Graph, k: int, shift: int) -> list[tuple[int, ...]]:
     if k == 0:
         return [()]
-    if k == 1:
-        return [(v + shift,) for v in range(part.n)]
     return [tuple(v + shift for v in c) for c in part.cliques(k)]
 
 
@@ -50,8 +48,6 @@ def perturbed_cliques(instance: PerturbedInstance, r: int) -> list[tuple[int, ..
         if not left:
             continue
         for right in _side_cliques(instance.right, r - k, off):
-            if not right and r - k > 0:
-                continue
             for a in left:
                 out.append(a + right)
     return out

@@ -9,6 +9,15 @@ are not part of the byte-identity contract).
 Exit codes: 0 = pass, 1 = property violation found, 2 = out of regime /
 unsupported structure / undecided, 3 = usage error, 4 = internal error (an
 unexpected exception; one line on stderr, no traceback).
+
+A handler computes and returns ``(text, passed, exit code, default file
+name)``; it neither prints nor writes.  ``_run_handler`` stamps the start
+time, prints the text and, under ``--emit``, writes the text to the
+resolved output and its manifest.  ``scan`` and ``verify-all`` write their
+own file because it is not their stdout: ``scan`` zeroes the timing column
+of the emitted CSV, and ``verify-all`` writes an indented ``results.json``
+into a directory next to ``counterexamples/``.  Both still write their
+manifest through ``_write_manifest``.
 """
 
 from __future__ import annotations
@@ -17,9 +26,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -56,46 +65,15 @@ EXIT_UNSUPPORTED = 2
 EXIT_USAGE = 3
 EXIT_INTERNAL = 4
 
+# What an emitting handler returns: (text, passed, exit code, default file name).
+_Emitted = tuple[str, bool, int, str]
 
-# -- manifests -------------------------------------------------------------------
 
-
-@dataclass
-class RunManifest:
-    command: list[str]
-    config: dict
-    seed: int | None
-    version: str
-    started: str
-    finished: str
-    outputs: list[str]
-    passed: bool | None
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "config": self.config,
-                "seed": self.seed,
-                "version": self.version,
-                "started": self.started,
-                "finished": self.finished,
-                "outputs": self.outputs,
-                "passed": self.passed,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+# -- output ----------------------------------------------------------------------
 
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
-
-
-def _manifest_path(output: Path) -> Path:
-    if output.is_dir():
-        return output / "manifest.json"
-    return output.with_name(output.name + ".manifest.json")
 
 
 def _resolve_output(emit: str, default_name: str) -> Path:
@@ -109,39 +87,36 @@ def _resolve_output(emit: str, default_name: str) -> Path:
 
 
 def _write_manifest(args, out: Path, *, passed, started: str) -> None:
-    config = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("func", "_argv") and v is not None
+    """Write ``<out>.manifest.json`` next to the output file."""
+    manifest = {
+        "command": ["rainbow-lab"] + getattr(args, "_argv", []),
+        "config": {
+            k: v
+            for k, v in sorted(vars(args).items())
+            if k not in ("func", "_argv") and v is not None
+        },
+        "seed": getattr(args, "seed", None),
+        "version": __version__,
+        "started": started,
+        "finished": _now(),
+        "outputs": [str(out)],
+        "passed": passed,
     }
-    manifest = RunManifest(
-        command=["rainbow-lab"] + getattr(args, "_argv", []),
-        config=config,
-        seed=getattr(args, "seed", None),
-        version=__version__,
-        started=started,
-        finished=_now(),
-        outputs=[str(out)],
-        passed=passed,
-    )
-    _manifest_path(out).write_text(manifest.to_json() + "\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True)
+    out.with_name(out.name + ".manifest.json").write_text(text + "\n")
 
 
-def _emit(
-    args,
-    text: str,
-    *,
-    passed: bool | None,
-    started: str,
-    default_name: str,
-) -> None:
-    """Print `text`, and when --emit is set write it plus a manifest."""
+def _run_handler(handler, args) -> int:
+    """Run an emitting handler: print its text and, when --emit is set,
+    write the text and its manifest."""
+    started = _now()
+    text, passed, code, default_name = handler(args)
     print(text)
-    if not getattr(args, "emit", None):
-        return
-    out = _resolve_output(args.emit, default_name)
-    out.write_text(text + ("\n" if not text.endswith("\n") else ""))
-    _write_manifest(args, out, passed=passed, started=started)
+    if args.emit:
+        out = _resolve_output(args.emit, default_name)
+        out.write_text(text + "\n")
+        _write_manifest(args, out, passed=passed, started=started)
+    return code
 
 
 def _load_graph(spec: str) -> Graph:
@@ -175,15 +150,11 @@ def _default_threads(value) -> int:
 # -- subcommand handlers -----------------------------------------------------------
 
 
-def _cmd_construct(args) -> int:
-    started = _now()
-    g = _load_graph(args.graph)
-    _emit(args, graph_to_json(g), passed=True, started=started, default_name="graph.json")
-    return EXIT_PASS
+def _cmd_construct(args) -> _Emitted:
+    return graph_to_json(_load_graph(args.graph)), True, EXIT_PASS, "graph.json"
 
 
-def _cmd_decide(args) -> int:
-    started = _now()
+def _cmd_decide(args) -> _Emitted:
     g = _load_graph(args.graph)
     h = _load_graph(args.target)
     budget = 200_000_000 if args.budget == "full" else 2_000_000
@@ -194,18 +165,11 @@ def _cmd_decide(args) -> int:
             [u, v, verdict.witness.get(u, v)] for u, v in verdict.witness.domain()
         ]
     decided = verdict.outcome in ("arrows", "witness")
-    _emit(
-        args,
-        json.dumps(out, sort_keys=True),
-        passed=decided,
-        started=started,
-        default_name="decision.json",
-    )
-    return EXIT_PASS if decided else EXIT_UNSUPPORTED
+    code = EXIT_PASS if decided else EXIT_UNSUPPORTED
+    return json.dumps(out, sort_keys=True), decided, code, "decision.json"
 
 
-def _run_avoider(args, ell: int) -> int:
-    started = _now()
+def _run_avoider(args, ell: int) -> _Emitted:
     n = args.n
     if args.trials < 1:
         raise ParameterError(f"trials must be >= 1, got {args.trials}")
@@ -233,23 +197,16 @@ def _run_avoider(args, ell: int) -> int:
         "out_of_regime": out_of_regime,
         "violations": violations,
     }
-    passed = not violations and validated > 0
-    _emit(
-        args,
-        json.dumps(result, sort_keys=True),
-        passed=passed,
-        started=started,
-        default_name=f"avoid-k{ell}.json",
-    )
     if violations:
-        return EXIT_VIOLATION
-    if validated == 0:
-        return EXIT_UNSUPPORTED
-    return EXIT_PASS
+        code = EXIT_VIOLATION
+    elif validated == 0:
+        code = EXIT_UNSUPPORTED
+    else:
+        code = EXIT_PASS
+    return json.dumps(result, sort_keys=True), code == EXIT_PASS, code, f"avoid-k{ell}.json"
 
 
-def _cmd_tiled(args) -> int:
-    started = _now()
+def _cmd_tiled(args) -> _Emitted:
     if args.graph is None:
         result = check_tiled_corpus(args.seed, args.budget)
         payload = {
@@ -257,14 +214,8 @@ def _cmd_tiled(args) -> int:
             "passed": result.passed,
             **result.details,
         }
-        _emit(
-            args,
-            json.dumps(payload, sort_keys=True),
-            passed=result.passed,
-            started=started,
-            default_name="tiled-corpus.json",
-        )
-        return EXIT_PASS if result.passed else EXIT_VIOLATION
+        code = EXIT_PASS if result.passed else EXIT_VIOLATION
+        return json.dumps(payload, sort_keys=True), result.passed, code, "tiled-corpus.json"
 
     g = _load_graph(args.graph)
     f = phi(g)
@@ -286,18 +237,11 @@ def _cmd_tiled(args) -> int:
         "class_consistent": class_ok,
     }
     ok = sound and class_ok and payload["proper"]
-    _emit(
-        args,
-        json.dumps(payload, sort_keys=True),
-        passed=ok,
-        started=started,
-        default_name="tiled.json",
-    )
-    return EXIT_PASS if ok else EXIT_VIOLATION
+    code = EXIT_PASS if ok else EXIT_VIOLATION
+    return json.dumps(payload, sort_keys=True), ok, code, "tiled.json"
 
 
-def _cmd_certify(args) -> int:
-    started = _now()
+def _cmd_certify(args) -> _Emitted:
     names = LEMMA_NAMES if args.lemma == "all" else (args.lemma,)
     archive_dir = None
     if args.emit:
@@ -307,52 +251,32 @@ def _cmd_certify(args) -> int:
         certify_lemma(name, trials=args.trials, seed=args.seed, archive_dir=archive_dir)
         for name in names
     ]
+    passed = all(r.passed for r in reports)
     payload = {
         "trials": args.trials,
         "seed": args.seed,
         "reports": [r.to_json_dict() for r in reports],
-        "passed": all(r.passed for r in reports),
+        "passed": passed,
     }
-    _emit(
-        args,
-        json.dumps(payload, sort_keys=True),
-        passed=payload["passed"],
-        started=started,
-        default_name="certify.json",
-    )
-    return EXIT_PASS if payload["passed"] else EXIT_VIOLATION
+    code = EXIT_PASS if passed else EXIT_VIOLATION
+    return json.dumps(payload, sort_keys=True), passed, code, "certify.json"
 
 
-def _cmd_janson(args) -> int:
-    started = _now()
-    h = _load_graph(args.graph)
-    est = janson_bound(h, args.n, args.p)
-    _emit(
-        args,
-        json.dumps(est.to_json_dict(), sort_keys=True),
-        passed=True,
-        started=started,
-        default_name="janson.json",
-    )
-    return EXIT_PASS
+def _cmd_janson(args) -> _Emitted:
+    est = janson_bound(_load_graph(args.graph), args.n, args.p)
+    return json.dumps(est.to_json_dict(), sort_keys=True), True, EXIT_PASS, "janson.json"
 
 
-def _cmd_density(args) -> int:
-    started = _now()
+def _cmd_density(args) -> _Emitted:
     h = _load_graph(args.graph)
     try:
         exponent = Fraction(args.exponent)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"exponent {args.exponent!r} is not a fraction") from exc
     report = density_condition(h, exponent, args.margin)
-    _emit(
-        args,
-        json.dumps(report.to_json_dict(), sort_keys=True),
-        passed=report.satisfied,
-        started=started,
-        default_name="density.json",
-    )
-    return EXIT_PASS if report.satisfied else EXIT_VIOLATION
+    ok = report.satisfied
+    code = EXIT_PASS if ok else EXIT_VIOLATION
+    return json.dumps(report.to_json_dict(), sort_keys=True), ok, code, "density.json"
 
 
 def _cmd_scan(args) -> int:
@@ -418,13 +342,15 @@ def _rng_seed(text: str) -> int:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="rainbow-lab", description=__doc__)
+    # --help shows the docstring up to its last paragraph, the handler
+    # contract, which is for readers of this module.
+    parser = _Parser(prog="rainbow-lab", description=__doc__.rsplit("\n\n", 1)[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, handler, help_text):
+    def add(name, handler, help_text, *, writes_own_file=False):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=handler)
+        p.set_defaults(func=handler if writes_own_file else partial(_run_handler, handler))
         return p
 
     p = add("construct", _cmd_construct, "build a named graph and print it as JSON")
@@ -440,7 +366,7 @@ def _build_parser() -> _Parser:
     for ell in (4, 6, 8):
         p = add(
             f"avoid-k{ell}",
-            lambda a, _ell=ell: _run_avoider(a, _ell),
+            partial(_run_avoider, ell=ell),
             f"colour perturbed instances with no rainbow K{ell} and validate",
         )
         p.add_argument("--n", type=int, required=True)
@@ -473,7 +399,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--margin", choices=(MARGIN_UNIT, MARGIN_LINEAR), default=MARGIN_UNIT)
     p.add_argument("--emit")
 
-    p = add("scan", _cmd_scan, "Monte Carlo threshold sweep over an (n, p) grid")
+    p = add("scan", _cmd_scan, "Monte Carlo threshold sweep over an (n, p) grid",
+            writes_own_file=True)
     p.add_argument("--mode", required=True, choices=SCAN_MODES)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--n", type=int, nargs="+", required=True)
@@ -483,7 +410,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--threads", type=int, help=_THREADS_HELP)
     p.add_argument("--emit")
 
-    p = add("verify-all", _cmd_verify_all, "run the acceptance suite")
+    p = add("verify-all", _cmd_verify_all, "run the acceptance suite", writes_own_file=True)
     p.add_argument("--seed", type=_rng_seed, default=42)
     p.add_argument("--budget", choices=("quick", "full"), default="quick")
     p.add_argument("--threads", type=int, help=_THREADS_HELP)

@@ -35,7 +35,7 @@ from .colouring import decide_arrows
 from .errors import ParameterError, SearchExhausted, StructureUnsupported
 from .graph import DisjointSets, Graph, bits, clique, edge_counts_all_subsets
 from .model import sample_gnp, sample_perturbed
-from .tiled_k8 import k4_components, phi
+from .tiled_k8 import DENSE_PART_PHI, PHI_CEILING, k4_components, phi
 
 __all__ = [
     "JansonEstimate",
@@ -445,9 +445,6 @@ def density_condition(h: Graph, exponent, margin: str) -> DensityMarginReport:
 
 # -- structural audit of K4-tiled decompositions -------------------------------
 
-PHI_CEILING = 7
-DENSE_PART_PHI = 3
-
 
 @dataclass(frozen=True)
 class StructureViolation:
@@ -609,11 +606,13 @@ def parse_probability(spec, n: int) -> Fraction | float:
     if m:
         if n <= 0:
             raise ParameterError(f"n must be positive to evaluate {spec!r}")
-        coeff = float(m.group("coeff") or 1.0)
-        exp = Fraction(int(m.group("num")), int(m.group("den") or 1))
-        if m.group("sign"):
-            exp = -exp
-        p = coeff * float(n) ** float(exp)
+        try:
+            exp = Fraction(int(m.group("num")), int(m.group("den") or 1))
+            if m.group("sign"):
+                exp = -exp
+            p = float(m.group("coeff") or 1.0) * float(n) ** float(exp)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise ParameterError(f"cannot evaluate probability {spec!r} at n={n}") from exc
     else:
         try:
             p = Fraction(spec)

@@ -34,11 +34,14 @@ __all__ = [
     "GeneratingSequence",
     "CoverCertificate",
     "RED",
+    "PHI_CEILING",
+    "DENSE_PART_PHI",
     "k4_components",
     "is_k4_tiled",
     "phi",
     "find_stretched_sequence",
     "random_tiled_graph",
+    "corpus_graph",
     "partial_colouring",
     "cover_certificate",
     "colour_tiled",
@@ -50,6 +53,10 @@ __all__ = [
 ]
 
 RED = 0
+# The certificate classes end at phi = 7; components with phi >= 3 are the
+# dense ones that carry red and must meet in a tree.
+PHI_CEILING = 7
+DENSE_PART_PHI = 3
 
 _SEQUENCE_BUDGET = 400_000
 _VERTEX_CAP = 14
@@ -199,11 +206,10 @@ def k4_components(g: Graph):
         for i in groups[root]:
             edges.update(_pairs(quads[i]))
         covered.update(edges)
-        vs = sorted({v for e in edges for v in e})
-        sub, back = g.subgraph(vs)
+        back = sorted({v for e in edges for v in e})
         pos = {v: i for i, v in enumerate(back)}
         comp_edges = sorted((pos[u], pos[v]) for u, v in edges)
-        comps.append((Graph(sub.n, comp_edges), back))
+        comps.append((Graph(len(back), comp_edges), back))
     leftover = tuple(e for e in g.edges if e not in covered)
     return comps, leftover
 
@@ -402,6 +408,22 @@ def random_tiled_graph(rng: random.Random, max_vertices: int = 12,
     return Graph(n, sorted(edges))
 
 
+def corpus_graph(seed: int, index: int) -> tuple[Graph, int]:
+    """Graph ``index`` of the seed-``seed`` tiled corpus and the number of
+    draws it took.
+
+    Mixed step counts diversify the deficiency classes; draws with phi
+    above PHI_CEILING fall outside the certificate classes and are redrawn.
+    """
+    rng = random.Random(f"corpus:{seed}:{index}")
+    draws = 0
+    while True:
+        draws += 1
+        g = random_tiled_graph(rng, steps=rng.randint(1, 6))
+        if phi(g) <= PHI_CEILING:
+            return g, draws
+
+
 # -- partial colouring -----------------------------------------------------
 
 
@@ -563,8 +585,8 @@ def colour_tiled(h: Graph):
     a-posteriori certificate fits the class is returned.
     """
     f = phi(h)
-    if f > 7:
-        raise OutOfRegime(f"phi = {f} > 7", offending=h)
+    if f > PHI_CEILING:
+        raise OutOfRegime(f"phi = {f} > {PHI_CEILING}", offending=h)
     seq = find_stretched_sequence(h)
     for cfg in _colour_variants(seq):
         psi = partial_colouring(seq, **cfg)
@@ -624,7 +646,7 @@ def colour_component_tree(c: Graph, parts) -> EdgeColouring:
     phis = [phi(sub) for sub, _ in parts]
     root = max(range(k), key=lambda i: (phis[i], -i))
     for i in range(k):
-        lo, hi = (3, 7) if i == root else (3, 5)
+        lo, hi = (DENSE_PART_PHI, PHI_CEILING) if i == root else (DENSE_PART_PHI, 5)
         if not lo <= phis[i] <= hi:
             raise StructureUnsupported(
                 f"component phi = {phis[i]} outside [{lo}, {hi}] for its role",
@@ -690,15 +712,15 @@ def avoid_k8(r: Graph) -> EdgeColouring:
     """
     parts, _ = k4_components(r)
     for sub, back in parts:
-        if phi(sub) > 7:
-            raise OutOfRegime(f"K4-component with phi = {phi(sub)} > 7",
+        if phi(sub) > PHI_CEILING:
+            raise OutOfRegime(f"K4-component with phi = {phi(sub)} > {PHI_CEILING}",
                               offending=(sub, back))
         if sub.n > _VERTEX_CAP:
             raise OutOfRegime(
                 f"K4-component with {sub.n} > {_VERTEX_CAP} vertices",
                 offending=(sub, back))
 
-    high = [i for i in range(len(parts)) if phi(parts[i][0]) >= 3]
+    high = [i for i in range(len(parts)) if phi(parts[i][0]) >= DENSE_PART_PHI]
     for a, b in combinations(high, 2):
         common = set(parts[a][1]) & set(parts[b][1])
         if len(common) > 1:

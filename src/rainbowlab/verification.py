@@ -10,7 +10,6 @@ for compatibility and start no threads.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -42,9 +41,9 @@ from .tiled_k8 import (
     certificate_allowed,
     certificate_covers,
     colour_tiled,
+    corpus_graph,
     find_stretched_sequence,
     phi,
-    random_tiled_graph,
 )
 
 BUDGETS = ("quick", "full")
@@ -218,14 +217,8 @@ def check_tiled_corpus(seed: int, budget: str = "quick", threads: int = 1) -> Ch
     _require_budget(budget)
 
     def one(index):
-        # Mixed step counts diversify the deficiency classes; graphs with
-        # phi > 7 fall outside the certificate classes and are redrawn.
-        rng = random.Random(f"corpus:{seed}:{index}")
-        while True:
-            g = random_tiled_graph(rng, steps=rng.randint(1, 6))
-            f = phi(g)
-            if f <= 7:
-                break
+        g, _ = corpus_graph(seed, index)
+        f = phi(g)
         problems = []
         try:
             psi, cert = colour_tiled(g)

@@ -2,14 +2,16 @@
 
 Every invocation goes through ``main(argv)`` so the tests exercise parsing,
 dispatch, exit codes, emitted files, and manifests exactly as a shell user
-would.
+would.  An AST guard keeps printing and writing out of the handlers.
 """
 
+import ast
 import json
 from pathlib import Path
 
 import pytest
 
+from rainbowlab import cli
 from rainbowlab.avoiders import AVOIDERS
 from rainbowlab.cli import main
 from rainbowlab.colouring import EdgeColouring
@@ -121,6 +123,17 @@ class TestUsageErrors:
         assert out == ""
         assert "--seed" in err and "must be >= 0" in err
 
+    @pytest.mark.parametrize("command", [
+        ("avoid-k4", "--n", "20", "--p", "n^-1/0"),
+        ("scan", "--mode", "containment-rate", "--ell", "4", "--n", "20",
+         "--p", "n^-1/0", "--trials", "2"),
+    ])
+    def test_malformed_p_expression(self, capsys, command):
+        rc, out, err = run(capsys, *command)
+        assert rc == 3
+        assert out == ""
+        assert "cannot evaluate probability" in err
+
     @pytest.mark.parametrize("ell", [4, 6, 8])
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_avoider_trials_below_one(self, capsys, ell, trials):
@@ -164,24 +177,35 @@ class TestConstruct:
         assert data["n"] == 5
         assert len(data["edges"]) == 10
 
-    def test_emit_directory_with_manifest(self, capsys, tmp_path):
-        rc, _, _ = run(capsys, "construct", "--graph", "HatK(3,4)",
-                       "--emit", str(tmp_path))
-        assert rc == 0
-        out_file = tmp_path / "graph.json"
-        manifest_file = tmp_path / "graph.json.manifest.json"
-        assert out_file.exists() and manifest_file.exists()
-        data = json.loads(out_file.read_text())
-        assert data["n"] == 7 and len(data["edges"]) == 15
-        manifest = json.loads(manifest_file.read_text())
-        for key in ("command", "config", "seed", "version",
-                    "started", "finished", "outputs", "passed"):
-            assert key in manifest
-        assert manifest["command"][1:] == [
-            "construct", "--graph", "HatK(3,4)", "--emit", str(tmp_path)
-        ]
+    @pytest.mark.parametrize("argv,default_name,expected_rc", [
+        pytest.param(("construct", "--graph", "HatK(3,4)"), "graph.json", 0,
+                     id="construct"),
+        pytest.param(("decide", "--graph", "K4", "--target", "K4"), "decision.json", 0,
+                     id="decide"),
+        pytest.param(("avoid-k4", "--n", "60", "--p", "0.3*n^-5/4", "--seed", "1",
+                      "--trials", "2"), "avoid-k4.json", 0, id="avoid-k4"),
+        pytest.param(("tiled", "--graph", "K4"), "tiled.json", 0, id="tiled"),
+        pytest.param(("certify", "--lemma", "extract-rainbow-k4", "--trials", "20",
+                      "--seed", "1"), "certify.json", 0, id="certify"),
+        pytest.param(("janson", "--graph", "K2", "--n", "40", "--p", "0.01"),
+                     "janson.json", 0, id="janson"),
+        pytest.param(("density", "--graph", "K4", "--exponent", "1"), "density.json", 1,
+                     id="density"),
+    ])
+    def test_emit_directory_with_manifest(self, capsys, tmp_path, argv, default_name,
+                                          expected_rc):
+        """Every emitting command writes its stdout to its default file name
+        and a manifest whose `passed` says whether it exited 0."""
+        rc, out, _ = run(capsys, *argv, "--emit", str(tmp_path))
+        assert rc == expected_rc
+        out_file = tmp_path / default_name
+        assert out_file.read_text() == out
+        manifest = json.loads((tmp_path / f"{default_name}.manifest.json").read_text())
+        assert set(manifest) == {"command", "config", "seed", "version",
+                                 "started", "finished", "outputs", "passed"}
+        assert manifest["command"] == ["rainbow-lab", *argv, "--emit", str(tmp_path)]
         assert manifest["outputs"] == [str(out_file)]
-        assert manifest["passed"] is True
+        assert manifest["passed"] is (rc == 0)
 
     def test_emit_named_file(self, capsys, tmp_path):
         target = tmp_path / "mine.json"
@@ -306,6 +330,12 @@ class TestTiled:
                        "--trials", "3", "--seed", seed)
         assert rc == 0
 
+    def test_refused_graph_emits_nothing(self, capsys, tmp_path):
+        rc, out, _ = run(capsys, "tiled", "--graph", "P3", "--emit", str(tmp_path))
+        assert rc == 3
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_corpus_audit(self, capsys):
         rc, out, _ = run(capsys, "tiled", "--seed", "5", "--budget", "quick")
         assert rc == 0
@@ -414,3 +444,58 @@ class TestScan:
         rc, out, _ = run(capsys, *self.ARGS)
         assert rc == 0
         assert len(out.strip().splitlines()) == 5
+
+
+# -- one emit path --------------------------------------------------------------
+
+RUNNERS = {"_run_handler", "_write_manifest", "_cmd_scan", "_cmd_verify_all"}
+OUTPUT_CALLERS = {
+    "_now": RUNNERS,
+    "_resolve_output": RUNNERS,
+    "_write_manifest": RUNNERS,
+    "print": RUNNERS | {"main"},
+}
+
+
+def output_calls_outside_runners(source: str) -> list[str]:
+    """Top-level functions that call an output primitive of OUTPUT_CALLERS
+    without being one of the functions allowed to call it."""
+    offenders = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        called = {
+            call.func.id
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        }
+        if any(node.name not in OUTPUT_CALLERS[name] for name in called & set(OUTPUT_CALLERS)):
+            offenders.append(node.name)
+    return offenders
+
+
+def test_detector_sees_output_calls_outside_runners():
+    source = (
+        "def _cmd_a(args):\n"
+        "    started = _now()\n"
+        "    return 'x', True, 0, 'a.json'\n"
+        "def _cmd_b(args):\n"
+        "    print('x')\n"
+        "def _cmd_c(args):\n"
+        "    def inner():\n"
+        "        _write_manifest(args, None, passed=True, started='')\n"
+        "def _cmd_d(args):\n"
+        "    return _load_graph(args.graph)\n"
+        "def _cmd_scan(args):\n"
+        "    print(_resolve_output(args.emit, 'scan.csv'))\n"
+        "def main(argv=None):\n"
+        "    print('usage error')\n"
+    )
+    assert output_calls_outside_runners(source) == ["_cmd_a", "_cmd_b", "_cmd_c"]
+
+
+def test_handlers_leave_output_to_the_runner():
+    """Only the runner, `scan`, `verify-all` and the manifest writer stamp
+    times, resolve --emit, write manifests or print (`main` prints errors);
+    the other handlers return their text."""
+    assert output_calls_outside_runners(Path(cli.__file__).read_text()) == []

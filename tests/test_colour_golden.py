@@ -7,13 +7,12 @@ colour ids.  The hashes were recorded before the bulk colouring paths
 existed.  The K4 instances hold all five component kinds; the K6 set has
 one instance with non-empty M0 x M2 blocks on both sides and sampled ones
 whose fresh colours start above an unused palette.  The `colour_tiled`
-hash covers the first 300 graphs of the seed-5 tiled corpus (drawn as the
-`tiled` audit draws them), with their certificates.
+hash covers the first 300 graphs of the seed-5 tiled corpus (`corpus_graph`,
+which the `tiled` audit draws from), with their certificates.
 """
 
 import hashlib
 import json
-import random
 
 import pytest
 
@@ -22,7 +21,7 @@ from rainbowlab.avoider_k6 import avoid_k6
 from rainbowlab.colouring import colouring_to_json
 from rainbowlab.graph import Graph
 from rainbowlab.model import PerturbedInstance, rng_for_trial, sample_perturbed
-from rainbowlab.tiled_k8 import avoid_k8_perturbed, colour_tiled, phi, random_tiled_graph
+from rainbowlab.tiled_k8 import avoid_k8_perturbed, colour_tiled, corpus_graph, phi
 
 WHEEL5 = [(0, i) for i in range(1, 6)] + [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]
 
@@ -77,18 +76,10 @@ def test_avoid_k8_perturbed_colour_ids(n, seed, expected):
     assert digest(avoid_k8_perturbed(inst)) == expected
 
 
-def corpus_graph(seed: int, index: int) -> Graph:
-    rng = random.Random(f"corpus:{seed}:{index}")
-    while True:
-        g = random_tiled_graph(rng, steps=rng.randint(1, 6))
-        if phi(g) <= 7:
-            return g
-
-
 def test_colour_tiled_colour_ids_and_certificates():
     h = hashlib.sha256()
     for index in range(300):
-        g = corpus_graph(5, index)
+        g, _ = corpus_graph(5, index)
         psi, cert = colour_tiled(g)
         h.update(json.dumps([phi(g), cert.kind, cert.triangle, cert.matching,
                              colouring_to_json(psi)]).encode())

@@ -545,7 +545,8 @@ class TestScanHelpers:
         assert isinstance(parse_probability("0.3*n^-5/4", 200), float)
 
     def test_parse_probability_rejects_bad_specs(self):
-        for bad in ("2", "-0.2", "0.5*m^-1", "n^2/3", "n^-0.7", "", "1/0", "3/2", "nan"):
+        for bad in ("2", "-0.2", "0.5*m^-1", "n^2/3", "n^-0.7", "", "1/0", "3/2", "nan",
+                    "n^-1/0", "2*n^-3/0", "n^999999"):
             with pytest.raises(ParameterError):
                 parse_probability(bad, 100)
         for bad in (1.5, float("nan"), float("inf")):
