@@ -244,11 +244,10 @@ def avoid_k4(instance: PerturbedInstance) -> EdgeColouring:
     order from colour 4; a cross edge's colour is its block's start plus
     its table offset.
     """
-    g = instance.graph()
     off = instance.u_size
     left = classify_components(instance.left)
     right = classify_components(instance.right)
-    psi = EdgeColouring(g)
+    psi = EdgeColouring(instance.graph())
     inside = {}
     for comp in left:
         inside.update(colour_inside(comp))
@@ -259,12 +258,17 @@ def avoid_k4(instance: PerturbedInstance) -> EdgeColouring:
 
     kind_l, comp_l, role_l = _roles(left, off)
     kind_r, comp_r, role_r = _roles(right, instance.w_size)
-    sizes = _BLOCK_SIZES[kind_l[:, None], kind_r[None, :]].ravel()
-    starts = (4 + np.cumsum(sizes) - sizes).reshape(len(left), len(right))
-    colours = starts[comp_l[:, None], comp_r[None, :]] + _BLOCK_OFFSETS[
-        kind_l[comp_l][:, None], kind_r[comp_r][None, :],
-        role_l[:, None], role_r[None, :]]
-    # row-major (left, right) order is the graph's order of its cross edges
-    cross = [e for e in g.edges if e[0] < off <= e[1]]
-    psi.assign_many(cross, colours.ravel().tolist())
+    # A sparse perturbation has about as many component pairs as cross
+    # edges, so each array below is as large as the colouring's block; they
+    # are updated in place and dropped early, two alive at a time.
+    sizes = _BLOCK_SIZES[kind_l[:, None], kind_r[None, :]]
+    starts = np.cumsum(sizes).reshape(sizes.shape)
+    starts -= sizes
+    starts += 4
+    del sizes
+    colours = starts[comp_l[:, None], comp_r[None, :]]
+    del starts
+    colours += _BLOCK_OFFSETS[kind_l[comp_l][:, None], kind_r[comp_r][None, :],
+                              role_l[:, None], role_r[None, :]]
+    psi.assign_cross_block(colours)
     return psi

@@ -121,7 +121,11 @@ def _run_handler(handler, args) -> int:
 
 def _load_graph(spec: str) -> Graph:
     p = Path(spec)
-    if spec.endswith(".json") or p.exists():
+    try:
+        is_file = p.exists()
+    except OSError:  # e.g. a spec longer than a file name can be
+        is_file = False
+    if spec.endswith(".json") or is_file:
         try:
             return graph_from_json(p.read_text())
         except OSError as exc:

@@ -10,13 +10,14 @@ wildcards that never clash.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .errors import ParameterError
-from .graph import Graph, common_neighbourhood, enumerate_copies
+from .graph import Graph, bits, common_neighbourhood, enumerate_copies
 
 __all__ = [
     "EdgeColouring",
@@ -33,7 +34,8 @@ __all__ = [
 ]
 
 
-# Colour ids must fit int64: find_properness_clash sorts them with numpy.
+# Colour ids must fit int64: a join's cross colours are an int64 buffer, and
+# find_properness_clash sorts colours with numpy.
 _MAX_COLOUR = 2**63 - 1
 
 
@@ -47,23 +49,40 @@ def _check_colour_range(lo: int, hi: int) -> None:
 class EdgeColouring:
     """Partial edge colouring of a fixed graph.
 
-    The edge -> colour map is the only store.  Per-vertex facts
-    (`colours_at`, `would_clash`) walk the vertex's neighbours, so they cost
-    O(degree); `find_properness_clash` checks the whole colouring in one
-    numpy pass.  Fresh colours are handed out monotonically.
+    Two stores.  On a join (`graph.split` > 0) the cross edges (u, v),
+    u < split <= v, are the cells of one row-major int64 buffer of split
+    rows and n - split columns, -1 meaning uncoloured.  Every other edge,
+    and every edge of a graph that is not a join, is a key of an
+    edge -> colour dict.  A method picks an edge's store by comparing its
+    endpoints with `split`, so a dense join costs 8 bytes per cross edge
+    and no Python object.
 
-    `assign_many` and `fill_fresh` colour many edges in one call.  The
-    bulk contract: every input is validated before anything changes (a
-    rejected call leaves the colouring as it was), and the result is the
-    colouring that assigning the same pairs one at a time would give, with
-    the same colour ids.
+    Costs, with s the side (dict) edges and B the cross cells: `get`,
+    `assign` and `assign_fresh` are O(1), `colours` and `colour_set` O(1)
+    per key (`colours` reads a list of side keys at dict speed);
+    `colours_at` and `would_clash` are O(degree), a vertex's cross edges
+    being one slice of the buffer; `assign_many` is O(its input) plus an
+    O(s) disjointness check; `assign_cross_block`, `fill_fresh`,
+    `is_total`, `len`, `colours_used`, `copy` and `domain` take O(s) plus
+    one numpy pass over the buffer; `find_properness_clash` sorts the
+    side incidences and the buffer's rows and columns.  Fresh colours are
+    handed out monotonically.
+
+    `assign_many`, `assign_cross_block` and `fill_fresh` colour many
+    edges in one call.  The bulk contract: every input is validated before
+    anything changes (a rejected call leaves the colouring as it was), and
+    the result is the colouring that assigning the same pairs one at a time
+    would give, with the same colour ids.
     """
 
-    __slots__ = ("graph", "_col", "next_colour")
+    __slots__ = ("graph", "_col", "_cross", "_shape", "next_colour")
 
     def __init__(self, graph: Graph, colours=None):
         self.graph = graph
         self._col: dict[tuple[int, int], int] = {}
+        split, width = graph.split, graph.n - graph.split
+        self._shape = (split, width)
+        self._cross = array("q", [-1]) * (split * width)
         self.next_colour = 0
         if colours:
             items = colours.items() if isinstance(colours, dict) else colours
@@ -76,9 +95,28 @@ class EdgeColouring:
             raise ParameterError(f"({u},{v}) is not an edge of the companion graph")
         return (u, v) if u < v else (v, u)
 
+    def _block(self) -> np.ndarray:
+        """The cross buffer as a writable split x (n - split) array."""
+        return np.frombuffer(self._cross, dtype=np.int64).reshape(self._shape)
+
+    def cross_block(self) -> np.ndarray:
+        """Read-only split x (n - split) view of the cross colours: entry
+        [u, v - split] is the colour of (u, v), -1 if it is uncoloured.
+        It has no rows unless the graph is a join, and it shows later
+        assignments."""
+        out = self._block()
+        out.flags.writeable = False
+        return out
+
     def assign(self, u: int, v: int, colour: int) -> None:
         _check_colour_range(colour, colour)
-        self._col[self._key(u, v)] = colour
+        cross = self._cross
+        a, b = (u, v) if u < v else (v, u)
+        split, width = self._shape
+        if cross and 0 <= a < split <= b < split + width:
+            cross[a * width + b - split] = colour
+        else:
+            self._col[self._key(u, v)] = colour
         if colour >= self.next_colour:
             self.next_colour = colour + 1
 
@@ -101,13 +139,49 @@ class EdgeColouring:
                     f"({u},{v}) is not an edge (u < v) of the companion graph")
         if colours:
             _check_colour_range(min(colours), max(colours))
-        new = dict(zip(edges, colours))
-        if len(new) != len(edges):
+        side = dict(zip(edges, colours))
+        if len(side) != len(edges):
             raise ParameterError("an edge is listed more than once")
-        if not self._col.keys().isdisjoint(new):
-            e = next(e for e in edges if e in self._col)
+        split, width = self._shape
+        cells = {}
+        if split:
+            cells = {u * width + v - split: c
+                     for (u, v), c in side.items() if u < split <= v}
+            if cells:
+                side = {e: c for e, c in side.items() if not e[0] < split <= e[1]}
+        cross = self._cross
+        if (not self._col.keys().isdisjoint(side)
+                or any(cross[i] >= 0 for i in cells)):
+            e = next(e for e in edges if self.get(*e) is not None)
             raise ParameterError(f"{e} is already coloured")
-        self._add(edges, colours)
+        self._col.update(side)
+        for i, c in cells.items():
+            cross[i] = c
+        if colours:
+            self.next_colour = max(self.next_colour, max(colours) + 1)
+
+    def assign_cross_block(self, colours) -> None:
+        """Colour every cross edge (u, v) of a join with
+        `colours[u, v - split]`: an integer array shaped like
+        `cross_block()`, of colours in [0, 2**63 - 1].  No cross edge may
+        be coloured yet."""
+        colours = np.asarray(colours)
+        block = self._block()
+        if colours.shape != block.shape:
+            raise ParameterError(
+                f"colours of shape {colours.shape} for a cross block of shape {block.shape}")
+        if colours.dtype.kind not in "iu":
+            raise ParameterError(f"colours must be integers, got dtype {colours.dtype}")
+        if not colours.size:
+            return
+        hi = int(colours.max())
+        _check_colour_range(int(colours.min()), hi)
+        coloured = np.flatnonzero(block.ravel() >= 0)
+        if coloured.size:
+            u, j = divmod(int(coloured[0]), self._shape[1])
+            raise ParameterError(f"{(u, j + self._shape[0])} is already coloured")
+        block[...] = colours
+        self.next_colour = max(self.next_colour, hi + 1)
 
     def fill_fresh(self, start: int | None = None) -> None:
         """Give every uncoloured edge its own fresh colour, consecutive from
@@ -118,31 +192,72 @@ class EdgeColouring:
             raise ParameterError(
                 f"colour {first} may be in use; fresh colours start at {self.next_colour}")
         col = self._col
-        todo = [e for e in self.graph.edges if e not in col]
-        if todo:
-            _check_colour_range(first, first + len(todo) - 1)
-        self._add(todo, range(first, first + len(todo)))
+        todo = [e for e in self._side_edges() if e not in col]
+        cells = ()
+        if self._cross:
+            flat = self._block().ravel()
+            cells = np.flatnonzero(flat < 0)
+        total = len(todo) + len(cells)
+        if not total:
+            return
+        _check_colour_range(first, first + total - 1)
+        if len(cells):
+            # Rank every uncoloured edge by u * n + v, the graph's edge
+            # order: both lists are sorted, so a rank is a position in one
+            # list plus a count of smaller keys in the other.
+            split, width = self._shape
+            n = split + width
+            rows, cols = np.divmod(cells, width)
+            keys = rows * n + split + cols
+            side_keys = np.array([u * n + v for u, v in todo], dtype=np.int64)
+            flat[cells] = first + np.arange(len(cells)) + np.searchsorted(side_keys, keys)
+            side_colours = (first + np.arange(len(todo))
+                            + np.searchsorted(keys, side_keys)).tolist()
+        else:
+            side_colours = range(first, first + len(todo))
+        col.update(zip(todo, side_colours))
+        self.next_colour = max(self.next_colour, first + total)
 
-    def _add(self, edges, colours) -> None:
-        """Colour validated, distinct, uncoloured edges."""
-        self._col.update(zip(edges, colours))
-        if colours:
-            self.next_colour = max(self.next_colour, max(colours) + 1)
+    def _side_edges(self):
+        """The graph's edges outside the cross block, in graph edge order."""
+        g = self.graph
+        if not g.split:
+            return g.edges
+        off = g.split
+        return chain(g.left.edges, ((u + off, v + off) for u, v in g.right.edges))
 
     def get(self, u: int, v: int):
+        if self._cross:
+            a, b = (u, v) if u < v else (v, u)
+            split, width = self._shape
+            if 0 <= a < split <= b < split + width:
+                c = self._cross[a * width + b - split]
+                return None if c < 0 else c
         return self._col.get(self._key(u, v))
 
     def colours(self, edges) -> list[int]:
         """Colour of each (u, v) key, u < v, in order.  Keys are not
         validated one by one: an uncoloured edge or any other key raises
         ParameterError."""
+        if not isinstance(edges, (list, tuple)):
+            edges = list(edges)
         col = self._col
         try:
-            return [col[e] for e in edges]
-        except KeyError as exc:
-            raise ParameterError(
-                f"{exc.args[0]} is not a coloured edge (u < v) of the companion graph"
-            ) from None
+            return [col[e] for e in edges]  # all side keys: one dict pass
+        except KeyError:
+            pass
+        split, width = self._shape
+        cross = self._cross
+        out = []
+        for e in edges:
+            u, v = e
+            c = (cross[u * width + v - split] if 0 <= u < split <= v < split + width
+                 else col.get(e, -1))
+            if c < 0:
+                raise ParameterError(
+                    f"{e} is not a coloured edge (u < v) of the companion graph")
+            out.append(c)
+        return out
 
     def assign_fresh(self, u: int, v: int) -> int:
         c = self.next_colour
@@ -150,49 +265,107 @@ class EdgeColouring:
         return c
 
     def domain(self) -> list[tuple[int, int]]:
-        return sorted(self._col)
+        side = sorted(self._col)
+        if not self._cross:
+            return side
+        split, width = self._shape
+        rows, cols = np.divmod(np.flatnonzero(self._block().ravel() >= 0), width)
+        # two sorted runs: the sort merges them
+        return sorted(side + list(zip(rows.tolist(), (cols + split).tolist())))
 
     def is_total(self) -> bool:
-        return len(self._col) == self.graph.m
+        return len(self) == self.graph.m
 
     def colours_used(self) -> set[int]:
-        return set(self._col.values())
+        out = set(self._col.values())
+        if self._cross:
+            out.update(self._cross)
+            out.discard(-1)
+        return out
 
     def colour_set(self, edges) -> set[int]:
         """Colours on the given edges; uncoloured edges contribute nothing."""
+        split, width = self._shape
+        col, cross = self._col, self._cross
         out = set()
         for u, v in edges:
-            c = self._col.get((u, v) if u < v else (v, u))
-            if c is not None:
-                out.add(c)
+            if u > v:
+                u, v = v, u
+            if 0 <= u < split <= v < split + width:
+                c = cross[u * width + v - split]
+                if c >= 0:
+                    out.add(c)
+            else:
+                c = col.get((u, v))
+                if c is not None:
+                    out.add(c)
         return out
+
+    def _cross_at(self, a: int, b: int):
+        """The colours on a's cross edges other than ab, as a copied slice
+        of the buffer (-1 for uncoloured), and a's side neighbours as a
+        bitset."""
+        split, width = self._shape
+        nbrs = self.graph.adj[a]
+        if a < split:
+            cells = self._cross[a * width:(a + 1) * width]
+            skip = b - split
+            nbrs &= (1 << split) - 1
+        else:
+            cells = self._cross[a - split::width]
+            skip = b
+            nbrs = nbrs >> split << split
+        if 0 <= skip < len(cells):
+            cells[skip] = -1  # the edge ab itself
+        return cells, nbrs
 
     def would_clash(self, u: int, v: int, colour: int) -> bool:
         """Would assigning `colour` to uv break properness?  O(degree)."""
         self._key(u, v)  # rejects a non-edge
         col = self._col
         for a, b in ((u, v), (v, u)):
-            for w in self.graph.neighbours(a):
+            if self._cross:
+                cells, nbrs = self._cross_at(a, b)
+                if colour >= 0 and colour in cells:
+                    return True
+            else:
+                nbrs = self.graph.adj[a]
+            for w in bits(nbrs):
                 if w != b and col.get((a, w) if a < w else (w, a)) == colour:
                     return True
         return False
 
     def colours_at(self, v: int) -> set[int]:
         """Colours on the coloured edges at v.  O(degree)."""
-        return self.colour_set((v, w) for w in self.graph.neighbours(v))
+        if self._cross:
+            cells, nbrs = self._cross_at(v, -1)
+            out = set(cells)
+            out.discard(-1)
+        else:
+            out, nbrs = set(), self.graph.adj[v]
+        col = self._col
+        for w in bits(nbrs):
+            c = col.get((v, w) if v < w else (w, v))
+            if c is not None:
+                out.add(c)
+        return out
 
     def copy(self) -> "EdgeColouring":
         out = EdgeColouring.__new__(EdgeColouring)
         out.graph = self.graph
         out._col = dict(self._col)
+        out._cross = self._cross[:]
+        out._shape = self._shape
         out.next_colour = self.next_colour
         return out
 
     def __len__(self):
-        return len(self._col)
+        if not self._cross:
+            return len(self._col)
+        return len(self._col) + int(np.count_nonzero(self._block() >= 0))
 
     def __repr__(self):
-        return f"EdgeColouring({len(self._col)}/{self.graph.m} edges, {len(self.colours_used())} colours)"
+        return f"EdgeColouring({len(self)}/{self.graph.m} edges, {len(self.colours_used())} colours)"
 
 
 @dataclass
@@ -216,28 +389,80 @@ def find_properness_clash(g: Graph, psi: EdgeColouring):
     Returns None when psi is proper; otherwise `vertex` is the lowest
     vertex where two edges share a colour, `colour` the lowest such colour
     there, and the offending edges are the >= 2 edges at `vertex` with it.
+
+    A clash lies among the side (dict) edges, inside one row or column of
+    the cross block, or between a side edge and its endpoint's row or
+    column; each kind yields its lowest (vertex, colour), and the lowest
+    of those is the answer.
     """
     if psi.graph is not g and psi.graph != g:
         raise ParameterError("colouring belongs to a different graph")
     col = psi._col
     m = len(col)
-    # One row per (endpoint, colour) incidence; sorted, a clash is two
-    # equal neighbouring rows.
+    # One entry per (endpoint, colour) incidence of a side edge; sorted, a
+    # clash is two equal neighbouring entries.
     ends = np.fromiter(chain.from_iterable(col), dtype=np.int64, count=2 * m)
     cols = np.fromiter(col.values(), dtype=np.int64, count=m).repeat(2)
     order = np.lexsort((cols, ends))
     ends, cols = ends[order], cols[order]
     same = (ends[1:] == ends[:-1]) & (cols[1:] == cols[:-1])
-    if not same.any():
+    found = []
+    if same.any():
+        i = int(same.argmax())
+        found.append((int(ends[i]), int(cols[i])))
+    if psi._cross:
+        split = psi._shape[0]
+        block = psi._block()
+        left = ends < split
+        # rows are the left vertices, columns (rows of the transpose) the
+        # right ones; one sorted copy at a time bounds the memory
+        for matrix, shift, mine in ((block, 0, left), (block.T, split, ~left)):
+            ranked = np.sort(matrix, axis=1)
+            found += _lowest_clash(ranked, shift, ends[mine], cols[mine])
+            del ranked
+    if not found:
         return None
-    i = int(same.argmax())
-    v, c = int(ends[i]), int(cols[i])
+    v, c = min(found)
     edges = tuple(
         (min(v, u), max(v, u))
         for u in g.neighbours(v)
         if psi.get(v, u) == c
     )
     return v, c, edges
+
+
+def _lowest_clash(ranked: np.ndarray, shift: int, ends: np.ndarray, cols: np.ndarray):
+    """Lowest (vertex, colour) clashes of the cross block, as a list of at
+    most two: `ranked` holds the block's cross colours of vertex shift + r
+    in sorted row r (-1 = uncoloured).  One is a repeat inside a row, the
+    other a side incidence (ends[i], cols[i]), sorted by vertex then colour,
+    whose colour also occurs in its vertex's row."""
+    out = []
+    repeat = (ranked[:, 1:] == ranked[:, :-1]) & (ranked[:, 1:] >= 0)
+    rows = np.flatnonzero(repeat.any(axis=1))
+    if rows.size:
+        r = int(rows[0])
+        out.append((r + shift, int(ranked[r, 1:][repeat[r]][0])))
+    if ends.size:
+        hit = _occurs_in_sorted_rows(ranked, ends - shift, cols)
+        if hit.any():
+            i = int(hit.argmax())
+            out.append((int(ends[i]), int(cols[i])))
+    return out
+
+
+def _occurs_in_sorted_rows(ranked: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """hit[i]: does vals[i] occur in row rows[i] of `ranked`, whose rows
+    are sorted?  One vectorised binary search, O(len(rows) log width)."""
+    width = ranked.shape[1]
+    lo = np.zeros(len(rows), dtype=np.int64)
+    hi = np.full(len(rows), width, dtype=np.int64)
+    while (live := lo < hi).any():
+        mid = (lo + hi) >> 1
+        below = ranked[rows, np.minimum(mid, width - 1)] < vals
+        lo = np.where(live & below, mid + 1, lo)
+        hi = np.where(live & ~below, mid, hi)
+    return (lo < width) & (ranked[rows, np.minimum(lo, width - 1)] == vals)
 
 
 def rainbow_copies(g: Graph, psi: EdgeColouring, h: Graph) -> list[tuple[int, ...]]:

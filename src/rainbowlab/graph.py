@@ -68,9 +68,14 @@ def bits(mask: int):
 
 
 class Graph:
-    """Immutable undirected simple graph."""
+    """Immutable undirected simple graph.
 
-    __slots__ = ("n", "adj", "edges", "_edge_index")
+    A graph built by `join` records its parts: `split` is the left part's
+    size and `left`/`right` are the parts, so every pair u < split <= v is
+    an edge.  Any other graph has `split` 0 and no parts.
+    """
+
+    __slots__ = ("n", "adj", "edges", "m", "split", "left", "right", "_edge_index")
 
     def __init__(self, n: int, edges):
         if n < 0:
@@ -95,24 +100,11 @@ class Graph:
         self.n = n
         self.adj = tuple(adj)
         self.edges = tuple(norm)
+        self.m = len(norm)
+        self.split, self.left, self.right = 0, None, None
         self._edge_index = None
 
-    @classmethod
-    def _normalised(cls, n: int, adj, edges) -> "Graph":
-        """Graph from input that is already normalised: `edges` sorted,
-        duplicate-free (u, v) pairs with u < v, `adj` their bitsets."""
-        g = cls.__new__(cls)
-        g.n = n
-        g.adj = tuple(adj)
-        g.edges = tuple(edges)
-        g._edge_index = None
-        return g
-
     # -- basic queries ----------------------------------------------------
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and 0 <= u < self.n and 0 <= v < self.n and bool(self.adj[u] >> v & 1)
@@ -133,7 +125,7 @@ class Graph:
         return (1 << self.n) - 1
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self):
         return hash((self.n, self.edges))
@@ -233,24 +225,51 @@ def star(k: int) -> Graph:
 
 def join(left: Graph, right: Graph) -> Graph:
     """Left keeps its ids, right is shifted by v(left), and every cross
-    edge is added.  Both parts are valid graphs, so the edges are emitted
-    already sorted (each left vertex's left edges, then its cross edges;
-    the shifted right edges last) and are not validated again."""
+    edge is added.
+
+    The result records `split` = v(left) and both parts, and counts its
+    edges: m = e(left) + e(right) + v(left) * v(right).  Its edge tuple,
+    which a dense join would spend one Python tuple per cross edge on, is
+    built only when `edges` is first read.
+    """
     off, n = left.n, left.n + right.n
     left_mask = (1 << off) - 1
     right_mask = ((1 << n) - 1) ^ left_mask
     adj = [row | right_mask for row in left.adj]
     adj += [row << off | left_mask for row in right.adj]
-    left_runs: list[list[tuple[int, int]]] = [[] for _ in range(off)]
-    for e in left.edges:
-        left_runs[e[0]].append(e)
-    cross = range(off, n)
-    edges = []
-    for a in range(off):
-        edges += left_runs[a]
-        edges += zip(repeat(a), cross)
-    edges += [(u + off, v + off) for u, v in right.edges]
-    return Graph._normalised(n, adj, edges)
+    g = _JoinGraph.__new__(_JoinGraph)
+    g.n, g.adj, g.m = n, tuple(adj), left.m + right.m + off * right.n
+    g.split, g.left, g.right = off, left, right
+    g._edge_index = g._edges = None
+    return g
+
+
+class _JoinGraph(Graph):
+    """What `join` returns: a Graph whose `edges` is a property that builds
+    the tuple on first read and keeps it.  The property lives on this
+    subclass only, so every other graph keeps `edges` as a plain slot, the
+    fastest attribute read CPython has."""
+
+    __slots__ = ("_edges",)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Each left vertex's left edges, then its cross edges; the shifted
+        right edges last.  Both parts are valid graphs, so this is sorted
+        and nothing is validated again."""
+        if self._edges is None:
+            off = self.split
+            left_runs: list[list[tuple[int, int]]] = [[] for _ in range(off)]
+            for e in self.left.edges:
+                left_runs[e[0]].append(e)
+            cross = range(off, self.n)
+            edges = []
+            for a in range(off):
+                edges += left_runs[a]
+                edges += zip(repeat(a), cross)
+            edges += [(u + off, v + off) for u, v in self.right.edges]
+            self._edges = tuple(edges)
+        return self._edges
 
 
 def hat_k(a: int, b: int) -> Graph:

@@ -48,6 +48,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
+
 from .colouring import (
     EdgeColouring,
     colouring_to_json,
@@ -419,12 +421,11 @@ def _check_total_proper(g: Graph, psi: EdgeColouring):
         )
 
 
-def _check_rainbow_edges(psi: EdgeColouring, keys, check: str, label: str) -> set[int]:
-    """Colours of the edges `keys`, which must be pairwise distinct; the
+def _check_rainbow_edges(psi: EdgeColouring, keys, check: str, label: str) -> None:
+    """The colours of the edges `keys` must be pairwise distinct; the
     first repeat fails precondition `check`, naming the two `label` edges."""
     cols = psi.colours(keys)
-    cset = set(cols)
-    if len(cset) != len(cols):
+    if len(set(cols)) != len(cols):
         seen: dict[int, tuple[int, int]] = {}
         for k, c in zip(keys, cols):
             if c in seen:
@@ -434,7 +435,6 @@ def _check_rainbow_edges(psi: EdgeColouring, keys, check: str, label: str) -> se
                     (seen[c], k, c),
                 )
             seen[c] = k
-    return cset
 
 
 def _check_cross_avoids_side(psi: EdgeColouring, cross_colours: set[int], side_keys):
@@ -448,6 +448,19 @@ def _check_cross_avoids_side(psi: EdgeColouring, cross_colours: set[int], side_k
             f"colour {c} appears both on a cross edge and on side edges {edges}",
             (c, tuple(edges)),
         )
+
+
+def _check_cross_block(psi: EdgeColouring, scaffold) -> None:
+    """The cross checks of the K6/K7 scaffolds, whose `cross_keys` are the
+    whole cross block of their join, row by row: the cross edges have
+    pairwise distinct colours, none of them on a `left_keys` edge.  The
+    block is read once; the key walks that name the first offence run
+    only when a check fails."""
+    block = np.sort(psi.cross_block(), axis=None)
+    if (block[1:] == block[:-1]).any():
+        _check_rainbow_edges(psi, scaffold.cross_keys, "cross-rainbow", "cross")
+    if np.isin(psi.colours(scaffold.left_keys), block).any():
+        _check_cross_avoids_side(psi, set(block.tolist()), scaffold.left_keys)
 
 
 def _validated_rainbow_clique(g: Graph, psi: EdgeColouring, vs, what: str):
@@ -686,8 +699,7 @@ def extract_rainbow_k6(scaffold: RainbowK6Scaffold, psi: EdgeColouring) -> tuple
     """
     g = scaffold.graph
     _check_total_proper(g, psi)
-    cross_cols = _check_rainbow_edges(psi, scaffold.cross_keys, "cross-rainbow", "cross")
-    _check_cross_avoids_side(psi, cross_cols, scaffold.left_keys)
+    _check_cross_block(psi, scaffold)
 
     votes: dict[int, list[tuple[int, int, int]]] = {}
     for cherry in scaffold.cherries:
@@ -815,8 +827,7 @@ def extract_rainbow_k7(scaffold: RainbowK7Scaffold, psi: EdgeColouring) -> tuple
     """
     g = scaffold.graph
     _check_total_proper(g, psi)
-    cross_cols = _check_rainbow_edges(psi, scaffold.cross_keys, "cross-rainbow", "cross")
-    _check_cross_avoids_side(psi, cross_cols, scaffold.left_keys)
+    _check_cross_block(psi, scaffold)
 
     quads = []
     bad_cols: set[int] = set()

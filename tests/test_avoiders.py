@@ -7,8 +7,10 @@ of the whole perturbed graph.  The acceptance sweeps are run with a
 planted avoider to show that they reach it through ``attempt``.
 """
 
+import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from rainbowlab import verification
@@ -158,3 +160,19 @@ def test_perturbed_cliques_match_brute_force(r, trial):
     found = perturbed_cliques(inst, r)
     assert len(found) == len(set(found))
     assert {tuple(sorted(vs)) for vs in found} == expected
+
+
+def test_k4_trial_memory_does_not_grow_with_the_join():
+    """One K4 trial at n = 800 near the threshold has 160,000 cross edges
+    and a few dozen random ones.  The colouring keeps the cross edges in
+    one int64 block and the graph never lists them, so the trial peaks
+    under 20 MiB; one Python tuple per cross edge took about 40 MiB."""
+    tracemalloc.start()
+    try:
+        inst = sample_perturbed(800, 0.3 * 800**-1.25, np.random.default_rng([1, 0]))
+        outcome = attempt(inst, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome == (None, None)
+    assert peak <= 20 * 2**20

@@ -207,6 +207,14 @@ class TestConstruct:
         assert manifest["outputs"] == [str(out_file)]
         assert manifest["passed"] is (rc == 0)
 
+    def test_spec_longer_than_a_file_name(self, capsys):
+        """A spec too long to be a file name is parsed as a spec."""
+        spec = "DisjointUnion(" + ",".join(["K1"] * 100) + ")"
+        assert len(spec) == 314
+        rc, out, _ = run(capsys, "construct", "--graph", spec)
+        assert rc == 0
+        assert json.loads(out)["n"] == 100
+
     def test_emit_named_file(self, capsys, tmp_path):
         target = tmp_path / "mine.json"
         rc, _, _ = run(capsys, "construct", "--graph", "K3", "--emit", str(target))

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,7 @@ from rainbowlab.colouring import (
     random_proper_colouring,
 )
 from rainbowlab.errors import ParameterError
-from rainbowlab.graph import Graph, clique, empty_graph, hat_k, path_graph, star
+from rainbowlab.graph import Graph, clique, empty_graph, hat_k, join, path_graph, star
 
 K3 = clique(3)
 K4 = clique(4)
@@ -91,7 +92,7 @@ def test_colouring_rejects_non_edges():
 
 
 def _state(psi: EdgeColouring):
-    return (psi._col, [psi.colours_at(v) for v in range(psi.graph.n)],
+    return (colouring_to_json(psi), [psi.colours_at(v) for v in range(psi.graph.n)],
             psi.next_colour)
 
 
@@ -161,6 +162,149 @@ def test_assign_many_rejects_without_change(edges, colours):
     with pytest.raises(ParameterError):
         psi.assign_many(edges, colours)
     assert _state(psi) == before
+
+
+# -- a join's cross block against its plain twin ----------------------------
+
+
+def _outcome(call):
+    """What a call returns, or the message of the ParameterError it raises."""
+    try:
+        return ("ok", call())
+    except ParameterError as exc:
+        return ("error", str(exc))
+
+
+def _observe(psi: EdgeColouring) -> tuple:
+    """Everything the public readers say about psi."""
+    g = psi.graph
+    probe = sorted(psi.colours_used())[:3] + [psi.next_colour]
+    return (
+        colouring_to_json(psi),
+        find_properness_clash(g, psi),
+        psi.is_total(),
+        len(psi),
+        psi.colours_used(),
+        [psi.colours_at(v) for v in range(g.n)],
+        [psi.would_clash(u, v, c) for u, v in g.edges for c in probe],
+        psi.next_colour,
+    )
+
+
+def _random_op(rng: random.Random, g: Graph, psi: EdgeColouring):
+    """One random call, as a function of the colouring it is applied to."""
+    edges = list(g.edges)
+    pool = rng.choice((3, 6, 40))
+
+    def colour():
+        return rng.choice((rng.randrange(pool), rng.randrange(pool), psi.next_colour,
+                           -1, 2**63))
+
+    def pair():
+        if rng.random() < 0.8:
+            u, v = rng.choice(edges)
+            return (v, u) if rng.random() < 0.3 else (u, v)
+        return rng.randrange(-1, g.n + 1), rng.randrange(-1, g.n + 1)
+
+    kind = rng.choice(("assign", "assign_many", "fill_fresh", "plant", "copy",
+                       "colours", "colour_set", "get"))
+    if kind == "assign":
+        (u, v), c = pair(), colour()
+        return kind, lambda p: p.assign(u, v, c)
+    if kind == "assign_many":
+        chosen = rng.sample(edges, rng.randrange(len(edges) + 1))
+        if chosen and rng.random() < 0.2:
+            chosen.append(rng.choice(chosen))
+        if chosen and rng.random() < 0.2:
+            chosen[0] = pair()
+        cs = [rng.randrange(pool) if rng.random() < 0.7 else 10**6 + i
+              for i, _ in enumerate(chosen)]
+        if cs and rng.random() < 0.1:
+            cs[-1] = colour()
+        return kind, lambda p: p.assign_many(chosen, cs)
+    if kind == "fill_fresh":
+        start = None if rng.random() < 0.5 else psi.next_colour + rng.randrange(-1, 3)
+        return kind, lambda p: p.fill_fresh(start)
+    if kind == "plant":
+        # two edges at one vertex, same colour: in a row, in a column, or a
+        # side edge and a cross edge
+        v = rng.randrange(g.n)
+        at = [(min(v, w), max(v, w)) for w in g.neighbours(v)]
+        chosen = rng.sample(at, min(2, len(at)))
+        c = rng.randrange(pool)
+        return kind, lambda p: [p.assign(a, b, c) for a, b in chosen]
+    if kind == "colours":
+        keys = [pair() for _ in range(rng.randrange(4))]
+        return kind, lambda p: p.colours(keys)
+    if kind == "colour_set":
+        keys = [pair() for _ in range(rng.randrange(6))]
+        return kind, lambda p: p.colour_set(keys)
+    if kind == "get":
+        u, v = pair()
+        return kind, lambda p: p.get(u, v)
+    return kind, None
+
+
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_join_colouring_matches_plain_twin(a, b, seed):
+    """A join keeps its cross colours in the block, its plain twin (the
+    same edges, no split) keeps every colour in the dict; the same calls
+    must give the same answers, errors and colourings."""
+    rng = random.Random(seed)
+    left = Graph(a, [e for e in combinations(range(a), 2) if rng.random() < 0.5])
+    right = Graph(b, [e for e in combinations(range(b), 2) if rng.random() < 0.5])
+    g = join(left, right)
+    twin = Graph(g.n, g.edges)
+    assert (g.split, twin.split) == (a, 0)
+    pair = [EdgeColouring(g), EdgeColouring(twin)]
+    copied = []
+    for _ in range(rng.randrange(1, 12)):
+        kind, op = _random_op(rng, g, pair[0])
+        if op is None:
+            copied.append((pair, [_observe(p) for p in pair]))
+            pair = [p.copy() for p in pair]
+            continue
+        assert _outcome(lambda: op(pair[0])) == _outcome(lambda: op(pair[1])), kind
+        assert _observe(pair[0]) == _observe(pair[1]), kind
+    for originals, seen in copied:
+        assert [_observe(p) for p in originals] == seen
+
+
+def test_assign_cross_block_matches_assign_many():
+    g = join(path_graph(3), star(2))
+    colours = [[10 + 3 * i + j for j in range(3)] for i in range(3)]
+    bulk = EdgeColouring(g, {(0, 1): 1})
+    bulk.assign_cross_block(colours)
+    loop = EdgeColouring(g, {(0, 1): 1})
+    loop.assign_many([(u, v) for u in range(3) for v in range(3, 6)],
+                     [c for row in colours for c in row])
+    assert _state(bulk) == _state(loop)
+    assert bulk.cross_block().tolist() == colours
+    with pytest.raises(ValueError):
+        bulk.cross_block()[0, 0] = 5  # the reader is read-only
+
+
+@pytest.mark.parametrize("colours,dtype", [
+    ([[1, 2]], np.int64),                              # wrong shape
+    ([[1, 2, 3]] * 3, np.float64),                     # not integers
+    ([[1, 2, -1]] + [[3, 4, 5]] * 2, np.int64),        # negative colour
+    ([[1, 2, 3]] * 2 + [[4, 5, 2**63]], np.uint64),    # colour beyond int64
+])
+def test_assign_cross_block_rejects_without_change(colours, dtype):
+    g = join(path_graph(3), star(2))
+    psi = EdgeColouring(g, {(0, 1): 1})
+    with pytest.raises(ParameterError):
+        psi.assign_cross_block(np.array(colours, dtype=dtype))
+    assert _state(psi) == _state(EdgeColouring(g, {(0, 1): 1}))
+
+
+def test_assign_cross_block_rejects_a_coloured_block():
+    g = join(path_graph(3), star(2))
+    psi = EdgeColouring(g, {(1, 4): 7})
+    with pytest.raises(ParameterError, match=r"\(1, 4\) is already coloured"):
+        psi.assign_cross_block([[1, 2, 3]] * 3)
+    assert _state(psi) == _state(EdgeColouring(g, {(1, 4): 7}))
 
 
 def test_rainbow_copies_examples():

@@ -171,6 +171,18 @@ def test_perturbed_graph_matches_generic_constructor(n, p, seed):
         assert g.edge_id(*e) == generic.edge_id(*e) == generic.edges.index(e)
         assert g.edge_id(e[1], e[0]) == g.edge_id(*e)
     assert join(inst.left, inst.right) == g
+    assert (g.split, g.left, g.right) == (u, inst.left, inst.right)
+
+
+def test_join_counts_its_edges_and_lists_them_on_first_read():
+    g = join(path_graph(3), star(2))
+    assert (g.n, g.m, g.split) == (6, 2 + 2 + 3 * 3, 3)
+    assert g._edges is None  # counting m listed nothing
+    generic = Graph(6, [(0, 1), (1, 2), (3, 4), (3, 5)]
+                    + [(a, b) for a in range(3) for b in range(3, 6)])
+    assert g.edges == generic.edges
+    assert g.edges is g.edges
+    assert (generic.split, generic.left, generic.right) == (0, None, None)
 
 
 def test_constructor_validation():

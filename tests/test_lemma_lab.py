@@ -333,21 +333,25 @@ class TestExtractRainbowK6:
     def test_cross_colour_repeat_reported(self):
         sc = rainbow_k6_scaffold()
         psi = fresh_colouring(sc.graph)
-        psi.assign(0, 220, psi.get(1, 221))
+        c = psi.get(1, 221)
+        psi.assign(0, 220, c)
         assert is_proper(sc.graph, psi)
         with pytest.raises(StructureUnsupported) as exc:
             extract_rainbow_k6(sc, psi)
         assert exc.value.offending.check == "cross-rainbow"
+        assert exc.value.offending.witness == ((0, 220), (1, 221), c)
 
     def test_cross_colour_leaking_into_cherries_reported(self):
         sc = rainbow_k6_scaffold()
         psi = fresh_colouring(sc.graph)
         last = sc.cherries[-1]
-        psi.assign(0, 218, psi.get(last.left, last.hub))
+        c = psi.get(last.left, last.hub)
+        psi.assign(0, 218, c)
         assert is_proper(sc.graph, psi)
         with pytest.raises(StructureUnsupported) as exc:
             extract_rainbow_k6(sc, psi)
         assert exc.value.offending.check == "cross-avoids-side"
+        assert exc.value.offending.witness == (c, ((last.left, last.hub),))
 
 
 # -- surviving triangle of the spoked fan --------------------------------------
@@ -482,10 +486,22 @@ class TestExtractRainbowK7:
     def test_cross_colour_repeat_reported(self):
         sc = rainbow_k7_scaffold()
         psi = fresh_colouring(sc.graph)
-        psi.assign(0, 30, psi.get(1, 31))
+        c = psi.get(1, 31)
+        psi.assign(0, 30, c)
         with pytest.raises(StructureUnsupported) as exc:
             extract_rainbow_k7(sc, psi)
         assert exc.value.offending.check == "cross-rainbow"
+        assert exc.value.offending.witness == ((0, 30), (1, 31), c)
+
+
+@pytest.mark.parametrize("build", [rainbow_k6_scaffold, rainbow_k7_scaffold])
+def test_cross_keys_are_the_joins_whole_block(build):
+    """The K6/K7 cross checks read the join's cross block in one piece and
+    walk `cross_keys` only to name an offence: the two must be the same
+    edges in the same (row-major) order."""
+    sc = build()
+    g = sc.graph
+    assert sc.cross_keys == tuple((u, v) for u in range(g.split) for v in range(g.split, g.n))
 
 
 # -- trial harness --------------------------------------------------------------
