@@ -29,10 +29,7 @@ __all__ = [
     "colour_inside",
     "cross_table",
     "avoid_k4",
-    "INSIDE_COLOURS",
 ]
-
-INSIDE_COLOURS = (1, 2, 3)
 
 PATH_KINDS = {"K2", "P3", "P4"}
 

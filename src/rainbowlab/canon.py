@@ -1,11 +1,11 @@
-"""Isomorphism tests and automorphism group orders.
+"""Automorphism group orders.
 
-Both rest on one search, `_colour_iso_exists_pair`: colour refinement on
-the disjoint union of two graphs, then individualisation of one vertex on
-each side of the first cell that is not yet a singleton, until the
-partition is discrete and the matching it induces is checked edge by edge.
-`aut_order` runs it on a graph against itself with vertices pinned, one
-orbit-stabiliser level at a time.
+`aut_order` rests on one search, `_colour_iso_exists_pair`: colour
+refinement on the disjoint union of two graphs, then individualisation of
+one vertex on each side of the first cell that is not yet a singleton,
+until the partition is discrete and the matching it induces is checked
+edge by edge.  `aut_order` runs it on a graph against itself with vertices
+pinned, one orbit-stabiliser level at a time.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from .errors import ParameterError
 from .graph import Graph, bits
 
-__all__ = ["aut_order", "is_isomorphic"]
+__all__ = ["aut_order"]
 
 _AUT_CAP = 48
 
@@ -42,26 +42,6 @@ def _cells(colours):
     out: dict[int, list[int]] = {}
     for v, c in enumerate(colours):
         out.setdefault(c, []).append(v)
-    return out
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.m != h.m:
-        return False
-    if g.n == 0:
-        return True
-    if g.n > _AUT_CAP:
-        raise ParameterError(f"is_isomorphic capped at {_AUT_CAP} vertices")
-    if sorted(g.degree(v) for v in range(g.n)) != sorted(h.degree(v) for v in range(h.n)):
-        return False
-    u = _disjoint(g, h)
-    src = [0] * g.n
-    dst = [0] * g.n
-    return _colour_iso_exists_pair(u, g.n, src, dst)
-
-
-def _disjoint(g: Graph, h: Graph):
-    out = list(g.adj) + [a << g.n for a in h.adj]
     return out
 
 
@@ -133,7 +113,7 @@ def aut_order(g: Graph) -> int:
     if n <= 1:
         return 1
 
-    adj2 = _disjoint(g, g)
+    adj2 = list(g.adj) + [a << n for a in g.adj]  # g beside a copy of itself
     order = 1
     pinned: list[int] = []
     while True:

@@ -1,6 +1,5 @@
-"""Proper edge-colourings, rainbow detection, interest/compatible sets,
-and an exact backtracking decider for "every proper colouring contains a
-rainbow copy".
+"""Proper edge-colourings, rainbow detection, and an exact backtracking
+decider for "every proper colouring contains a rainbow copy".
 
 Colours are dense non-negative ints; equality is their only meaning.
 Colourings may be partial; rainbow checks treat uncoloured edges as
@@ -13,11 +12,12 @@ import json
 from array import array
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Integral
 
 import numpy as np
 
 from .errors import ParameterError
-from .graph import Graph, bits, common_neighbourhood, enumerate_copies
+from .graph import Graph, bits, enumerate_copies
 
 __all__ = [
     "EdgeColouring",
@@ -25,12 +25,9 @@ __all__ = [
     "is_proper",
     "find_properness_clash",
     "rainbow_copies",
-    "interest_set",
-    "compatible_set",
     "random_proper_colouring",
     "decide_arrows",
     "colouring_to_json",
-    "colouring_from_json",
 ]
 
 
@@ -44,6 +41,15 @@ def _check_colour_range(lo: int, hi: int) -> None:
         raise ParameterError(f"colour ids must be >= 0, got {lo}")
     if hi > _MAX_COLOUR:
         raise ParameterError(f"colour ids must be <= 2**63 - 1, got {hi}")
+
+
+def _check_colour(colour) -> None:
+    """Reject a colour that is not an integer in [0, 2**63 - 1].  Callers
+    test `type(colour) is int` and the range inline first, so a plain int
+    in range costs no call."""
+    if not isinstance(colour, Integral):
+        raise ParameterError(f"colour ids must be integers, got {colour!r}")
+    _check_colour_range(colour, colour)
 
 
 class EdgeColouring:
@@ -109,7 +115,8 @@ class EdgeColouring:
         return out
 
     def assign(self, u: int, v: int, colour: int) -> None:
-        _check_colour_range(colour, colour)
+        if type(colour) is not int or not 0 <= colour <= _MAX_COLOUR:
+            _check_colour(colour)
         cross = self._cross
         a, b = (u, v) if u < v else (v, u)
         split, width = self._shape
@@ -133,12 +140,12 @@ class EdgeColouring:
             raise ParameterError(
                 f"{len(edges)} edges but {len(colours)} colours")
         n, adj = self.graph.n, self.graph.adj
-        for u, v in edges:
+        for (u, v), c in zip(edges, colours):
             if not (0 <= u < v < n and adj[u] >> v & 1):
                 raise ParameterError(
                     f"({u},{v}) is not an edge (u < v) of the companion graph")
-        if colours:
-            _check_colour_range(min(colours), max(colours))
+            if type(c) is not int or not 0 <= c <= _MAX_COLOUR:
+                _check_colour(c)
         side = dict(zip(edges, colours))
         if len(side) != len(edges):
             raise ParameterError("an edge is listed more than once")
@@ -480,36 +487,6 @@ def rainbow_copies(g: Graph, psi: EdgeColouring, h: Graph) -> list[tuple[int, ..
     return out
 
 
-def interest_set(g: Graph, psi: EdgeColouring, k_vertices) -> set[int]:
-    """Common neighbours of K whose cross-star colours avoid the colours
-    used inside K."""
-    ks = sorted(k_vertices)
-    inside = psi.colour_set(
-        (a, b) for i, a in enumerate(ks) for b in ks[i + 1:] if g.has_edge(a, b)
-    )
-    pool = common_neighbourhood(g, ks)
-    out = set()
-    for x in pool:
-        cross = psi.colour_set((x, k) for k in ks)
-        if not (cross & inside):
-            out.add(x)
-    return out
-
-
-def compatible_set(g: Graph, psi: EdgeColouring, k_vertices) -> set[int]:
-    """Greedy (ascending vertex id) sub-family of the interest set whose
-    cross-star colour sets are pairwise disjoint."""
-    ks = sorted(k_vertices)
-    chosen: set[int] = set()
-    taken: set[int] = set()
-    for x in sorted(interest_set(g, psi, ks)):
-        cross = psi.colour_set((x, k) for k in ks)
-        if not (cross & taken):
-            chosen.add(x)
-            taken |= cross
-    return chosen
-
-
 def random_proper_colouring(g: Graph, rng, fresh_bias: float) -> EdgeColouring:
     """Random proper colouring: random edge order; each edge goes fresh
     with probability fresh_bias, else takes a uniform non-conflicting
@@ -589,26 +566,39 @@ def decide_arrows(g: Graph, h: Graph, node_budget: int = 2_000_000) -> ArrowsVer
                     return True
         return False
 
-    def search(pos: int, max_used: int):
+    def search():
+        """Depth-first over the positions of `order`, on explicit stacks so
+        that a graph of any size stays within the recursion limit.  The
+        edge at pos tries colours next_try[pos] .. max_used[pos] + 1 (below
+        m), max_used[pos] being the largest colour on the earlier edges.
+        True when every edge is coloured, None when the budget runs out,
+        else False."""
         nonlocal nodes
-        if pos == m:
-            return True
-        e = order[pos]
-        for c in range(min(max_used + 2, m)):
-            nodes += 1
-            if nodes > node_budget:
-                return None
-            if any(col[f] == c for f in adj_list[e]):
-                continue
-            col[e] = c
-            if not copy_blocks(e):
-                r = search(pos + 1, max(max_used, c))
-                if r is not False:
-                    return r
+        next_try = [0] * (m + 1)
+        max_used = [-1] * (m + 1)
+        pos = 0
+        while 0 <= pos < m:
+            e = order[pos]
             col[e] = -1
-        return False
+            for c in range(next_try[pos], min(max_used[pos] + 2, m)):
+                nodes += 1
+                if nodes > node_budget:
+                    return None
+                if any(col[f] == c for f in adj_list[e]):
+                    continue
+                col[e] = c
+                if not copy_blocks(e):
+                    next_try[pos] = c + 1
+                    pos += 1
+                    next_try[pos] = 0
+                    max_used[pos] = max(max_used[pos - 1], c)
+                    break
+                col[e] = -1
+            else:
+                pos -= 1
+        return pos == m
 
-    result = search(0, -1)
+    result = search()
     if result is None:
         return ArrowsVerdict("unknown", None, nodes)
     if result is False:
@@ -626,10 +616,3 @@ def decide_arrows(g: Graph, h: Graph, node_budget: int = 2_000_000) -> ArrowsVer
 def colouring_to_json(psi: EdgeColouring) -> str:
     return json.dumps({"edges": [[u, v, psi.get(u, v)] for u, v in psi.domain()]})
 
-
-def colouring_from_json(g: Graph, text: str) -> EdgeColouring:
-    data = json.loads(text)
-    psi = EdgeColouring(g)
-    for u, v, c in data["edges"]:
-        psi.assign(u, v, c)
-    return psi

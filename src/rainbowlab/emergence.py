@@ -45,7 +45,6 @@ __all__ = [
     "StructureViolation",
     "StructureAudit",
     "verify_structure",
-    "has_clique",
     "parse_probability",
     "ScanConfig",
     "ScanRow",
@@ -565,28 +564,6 @@ SCAN_MODES = ("avoider-success-rate", "containment-rate", "decider-on-tiny")
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
-def has_clique(g: Graph, r: int) -> bool:
-    """Early-exit test for an r-clique."""
-    if r < 1:
-        raise ParameterError("clique order must be >= 1")
-    if r == 1:
-        return g.n >= 1
-    if r == 2:
-        return g.m >= 1
-
-    full = g.vertex_mask()
-
-    def grow(depth: int, cand: int) -> bool:
-        if depth == r:
-            return True
-        for v in bits(cand):
-            if grow(depth + 1, cand & g.adj[v] & ~((1 << (v + 1)) - 1)):
-                return True
-        return False
-
-    return grow(0, full)
-
-
 _PROBABILITY_EXPR = re.compile(
     r"^\s*(?:(?P<coeff>[0-9]+(?:\.[0-9]+)?)\s*\*\s*)?"
     r"n\s*\^\s*(?P<sign>-?)\s*(?P<num>[0-9]+)(?:\s*/\s*(?P<den>[0-9]+))?\s*$"
@@ -700,7 +677,7 @@ def scan_rows_to_csv(rows, deterministic: bool = False) -> str:
 def _scan_trial(config: ScanConfig, n: int, p: float, rng) -> bool:
     if config.mode == "containment-rate":
         g = sample_gnp(n, p, rng)
-        return has_clique(g, (config.ell + 1) // 2)
+        return next(g.iter_cliques((config.ell + 1) // 2), None) is not None
     if config.mode == "avoider-success-rate":
         declined, problem = attempt(sample_perturbed(n, p, rng), config.ell)
         return declined is None and problem is None

@@ -48,7 +48,6 @@ __all__ = [
     "disjoint_union",
     "empty_graph",
     "enumerate_copies",
-    "common_neighbourhood",
     "densities",
     "edge_counts_all_subsets",
     "components",
@@ -162,27 +161,43 @@ class Graph:
         # lowest edge
         return out
 
-    def cliques(self, r: int) -> list[tuple[int, ...]]:
-        """All r-cliques as sorted vertex tuples."""
+    def iter_cliques(self, r: int):
+        """Yield every r-clique as a sorted vertex tuple, in lexicographic
+        order: the one clique search.  A caller that only asks whether a
+        clique exists stops at the first with `next(..., None)`."""
         if r < 1:
             raise ParameterError("clique order must be >= 1")
-        if r == 1:
-            return [(v,) for v in range(self.n)]
-        if r == 2:
-            return list(self.edges)
-        out = []
+        if r > self.n:  # also keeps the stack below as small as the graph
+            return
+        adj = self.adj
+        # cur holds the clique so far; cands[d] is the bitset of vertices
+        # still to try at depth d, lowest first: the common neighbours of
+        # cur[:d] above cur[d - 1].
+        cur: list[int] = []
+        cands = [0] * r
+        cands[0] = self.vertex_mask()
+        d = 0
+        while d >= 0:
+            cand = cands[d]
+            if not cand:
+                d -= 1
+                if cur:
+                    cur.pop()
+                continue
+            low = cand & -cand
+            cand ^= low
+            cands[d] = cand
+            v = low.bit_length() - 1
+            if d == r - 1:
+                yield (*cur, v)
+            else:
+                cur.append(v)
+                d += 1
+                cands[d] = cand & adj[v]
 
-        def grow(cur: tuple[int, ...], cand: int):
-            if len(cur) == r:
-                out.append(cur)
-                return
-            for v in bits(cand):
-                grow(cur + (v,), cand & self.adj[v] & ~((1 << (v + 1)) - 1))
-
-        full = self.vertex_mask()
-        for v in range(self.n):
-            grow((v,), self.adj[v] & full & ~((1 << (v + 1)) - 1))
-        return out
+    def cliques(self, r: int) -> list[tuple[int, ...]]:
+        """All r-cliques as sorted vertex tuples."""
+        return list(self.iter_cliques(r))
 
 
 @dataclass(frozen=True)
@@ -520,19 +535,6 @@ def _enumerate_disconnected(g: Graph, comps) -> list[tuple[int, ...]]:
 
     place(0, frozenset())
     return sorted(found.values())
-
-
-def common_neighbourhood(g: Graph, xs) -> set[int]:
-    """Vertices adjacent to every member of xs, excluding xs itself."""
-    xs = list(xs)
-    if not xs:
-        return set(range(g.n))
-    mask = g.vertex_mask()
-    for x in xs:
-        mask &= g.adj[x]
-    for x in xs:
-        mask &= ~(1 << x)
-    return set(bits(mask))
 
 
 def components(g: Graph) -> list[tuple[Graph, list[int]]]:

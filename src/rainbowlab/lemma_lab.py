@@ -71,37 +71,24 @@ from .graph import (
 )
 
 __all__ = [
-    "PreconditionFailure",
-    "DoubleTriangleCherry",
-    "TriangleFan",
-    "SpokedTriangleFan",
-    "JoinedTriangleBlock",
-    "StarJoinScaffold",
-    "TriangleStarScaffold",
-    "TrianglePairInstance",
-    "RainbowK6Scaffold",
-    "SpokedFanInstance",
-    "RainbowK7Scaffold",
     "rainbow_k4_scaffold",
     "rainbow_k5_scaffold",
     "triangle_pair_instance",
     "rainbow_k6_scaffold",
     "spoked_fan_instance",
     "rainbow_k7_scaffold",
-    "extract_rainbow_k4",
-    "extract_rainbow_k5",
-    "disjoint_colour_triangles",
-    "extract_rainbow_k6",
-    "surviving_triangle",
-    "extract_rainbow_k7",
-    "rainbow_k4_in_block",
     "sample_rainbow_k4_colouring",
     "sample_rainbow_k5_colouring",
     "sample_triangle_pair_colouring",
     "sample_rainbow_k6_colouring",
     "sample_fan_matchings",
     "sample_rainbow_k7_colouring",
-    "LemmaTrialReport",
+    "extract_rainbow_k4",
+    "extract_rainbow_k5",
+    "disjoint_colour_triangles",
+    "extract_rainbow_k6",
+    "surviving_triangle",
+    "extract_rainbow_k7",
     "LEMMA_NAMES",
     "certify_lemma",
 ]

@@ -4,6 +4,12 @@ The seed is the complete bipartite graph on parts of size floor(n/2) and
 ceil(n/2); the perturbation is G(n,p) on the same vertex set.  Random
 edges across the parts coincide with seed edges, so an instance keeps
 only the random edges that fall inside a part.
+
+Every sampler here takes its generator from the caller.  The stream rule:
+a trial's generator is ``numpy.random.default_rng([seed, *path])``, where
+the path names the trial's place in its run (the clique order or sweep,
+the grid indices, then the trial index).  So each trial has its own
+stream, and no result depends on the order in which trials run.
 """
 
 from __future__ import annotations
@@ -15,12 +21,7 @@ import numpy as np
 from .errors import ParameterError
 from .graph import Graph, join
 
-__all__ = ["PerturbedInstance", "sample_gnp", "sample_perturbed", "rng_for_trial"]
-
-
-def rng_for_trial(master_seed: int, trial: int) -> np.random.Generator:
-    """Independent per-trial stream; reduction order never matters."""
-    return np.random.default_rng([master_seed, trial])
+__all__ = ["PerturbedInstance", "sample_gnp", "sample_perturbed"]
 
 
 # Above this many vertex pairs, rejection over all pairs is replaced by

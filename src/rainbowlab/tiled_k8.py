@@ -125,10 +125,6 @@ class GeneratingSequence:
                 total += len(s.added_edges)
         return total
 
-    @property
-    def length(self) -> int:
-        return len(self.steps)
-
     def phi_value(self) -> int:
         base = 3 if self.base_kind == "K5" else 0
         return base + 2 * self.gamma + self.beta

@@ -1,6 +1,7 @@
 """Component classification, the cross-block colour tables, and the full
 rainbow-K4 avoider on sampled perturbed instances."""
 
+import numpy as np
 import pytest
 
 from rainbowlab.avoider_k4 import (
@@ -14,7 +15,7 @@ from rainbowlab.avoider_k4 import (
 from rainbowlab.colouring import EdgeColouring, colouring_to_json, is_proper, rainbow_copies
 from rainbowlab.errors import ParameterError, StructureUnsupported
 from rainbowlab.graph import Graph, clique
-from rainbowlab.model import PerturbedInstance, rng_for_trial, sample_perturbed
+from rainbowlab.model import PerturbedInstance, sample_perturbed
 
 K4 = clique(4)
 
@@ -174,7 +175,7 @@ def test_avoid_k4_matches_block_loop(n, c):
     for trial in range(20):
         if checked == 3:
             break
-        inst = sample_perturbed(n, c / n, rng_for_trial(77 + n, trial))
+        inst = sample_perturbed(n, c / n, np.random.default_rng([77 + n, trial]))
         try:
             ref = reference_avoid_k4(inst)
         except StructureUnsupported:
@@ -224,7 +225,7 @@ def test_avoid_k4_sampled_instances(n):
     p = 0.5 * n ** -1.25
     good = 0
     for trial in range(6):
-        inst = sample_perturbed(n, p, rng_for_trial(1000 + n, trial))
+        inst = sample_perturbed(n, p, np.random.default_rng([1000 + n, trial]))
         try:
             psi = avoid_k4(inst)
         except StructureUnsupported:
@@ -244,7 +245,7 @@ def test_avoid_k4_sampled_instances(n):
 
 
 def test_palette_disjointness_on_sample():
-    inst = sample_perturbed(60, 0.5 * 60 ** -1.25, rng_for_trial(7, 0))
+    inst = sample_perturbed(60, 0.5 * 60 ** -1.25, np.random.default_rng([7, 0]))
     try:
         psi = avoid_k4(inst)
     except StructureUnsupported:

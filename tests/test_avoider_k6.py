@@ -1,6 +1,7 @@
 """Triangle-union machinery, the matching-quadruple solver, and the
 rainbow-K6 avoider."""
 
+import numpy as np
 import pytest
 
 from rainbowlab.avoider_k6 import (
@@ -17,7 +18,7 @@ from rainbowlab.avoiders import perturbed_cliques
 from rainbowlab.colouring import is_proper
 from rainbowlab.errors import ParameterError, SearchExhausted, StructureUnsupported
 from rainbowlab.graph import Graph, clique, components, path_graph, r7, t_graph
-from rainbowlab.model import PerturbedInstance, rng_for_trial, sample_gnp, sample_perturbed
+from rainbowlab.model import PerturbedInstance, sample_gnp, sample_perturbed
 
 WHEEL5 = Graph(6, [(0, i) for i in range(1, 6)]
                + [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
@@ -94,7 +95,7 @@ def test_find_matchings_validates_input():
 def test_find_matchings_on_sampled_components(n, seed_base):
     total = 0
     for trial in range(12):
-        g = sample_gnp(n, n ** -0.7, rng_for_trial(seed_base, trial))
+        g = sample_gnp(n, n ** -0.7, np.random.default_rng([seed_base, trial]))
         tu = triangle_union(g)
         for sub, _ in components(tu):
             if sub.m == 0:
@@ -144,7 +145,7 @@ def test_avoid_k6_sampled_instances(n):
     p = n ** -0.7
     done = 0
     for trial in range(4):
-        inst = sample_perturbed(n, p, rng_for_trial(8000 + n, trial))
+        inst = sample_perturbed(n, p, np.random.default_rng([8000 + n, trial]))
         try:
             psi = avoid_k6(inst)
         except (StructureUnsupported, SearchExhausted):
@@ -160,7 +161,7 @@ def test_avoid_k6_sampled_instances(n):
 
 
 def test_red_edges_form_matching_on_sample():
-    inst = sample_perturbed(200, 200 ** -0.7, rng_for_trial(321, 5))
+    inst = sample_perturbed(200, 200 ** -0.7, np.random.default_rng([321, 5]))
     try:
         psi = avoid_k6(inst)
     except (StructureUnsupported, SearchExhausted):

@@ -20,7 +20,7 @@ from rainbowlab.avoiders import AVOIDERS, attempt, perturbed_cliques, validate
 from rainbowlab.colouring import EdgeColouring
 from rainbowlab.errors import OutOfRegime, ParameterError, SearchExhausted, StructureUnsupported
 from rainbowlab.graph import Graph, clique, disjoint_union, empty_graph
-from rainbowlab.model import PerturbedInstance, rng_for_trial, sample_perturbed
+from rainbowlab.model import PerturbedInstance, sample_perturbed
 from rainbowlab.tiled_k8 import RED, avoid_k8_perturbed
 
 
@@ -40,7 +40,7 @@ def test_avoider_table():
 def test_avoider_output_validates(ell):
     n, p = {4: (60, 60 ** -1.25), 5: (60, 60 ** -1.25), 6: (100, 100 ** -0.7),
             7: (100, 100 ** -0.7), 8: (80, 80 ** -0.45)}[ell]
-    inst = sample_perturbed(n, p, rng_for_trial(17, ell))
+    inst = sample_perturbed(n, p, np.random.default_rng([17, ell]))
     assert validate(inst, AVOIDERS[ell](inst), ell) is None
 
 
@@ -151,7 +151,7 @@ def test_side_rainbow_k4_with_red_passes():
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("trial", range(3))
 def test_perturbed_cliques_match_brute_force(r, trial):
-    inst = sample_perturbed(12, 0.5, rng_for_trial(5, trial))
+    inst = sample_perturbed(12, 0.5, np.random.default_rng([5, trial]))
     g = inst.graph()
     expected = {
         vs for vs in combinations(range(g.n), r)

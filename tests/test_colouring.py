@@ -1,7 +1,9 @@
-"""Edge colourings, rainbow detection, interest/compatible sets, and the
-exact arrows decider against a brute-force matching-partition oracle."""
+"""Edge colourings, rainbow detection, and the exact arrows decider
+against a brute-force matching-partition oracle."""
 
+import json
 import random
+import time
 from collections import Counter
 from itertools import combinations
 
@@ -13,12 +15,9 @@ from hypothesis import strategies as st
 from rainbowlab.colouring import (
     ArrowsVerdict,
     EdgeColouring,
-    colouring_from_json,
     colouring_to_json,
-    compatible_set,
     decide_arrows,
     find_properness_clash,
-    interest_set,
     is_proper,
     rainbow_copies,
     random_proper_colouring,
@@ -399,6 +398,19 @@ def test_properness_checks_reject_another_graph():
             check(K4, psi)
 
 
+def test_colour_ids_must_be_integers():
+    g = join(clique(2), clique(2))  # side edges (0, 1) and (2, 3)
+    psi = EdgeColouring(g)
+    for bad in (lambda: psi.assign(0, 1, 2.5),  # side edge
+                lambda: psi.assign(0, 2, 2.5),  # cross edge
+                lambda: psi.assign_many([(0, 1), (0, 2), (2, 3)], [1, 2.0, 3])):
+        with pytest.raises(ParameterError):
+            bad()
+    assert len(psi) == 0 and psi.next_colour == 0
+    psi.assign_many([(0, 1), (0, 2)], [np.int64(1), 2])
+    assert psi.colours([(0, 1), (0, 2)]) == [1, 2]
+
+
 def test_colour_ids_must_fit_int64():
     top = 2**63 - 1
     g = path_graph(3)
@@ -412,59 +424,6 @@ def test_colour_ids_must_fit_int64():
     assert len(psi) == 1
     psi.assign(1, 2, top)
     assert find_properness_clash(g, psi) == (1, top, ((0, 1), (1, 2)))
-
-
-def _hat_colouring(extra_reuse: bool) -> tuple:
-    """K3 joined to 5 outside vertices; triangle colours 1,2,3, cross edges
-    fresh except (optionally) one reusing a triangle colour legally."""
-    g = hat_k(3, 5)
-    psi = EdgeColouring(g, {(0, 1): 1, (0, 2): 2, (1, 2): 3})
-    c = 4
-    for x in range(3, 8):
-        for k in range(3):
-            psi.assign(k, x, c)
-            c += 1
-    if extra_reuse:
-        psi.assign(2, 3, 1)  # colour of edge 01 reused on the star of x=3
-    assert is_proper(g, psi)
-    return g, psi
-
-
-def test_interest_set_examples():
-    g, psi = _hat_colouring(extra_reuse=False)
-    assert interest_set(g, psi, [0, 1, 2]) == {3, 4, 5, 6, 7}
-    g, psi = _hat_colouring(extra_reuse=True)
-    assert interest_set(g, psi, [0, 1, 2]) == {4, 5, 6, 7}
-
-
-@given(st.integers(0, 10**6), st.floats(0.05, 0.95))
-@settings(max_examples=40, deadline=None)
-def test_interest_set_lower_bound(seed, bias):
-    g = hat_k(3, 8)
-    psi = random_proper_colouring(g, random.Random(seed), bias)
-    pool = set(range(3, 11))
-    assert len(interest_set(g, psi, [0, 1, 2])) >= len(pool) - 3
-
-
-@given(st.integers(0, 10**6), st.floats(0.05, 0.95))
-@settings(max_examples=40, deadline=None)
-def test_compatible_set_guarantee(seed, bias):
-    g = hat_k(3, 12)
-    psi = random_proper_colouring(g, random.Random(seed), bias)
-    k = [0, 1, 2]
-    interest = interest_set(g, psi, k)
-    comp = compatible_set(g, psi, k)
-    assert comp <= interest
-    # pairwise disjoint cross-star colour sets
-    sets = {x: psi.colour_set((x, v) for v in k) for x in comp}
-    for a, b in combinations(sorted(comp), 2):
-        assert not (sets[a] & sets[b])
-    assert len(comp) >= -(-len(interest) // (3 * 2 + 1))
-
-
-def test_compatible_set_all_distinct_cross():
-    g, psi = _hat_colouring(extra_reuse=False)
-    assert compatible_set(g, psi, [0, 1, 2]) == {3, 4, 5, 6, 7}
 
 
 @given(st.integers(0, 10**6), st.floats(0.0, 1.0))
@@ -561,6 +520,15 @@ def test_decide_arrows_selected_k3_cases(g, expect):
     assert oracle_arrows(g, K3) == expect
 
 
+def test_decide_arrows_long_path_needs_no_recursion():
+    g = path_graph(1002)  # 1001 edges: deeper than the default recursion limit
+    start = time.perf_counter()
+    verdict = decide_arrows(g, K3)
+    assert time.perf_counter() - start < 3
+    assert verdict.outcome == "witness"
+    assert verdict.witness.is_total() and is_proper(g, verdict.witness)
+
+
 def test_verdict_shape():
     v = decide_arrows(K3, K3)
     assert isinstance(v, ArrowsVerdict)
@@ -570,6 +538,5 @@ def test_verdict_shape():
 
 def test_colouring_json_roundtrip():
     psi = EdgeColouring(K4, FACTORIZATION)
-    text = colouring_to_json(psi)
-    back = colouring_from_json(K4, text)
-    assert {e: back.get(*e) for e in K4.edges} == FACTORIZATION
+    edges = json.loads(colouring_to_json(psi))["edges"]
+    assert edges == [[u, v, FACTORIZATION[(u, v)]] for u, v in K4.edges]

@@ -15,6 +15,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,6 @@ from rainbowlab.emergence import (
     ScanConfig,
     StructureAudit,
     density_condition,
-    has_clique,
     janson_bound,
     parse_probability,
     scan_rows_to_csv,
@@ -349,7 +349,6 @@ class TestDensityCondition:
         node needs both its endpoints (uncapacitated arcs, infinite in
         networkx), and forcing the endpoints of each edge in turn keeps at
         least one edge in the chosen set."""
-        nx = pytest.importorskip("networkx")
         rng = random.Random(20261018)
         exponents = [Fraction(1, 3), Fraction(7, 15), Fraction(2, 3), Fraction(1)]
         for _ in range(12):
@@ -524,14 +523,18 @@ class TestVerifyStructure:
 
 class TestScanHelpers:
     def test_has_clique(self):
-        assert has_clique(clique(6), 6)
-        assert not has_clique(clique(6), 7)
-        assert not has_clique(path_graph(4), 3)
-        assert has_clique(path_graph(4), 2)
-        assert has_clique(empty_graph(3), 1)
-        assert not has_clique(empty_graph(3), 2)
+        """The containment scan's test: the first clique of the generator,
+        which stops there (clique(60) holds about 10**17 30-cliques)."""
+        assert next(clique(6).iter_cliques(6)) == (0, 1, 2, 3, 4, 5)
+        assert next(clique(6).iter_cliques(7), None) is None
+        assert next(path_graph(4).iter_cliques(3), None) is None
+        assert next(path_graph(4).iter_cliques(2)) == (0, 1)
+        assert next(empty_graph(3).iter_cliques(1)) == (0,)
+        assert next(empty_graph(3).iter_cliques(2), None) is None
+        assert next(clique(60).iter_cliques(30)) == tuple(range(30))
+        assert next(clique(3).iter_cliques(10**12), None) is None
         with pytest.raises(ParameterError):
-            has_clique(clique(3), 0)
+            next(clique(3).iter_cliques(0))
 
     def test_parse_probability_forms(self):
         assert parse_probability(0.25, 10) == 0.25

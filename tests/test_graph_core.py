@@ -1,4 +1,4 @@
-"""Graph construction, enumeration, densities, isomorphism and automorphisms.
+"""Graph construction, enumeration, densities and automorphisms.
 
 Oracles here are deliberately independent re-implementations: densities
 by direct bipartition scans, copy counts by brute-force injections,
@@ -9,17 +9,18 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rainbowlab.canon import aut_order, is_isomorphic
+from rainbowlab.canon import aut_order
 from rainbowlab.errors import ParameterError
 from rainbowlab.graph import (
     DisjointSets,
     Graph,
     clique,
-    common_neighbourhood,
     complete_bipartite,
     components,
     densities,
@@ -37,7 +38,7 @@ from rainbowlab.graph import (
     star,
     t_graph,
 )
-from rainbowlab.model import rng_for_trial, sample_perturbed
+from rainbowlab.model import sample_perturbed
 
 # -- oracles ---------------------------------------------------------------
 
@@ -158,7 +159,7 @@ def test_disjoint_sets_match_components(n, seed):
 @example(n=9, p=1.0, seed=0)
 @settings(max_examples=60, deadline=None)
 def test_perturbed_graph_matches_generic_constructor(n, p, seed):
-    inst = sample_perturbed(n, p, rng_for_trial(seed, 0))
+    inst = sample_perturbed(n, p, np.random.default_rng([seed, 0]))
     u = inst.u_size
     seed_edges = [(a, b) for a in range(u) for b in range(u, n)]
     right = [(a + u, b + u) for a, b in inst.right.edges]
@@ -240,13 +241,6 @@ def test_enumeration_on_bipartite_host():
     assert len(enumerate_copies(g, Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))) == 9
 
 
-def test_common_neighbourhood():
-    assert common_neighbourhood(clique(5), [0, 1]) == {2, 3, 4}
-    assert common_neighbourhood(r7(), [0, 2]) == {1}
-    assert common_neighbourhood(r7(), [3, 4]) == {0, 1}
-    assert common_neighbourhood(path_graph(4), [0, 3]) == set()
-
-
 # -- densities -------------------------------------------------------------
 
 
@@ -286,24 +280,7 @@ def test_io_roundtrips():
     assert graph_from_json(graph_to_json(g)) == g
 
 
-# -- isomorphism and automorphisms -------------------------------------------
-
-
-def test_canonical_separates_same_degree_sequence():
-    c6 = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
-    two_triangles = disjoint_union([clique(3), clique(3)])
-    assert not is_isomorphic(c6, two_triangles)
-
-
-@given(st.integers(0, 10**6), st.integers(2, 8), st.permutations(list(range(8))))
-@settings(max_examples=60, deadline=None)
-def test_canonical_invariant_under_relabelling(seed, n, perm):
-    g = random_graph(seed, n, 50)
-    relabel = [perm[v] for v in range(n)]
-    pos = sorted(range(n), key=lambda v: relabel[v])
-    newid = {v: i for i, v in enumerate(pos)}
-    h = Graph(n, [(newid[u], newid[v]) for u, v in g.edges])
-    assert is_isomorphic(g, h)
+# -- automorphisms -----------------------------------------------------------
 
 
 @pytest.mark.parametrize("g,order", [
@@ -347,7 +324,6 @@ def small_graphs(draw, max_n=8):
 
 
 def _nx(g: Graph):
-    nx = pytest.importorskip("networkx")
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges)
@@ -357,7 +333,6 @@ def _nx(g: Graph):
 @given(small_graphs())
 @settings(max_examples=150, deadline=None)
 def test_aut_order_matches_networkx(g):
-    nx = pytest.importorskip("networkx")
     h = _nx(g)
     expected = sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
     assert aut_order(g) == expected
@@ -366,19 +341,17 @@ def test_aut_order_matches_networkx(g):
 @given(small_graphs(max_n=10))
 @settings(max_examples=150, deadline=None)
 def test_cliques_match_networkx(g):
-    nx = pytest.importorskip("networkx")
     by_size: dict = {}
     for c in nx.enumerate_all_cliques(_nx(g)):
         by_size.setdefault(len(c), []).append(tuple(sorted(c)))
-    for r in (3, 4, 5):
-        assert sorted(g.cliques(r)) == sorted(by_size.get(r, []))
+    for r in (1, 2, 3, 4, 5):  # cliques come in lexicographic order
+        assert g.cliques(r) == sorted(by_size.get(r, []))
     assert g.triangles() == g.cliques(3)
 
 
 @given(small_graphs(max_n=10))
 @settings(max_examples=150, deadline=None)
 def test_components_match_networkx(g):
-    nx = pytest.importorskip("networkx")
     ours = components(g)
     assert sorted(back for _, back in ours) == sorted(
         sorted(c) for c in nx.connected_components(_nx(g)))
@@ -386,19 +359,3 @@ def test_components_match_networkx(g):
         assert sub.n == len(back)
         assert sorted(tuple(sorted((back[u], back[v]))) for u, v in sub.edges) == [
             (u, v) for u, v in g.edges if u in back]
-
-
-@given(small_graphs(), st.data())
-@settings(max_examples=150, deadline=None)
-def test_is_isomorphic_matches_networkx(g, data):
-    # h is a relabelled g, sometimes with one edge moved to a non-edge, so
-    # both answers occur with equal vertex and edge counts.
-    nx = pytest.importorskip("networkx")
-    perm = data.draw(st.permutations(list(range(g.n))))
-    edges = {tuple(sorted((perm[u], perm[v]))) for u, v in g.edges}
-    non_edges = sorted(set(combinations(range(g.n), 2)) - edges)
-    if edges and non_edges and data.draw(st.booleans()):
-        edges.remove(data.draw(st.sampled_from(sorted(edges))))
-        edges.add(data.draw(st.sampled_from(non_edges)))
-    h = Graph(g.n, sorted(edges))
-    assert is_isomorphic(g, h) == nx.is_isomorphic(_nx(g), _nx(h))

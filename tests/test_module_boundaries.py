@@ -1,8 +1,11 @@
 """No module of the package reaches into another module's private names:
 it neither imports them nor reads them as attributes.  Every public name
 has one import path: a module's ``__all__`` lists only names it defines.
-Every avoider trial goes through ``avoiders.attempt``: no other module
-imports the avoider table or the validator."""
+Every public name has a reader outside the tests: code under ``src/``,
+``scripts/`` or ``bench/`` reads each ``__all__`` name, so the library
+carries no code that only its tests run.  Every avoider trial goes
+through ``avoiders.attempt``: no other module imports the avoider table
+or the validator."""
 
 import ast
 from pathlib import Path
@@ -10,6 +13,8 @@ from pathlib import Path
 import rainbowlab
 
 PACKAGE = Path(rainbowlab.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
+READER_DIRS = [ROOT / "src", ROOT / "scripts", ROOT / "bench"]
 
 
 def is_private(name: str) -> bool:
@@ -47,11 +52,22 @@ def foreign_private_reads(source: str) -> list[str]:
             for node in sorted(reads, key=lambda n: (n.lineno, n.col_offset))]
 
 
+def is_all(node: ast.AST) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+
+def exported(source: str) -> list[str]:
+    """The module's ``__all__``, empty when it has none."""
+    return next((ast.literal_eval(node.value) for node in ast.parse(source).body
+                 if is_all(node)), [])
+
+
 def reexports(source: str) -> list[str]:
     """Names in the module's ``__all__`` that no def, class or assignment at
     module level binds; an import alone does not count."""
     tree = ast.parse(source)
-    bound, exported = set(), []
+    bound = set()
     stack = list(tree.body)
     while stack:
         node = stack.pop()
@@ -60,11 +76,36 @@ def reexports(source: str) -> list[str]:
             continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             bound.add(node.id)
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            exported = ast.literal_eval(node.value)
         stack.extend(ast.iter_child_nodes(node))
-    return [name for name in exported if name not in bound]
+    return [name for name in exported(source) if name not in bound]
+
+
+def names_read(source: str) -> set[str]:
+    """Names the source reads: loaded as a name or an attribute, imported,
+    or spelled out whole in a string literal (as `getattr` lookups are).
+    An ``__all__`` entry does not count, nor does a read inside the def or
+    class of the same name."""
+    out = set()
+    stack = [(ast.parse(source), frozenset())]
+    while stack:
+        node, inside = stack.pop()
+        if is_all(node):
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside |= {node.name}
+        name = None
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        if name is not None and name not in inside:
+            out.add(name)
+        stack.extend((child, inside) for child in ast.iter_child_nodes(node))
+    return out
 
 
 def avoider_trial_imports(source: str) -> list[str]:
@@ -117,6 +158,27 @@ def test_detector_sees_reexports():
     assert reexports("from .graph import Graph\n") == []
 
 
+def test_detector_sees_reads():
+    source = (
+        "from .graph import Graph, clique as make_clique\n"
+        "__all__ = ['recursive', 'only_listed', 'by_string', 'Graph']\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else n\n"
+        "def only_listed():\n"
+        "    return only_listed()\n"
+        "def g(module, key):\n"
+        "    getattr(module, 'by_string')()\n"
+        "    module.stored = key.loaded\n"
+        "    return make_clique(key)\n"
+    )
+    assert names_read(source) == {
+        "Graph", "clique", "make_clique", "n", "getattr", "module", "by_string",
+        "key", "loaded",
+    }
+    assert exported(source) == ["recursive", "only_listed", "by_string", "Graph"]
+    assert exported("x = 1\n") == []
+
+
 def test_detector_sees_avoider_trial_imports():
     source = (
         "from .avoiders import AVOIDERS, attempt, perturbed_cliques\n"
@@ -151,6 +213,21 @@ def test_every_exported_name_is_defined_in_its_module():
         f"{path.name}: {name}"
         for path in sorted(PACKAGE.glob("*.py"))
         for name in reexports(path.read_text())
+    ]
+    assert not offenders, offenders
+
+
+def test_every_exported_name_has_a_reader():
+    read = set().union(*(
+        names_read(path.read_text())
+        for folder in READER_DIRS
+        for path in sorted(folder.rglob("*.py"))
+    ))
+    offenders = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in exported(path.read_text())
+        if name not in read
     ]
     assert not offenders, offenders
 

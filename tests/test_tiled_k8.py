@@ -17,7 +17,7 @@ from rainbowlab.avoiders import validate
 from rainbowlab.colouring import EdgeColouring, is_proper
 from rainbowlab.errors import OutOfRegime, ParameterError, StructureUnsupported
 from rainbowlab.graph import Graph
-from rainbowlab.model import PerturbedInstance, sample_perturbed, rng_for_trial
+from rainbowlab.model import PerturbedInstance, sample_perturbed
 from rainbowlab.tiled_k8 import (
     RED,
     CoverCertificate,
@@ -699,7 +699,7 @@ def test_avoid_k8_perturbed_sampled():
     n = 80
     p = n ** -0.45
     for trial in range(5):
-        inst = sample_perturbed(n, p, rng_for_trial(99, trial))
+        inst = sample_perturbed(n, p, np.random.default_rng([99, trial]))
         psi = avoid_k8_perturbed(inst)
         assert psi.is_total()
         assert is_proper(inst.graph(), psi)
