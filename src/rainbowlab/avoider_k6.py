@@ -105,44 +105,49 @@ def verify_quadruple(triangles, q: MatchingQuadruple) -> bool:
 
 def _hitting_matching(triangles, budget: int):
     """A matching containing an edge of every triangle, or None
-    (no such matching, or budget ran out)."""
+    (no such matching, or budget ran out).
+
+    Depth-first over the sorted triangles: a node skips the triangles its
+    matching already hits, then branches on the first one left, trying
+    its edges in `_tri_edges` order.  The open branches are an explicit
+    stack, so a long chain of triangles stays within the recursion
+    limit; every entered node counts against `budget`."""
     tris = sorted(triangles)
     used: set[int] = set()
     chosen: list[tuple[int, int]] = []
+    picked: set[tuple[int, int]] = set()  # `chosen` as normalised keys
+    keys = [{_k(u, v) for u, v in _tri_edges(t)} for t in tris]
+    stack: list[tuple[int, int]] = []  # (triangle, index of its chosen edge)
     nodes = 0
-
-    def hit(t) -> bool:
-        a, b, c = t
-        return any(u in (a, b, c) and v in (a, b, c) for u, v in chosen)
-
-    class _Budget(Exception):
-        pass
-
-    def rec(i: int) -> bool:
-        nonlocal nodes
-        nodes += 1
+    i = 0
+    while True:
+        nodes += 1  # enter a node at triangle i
         if nodes > budget:
-            raise _Budget
-        while i < len(tris) and hit(tris[i]):
+            return None
+        while i < len(tris) and not picked.isdisjoint(keys[i]):
             i += 1
         if i == len(tris):
-            return True
-        for u, v in _tri_edges(tris[i]):
-            if u not in used and v not in used:
+            return list(chosen)
+        k = 0
+        while True:
+            edges = _tri_edges(tris[i])
+            while k < 3 and (edges[k][0] in used or edges[k][1] in used):
+                k += 1
+            if k < 3:
+                u, v = edges[k]
                 used.update((u, v))
                 chosen.append((u, v))
-                if rec(i + 1):
-                    return True
-                chosen.pop()
-                used.difference_update((u, v))
-        return False
-
-    try:
-        if rec(0):
-            return list(chosen)
-    except _Budget:
-        pass
-    return None
+                picked.add(_k(u, v))
+                stack.append((i, k))
+                i += 1
+                break
+            if not stack:
+                return None
+            i, k = stack.pop()
+            u, v = chosen.pop()
+            used.difference_update((u, v))
+            picked.discard(_k(u, v))
+            k += 1
 
 
 _PAIR_LABELS = ((1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2))

@@ -52,6 +52,38 @@ def _check_colour(colour) -> None:
     _check_colour_range(colour, colour)
 
 
+class _Frozen:
+    """Write log of a frozen colouring: it refuses every write.  It keeps
+    what `find_properness_clash` learns about the colouring on first need:
+    None until then, False when the colouring is not proper, else the
+    incidence index of `_incidence_index`."""
+
+    __slots__ = ("clash_index",)
+
+    def __init__(self):
+        self.clash_index = None
+
+    def add(self, *_) -> None:
+        raise ParameterError("the colouring is frozen; write to a copy() of it")
+
+    update = note_cross = add
+
+
+class _Overlay(set):
+    """Write log of a copy of the frozen colouring `base`: the set of side
+    keys written to the copy, and whether any cross cell was written."""
+
+    __slots__ = ("base", "cross_written")
+
+    def __init__(self, base: "EdgeColouring", side_keys=(), cross_written=False):
+        super().__init__(side_keys)
+        self.base = base
+        self.cross_written = cross_written
+
+    def note_cross(self) -> None:
+        self.cross_written = True
+
+
 class EdgeColouring:
     """Partial edge colouring of a fixed graph.
 
@@ -74,6 +106,18 @@ class EdgeColouring:
     side incidences and the buffer's rows and columns.  Fresh colours are
     handed out monotonically.
 
+    `freeze()` makes a colouring read-only: every write raises
+    ParameterError.  A `copy()` of a frozen colouring is an *overlay*: an
+    ordinary mutable colouring that also keeps its base and logs its writes
+    (the side keys written, and whether any cross cell was), which
+    `overlay()` reads.  Logging costs O(1) per side key written, and a
+    colouring that is neither frozen nor an overlay pays one `is None` test
+    per write.  On an overlay of a proper base, `find_properness_clash`
+    costs O(w log w) for w written edges (plus one numpy comparison of the
+    cross buffer with the base's when a cross cell was written), after a
+    full check and an O(m log m) incidence index of the base, done once
+    per base and kept on it (16 bytes per base incidence, 8 per colour).
+
     `assign_many`, `assign_cross_block` and `fill_fresh` colour many
     edges in one call.  The bulk contract: every input is validated before
     anything changes (a rejected call leaves the colouring as it was), and
@@ -81,10 +125,11 @@ class EdgeColouring:
     would give, with the same colour ids.
     """
 
-    __slots__ = ("graph", "_col", "_cross", "_shape", "next_colour")
+    __slots__ = ("graph", "_col", "_cross", "_shape", "next_colour", "_log")
 
     def __init__(self, graph: Graph, colours=None):
         self.graph = graph
+        self._log: _Frozen | _Overlay | None = None
         self._col: dict[tuple[int, int], int] = {}
         split, width = graph.split, graph.n - graph.split
         self._shape = (split, width)
@@ -121,9 +166,14 @@ class EdgeColouring:
         a, b = (u, v) if u < v else (v, u)
         split, width = self._shape
         if cross and 0 <= a < split <= b < split + width:
+            if self._log is not None:
+                self._log.note_cross()
             cross[a * width + b - split] = colour
         else:
-            self._col[self._key(u, v)] = colour
+            key = self._key(u, v)
+            if self._log is not None:
+                self._log.add(key)
+            self._col[key] = colour
         if colour >= self.next_colour:
             self.next_colour = colour + 1
 
@@ -161,6 +211,10 @@ class EdgeColouring:
                 or any(cross[i] >= 0 for i in cells)):
             e = next(e for e in edges if self.get(*e) is not None)
             raise ParameterError(f"{e} is already coloured")
+        if self._log is not None:
+            self._log.update(side)
+            if cells:
+                self._log.note_cross()
         self._col.update(side)
         for i, c in cells.items():
             cross[i] = c
@@ -187,6 +241,8 @@ class EdgeColouring:
         if coloured.size:
             u, j = divmod(int(coloured[0]), self._shape[1])
             raise ParameterError(f"{(u, j + self._shape[0])} is already coloured")
+        if self._log is not None:
+            self._log.note_cross()
         block[...] = colours
         self.next_colour = max(self.next_colour, hi + 1)
 
@@ -208,6 +264,10 @@ class EdgeColouring:
         if not total:
             return
         _check_colour_range(first, first + total - 1)
+        if self._log is not None:
+            self._log.update(todo)
+            if len(cells):
+                self._log.note_cross()
         if len(cells):
             # Rank every uncoloured edge by u * n + v, the graph's edge
             # order: both lists are sorted, so a rank is a position in one
@@ -358,13 +418,40 @@ class EdgeColouring:
         return out
 
     def copy(self) -> "EdgeColouring":
+        """A mutable copy; an overlay when this colouring is frozen or is
+        itself an overlay (then of the same base, with its log so far)."""
         out = EdgeColouring.__new__(EdgeColouring)
         out.graph = self.graph
         out._col = dict(self._col)
         out._cross = self._cross[:]
         out._shape = self._shape
         out.next_colour = self.next_colour
+        log = self._log
+        if log is None:
+            out._log = None
+        elif type(log) is _Frozen:
+            out._log = _Overlay(self)
+        else:
+            out._log = _Overlay(log.base, log, log.cross_written)
         return out
+
+    def freeze(self) -> "EdgeColouring":
+        """Make this colouring read-only and return it: from now on every
+        write raises ParameterError, and each `copy()` is an overlay."""
+        if type(self._log) is not _Frozen:
+            self._log = _Frozen()
+        return self
+
+    def overlay(self):
+        """(base, written side keys, cross_written) when this colouring is
+        a copy of the frozen colouring `base`, else None.  Every side edge
+        outside the written keys has its colour in `base` (or is
+        uncoloured in both), and so has every cross edge unless
+        `cross_written`."""
+        log = self._log
+        if type(log) is not _Overlay:
+            return None
+        return log.base, frozenset(log), log.cross_written
 
     def __len__(self):
         if not self._cross:
@@ -401,9 +488,38 @@ def find_properness_clash(g: Graph, psi: EdgeColouring):
     the cross block, or between a side edge and its endpoint's row or
     column; each kind yields its lowest (vertex, colour), and the lowest
     of those is the answer.
+
+    On an overlay (a copy of a frozen colouring) the base is checked in
+    full once, and, when proper, indexed by (colour, vertex) incidence; both
+    are kept on the base.  Then only the incidences (x, c) of the written
+    edges W are candidates: the written side keys and, when a cross cell
+    was written, the cross cells whose colour differs from the base's.
+    This is sound and complete.  Every edge outside W has its base colour,
+    so a clash of two edges outside W would be a clash of the proper base;
+    every clash therefore has an edge of W at its vertex, and its (x, c)
+    is a candidate.  A candidate (x, c) is a clash exactly when a second
+    incidence of W is (x, c), or the base edge at (x, c) (unique, the base
+    being proper) is outside W and so still has colour c.  The lowest
+    candidate clash is thus the lowest clash overall.
     """
     if psi.graph is not g and psi.graph != g:
         raise ParameterError("colouring belongs to a different graph")
+    log = psi._log
+    index = _proper_base_index(log.base) if type(log) is _Overlay else None
+    found = _lowest_clash_all(psi) if index is None else _lowest_clash_written(psi, index)
+    if found is None:
+        return None
+    v, c = found
+    edges = tuple(
+        (min(v, u), max(v, u))
+        for u in g.neighbours(v)
+        if psi.get(v, u) == c
+    )
+    return v, c, edges
+
+
+def _lowest_clash_all(psi: EdgeColouring):
+    """Lowest (vertex, colour) clash of psi, or None, from all its edges."""
     col = psi._col
     m = len(col)
     # One entry per (endpoint, colour) incidence of a side edge; sorted, a
@@ -427,15 +543,91 @@ def find_properness_clash(g: Graph, psi: EdgeColouring):
             ranked = np.sort(matrix, axis=1)
             found += _lowest_clash(ranked, shift, ends[mine], cols[mine])
             del ranked
-    if not found:
+    return min(found) if found else None
+
+
+def _edge_arrays(psi: EdgeColouring, side, cells: np.ndarray):
+    """Endpoint arrays u < v and colour array of the coloured side keys
+    `side`, then of the flat cross-buffer cells `cells`."""
+    ends = np.fromiter(chain.from_iterable(side), dtype=np.int64, count=2 * len(side))
+    us, vs = ends[0::2], ends[1::2]
+    cs = np.fromiter(map(psi._col.__getitem__, side), dtype=np.int64, count=len(side))
+    if len(cells):
+        split, width = psi._shape
+        rows, cols = np.divmod(cells, width)
+        us = np.concatenate((us, rows))
+        vs = np.concatenate((vs, cols + split))
+        cs = np.concatenate((cs, np.frombuffer(psi._cross, dtype=np.int64)[cells]))
+    return us, vs, cs
+
+
+def _proper_base_index(base: EdgeColouring):
+    """The incidence index of the frozen colouring `base`, or None when
+    `base` is not proper.  Built on first need and kept on `base`."""
+    frozen = base._log
+    if frozen.clash_index is None:
+        frozen.clash_index = _lowest_clash_all(base) is None and _incidence_index(base)
+    return frozen.clash_index or None
+
+
+def _incidence_index(psi: EdgeColouring):
+    """(palette, keys, codes) over the coloured edges (u, v) of psi:
+    `palette` its sorted distinct colours; `keys` sorted, one per
+    incidence (x, c), x in {u, v}, as rank(c) * n + x with rank(c) the
+    position of c in `palette`; `codes[i]` the edge u * n + v of keys[i]."""
+    n = psi.graph.n
+    cells = np.flatnonzero(psi._block().ravel() >= 0) if psi._cross else ()
+    us, vs, cs = _edge_arrays(psi, psi._col, cells)
+    codes = us * n + vs
+    del us, vs, cells
+    palette = np.sort(cs)  # deduplicated by hand: np.unique imports numpy.ma (1 MB)
+    distinct = np.ones(len(palette), dtype=bool)
+    distinct[1:] = palette[1:] != palette[:-1]
+    palette = palette[distinct]
+    ranked = np.searchsorted(palette, cs) * n
+    del cs
+    keys = np.concatenate((ranked + codes // n, ranked + codes % n))
+    del ranked
+    order = np.argsort(keys)
+    # order[i] >= len(codes) is the second endpoint of edge order[i] - len(codes)
+    return palette, keys[order], np.take(codes, order, mode="wrap")
+
+
+def _lowest_clash_written(psi: EdgeColouring, index):
+    """Lowest (vertex, colour) clash of an overlay of a proper base, or
+    None, from the incidences of its written edges and the base's
+    `_incidence_index` (see find_properness_clash)."""
+    palette, keys, codes = index
+    log = psi._log
+    n = psi.graph.n
+    cells = ()
+    if log.cross_written:
+        now = np.frombuffer(psi._cross, dtype=np.int64)
+        cells = np.flatnonzero(now != np.frombuffer(log.base._cross, dtype=np.int64))
+    us, vs, cs = _edge_arrays(psi, list(log), cells)
+    written = us * n + vs
+    ends = np.concatenate((us, vs))
+    cols = np.concatenate((cs, cs))
+    order = np.lexsort((cols, ends))
+    ends, cols = ends[order], cols[order]
+    clash = np.zeros(len(ends), dtype=bool)
+    # partner 1: a second written incidence at (x, c)
+    clash[1:] = (ends[1:] == ends[:-1]) & (cols[1:] == cols[:-1])
+    if keys.size:
+        # partner 2: the base edge at (x, c), when it was not written
+        rank = np.minimum(np.searchsorted(palette, cols), palette.size - 1)
+        key = rank * n + ends
+        at = np.minimum(np.searchsorted(keys, key), keys.size - 1)
+        hit = np.flatnonzero((palette[rank] == cols) & (keys[at] == key))
+        if hit.size:
+            partner = codes[at[hit]]
+            written.sort()
+            ours = written[np.searchsorted(written, partner).clip(max=written.size - 1)]
+            clash[hit] |= ours != partner
+    if not clash.any():
         return None
-    v, c = min(found)
-    edges = tuple(
-        (min(v, u), max(v, u))
-        for u in g.neighbours(v)
-        if psi.get(v, u) == c
-    )
-    return v, c, edges
+    i = int(clash.argmax())
+    return int(ends[i]), int(cols[i])
 
 
 def _lowest_clash(ranked: np.ndarray, shift: int, ends: np.ndarray, cols: np.ndarray):
@@ -530,9 +722,15 @@ def decide_arrows(g: Graph, h: Graph, node_budget: int = 2_000_000) -> ArrowsVer
         for e in es:
             through[e].append(ci)
     order = sorted(range(m), key=lambda e: (-len(through[e]), e))
+    # adj_list[e]: the edges sharing an endpoint with e, in ascending id
+    # order, from each vertex's incident edges (in id order already)
+    incident: list[list[int]] = [[] for _ in range(g.n)]
+    for e, (u, v) in enumerate(g.edges):
+        incident[u].append(e)
+        incident[v].append(e)
     adj_list = [
-        [f for f in range(m) if f != e and set(g.edges[e]) & set(g.edges[f])]
-        for e in range(m)
+        sorted(f for f in incident[u] + incident[v] if f != e)
+        for e, (u, v) in enumerate(g.edges)
     ]
     col = [-1] * m
     nodes = 0

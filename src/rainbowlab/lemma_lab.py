@@ -440,14 +440,54 @@ def _check_cross_avoids_side(psi: EdgeColouring, cross_colours: set[int], side_k
 def _check_cross_block(psi: EdgeColouring, scaffold) -> None:
     """The cross checks of the K6/K7 scaffolds, whose `cross_keys` are the
     whole cross block of their join, row by row: the cross edges have
-    pairwise distinct colours, none of them on a `left_keys` edge.  The
-    block is read once; the key walks that name the first offence run
-    only when a check fails."""
+    pairwise distinct colours, none of them on a `left_keys` edge.  psi is
+    total.  The block is read once; the key walks that name the first
+    offence run only when a check fails.
+
+    On an overlay with no cross cell written, of a base whose cross block
+    is certified (`_cross_certificate`), only the written left keys are
+    read.  The cross block is the base's, so it is rainbow.  A left key
+    not written has its base colour, which the certificate puts outside
+    the cross colours; a left key uncoloured in the base was written,
+    psi being total.  So a leak can only sit on a written left key.  When
+    that shortcut does not apply, or a written left key leaks, the full
+    check below runs and reports as it always has.
+    """
+    view = psi.overlay()
+    if view is not None:
+        base, written, cross_written = view
+        certificate = None if cross_written else _cross_certificate(base, scaffold)
+        if certificate is not None:
+            ranked, left = certificate
+            if not _occurs_in(ranked, psi.colours([k for k in written if k in left])):
+                return
     block = np.sort(psi.cross_block(), axis=None)
     if (block[1:] == block[:-1]).any():
         _check_rainbow_edges(psi, scaffold.cross_keys, "cross-rainbow", "cross")
-    if np.isin(psi.colours(scaffold.left_keys), block).any():
+    if _occurs_in(block, psi.colours(scaffold.left_keys)):
         _check_cross_avoids_side(psi, set(block.tolist()), scaffold.left_keys)
+
+
+@lru_cache(maxsize=4)
+def _cross_certificate(base: EdgeColouring, scaffold):
+    """(sorted cross colours, set of `left_keys`) of the frozen colouring
+    `base` of the K6/K7 scaffold when its cross block is fully coloured
+    and rainbow and no coloured left key of `base` wears a cross colour;
+    None otherwise.  Computed once per (base, scaffold)."""
+    ranked = np.sort(base.cross_block(), axis=None)
+    if not ranked.size or ranked[0] < 0 or (ranked[1:] == ranked[:-1]).any():
+        return None
+    side = [c for c in (base.get(u, v) for u, v in scaffold.left_keys) if c is not None]
+    if _occurs_in(ranked, side):
+        return None
+    return ranked, frozenset(scaffold.left_keys)
+
+
+def _occurs_in(ranked: np.ndarray, colours) -> bool:
+    """Does one of `colours` occur in the sorted, non-empty array `ranked`?"""
+    colours = np.array(colours, dtype=np.int64)
+    at = np.searchsorted(ranked, colours).clip(max=ranked.size - 1)
+    return bool((ranked[at] == colours).any())
 
 
 def _validated_rainbow_clique(g: Graph, psi: EdgeColouring, vs, what: str):
@@ -912,10 +952,12 @@ def _colour_cross_keys(psi: EdgeColouring, cross_keys) -> None:
 
 @lru_cache(maxsize=None)
 def _k6_cross_template() -> EdgeColouring:
+    """Cross edges on the unique high palette, frozen: trials colour
+    copies of it, whose checks then read only what the trial wrote."""
     sc = rainbow_k6_scaffold()
     psi = EdgeColouring(sc.graph)
     _colour_cross_keys(psi, sc.cross_keys)
-    return psi
+    return psi.freeze()
 
 
 def sample_rainbow_k6_colouring(
@@ -970,13 +1012,14 @@ def sample_fan_matchings(instance: SpokedFanInstance, rng: random.Random) -> lis
 @lru_cache(maxsize=None)
 def _k7_template() -> EdgeColouring:
     """Cross edges on the unique high palette, fan edges pre-coloured
-    with unique ids; trials overwrite a sparse subset of fan edges."""
+    with unique ids, frozen; trials overwrite a sparse subset of fan edges
+    on copies of it."""
     sc = rainbow_k7_scaffold()
     psi = EdgeColouring(sc.graph)
     _colour_cross_keys(psi, sc.cross_keys)
     first = psi.next_colour
     psi.assign_many(sc.right_keys, range(first, first + len(sc.right_keys)))
-    return psi
+    return psi.freeze()
 
 
 def sample_rainbow_k7_colouring(
@@ -1009,7 +1052,10 @@ def sample_rainbow_k7_colouring(
                 assign(centre, s, c_skel)
                 centre_pool_used.add(c_skel)
                 spoke_used.add(c_skel)
-        for p in fan.apexes[i]:
+        # (centre, p) is written only in p's own iteration below, so these
+        # are the colours that iteration would read before writing
+        mids = psi.colours([(centre, p) for p in fan.apexes[i]])
+        for p, c_old in zip(fan.apexes[i], mids):
             c_mid = None
             if rand() < 0.15:
                 c_mid = pool_pick(centre_pool_used, ())
@@ -1017,7 +1063,7 @@ def sample_rainbow_k7_colouring(
                     assign(centre, p, c_mid)
                     centre_pool_used.add(c_mid)
             if c_mid is None:
-                c_mid = psi.get(centre, p)
+                c_mid = c_old
             if rand() < 0.4:
                 c_rim = pool_pick(spoke_used, (c_mid,))
                 if c_rim is not None:

@@ -82,6 +82,16 @@ def test_find_matchings_double_wheel_is_infeasible():
         find_matchings(g)
 
 
+def test_find_matchings_long_triangle_chain_needs_no_recursion():
+    # triangles (2i, 2i+1, 2i+2): the hitting-matching search goes 1,501
+    # nodes deep, past the default recursion limit
+    chain = Graph(3001, sorted({e for i in range(1500) for e in (
+        (2 * i, 2 * i + 1), (2 * i, 2 * i + 2), (2 * i + 1, 2 * i + 2))}))
+    q = find_matchings(chain)
+    assert q.m0 == frozenset((2 * i, 2 * i + 1) for i in range(1500))
+    assert not (q.m1 or q.m2 or q.m3)
+
+
 def test_find_matchings_validates_input():
     with pytest.raises(ParameterError):
         find_matchings(path_graph(3))

@@ -270,6 +270,123 @@ def test_join_colouring_matches_plain_twin(a, b, seed):
         assert [_observe(p) for p in originals] == seen
 
 
+# -- frozen colourings and their overlays ------------------------------------
+
+
+def _random_base(rng: random.Random, g: Graph) -> EdgeColouring:
+    """A colouring of g to freeze: total and proper, proper on a random part
+    of the edges, proper on side edges only (the cross block left for
+    `assign_cross_block`), or built by random calls (often improper)."""
+    kind = rng.choice(("total", "part", "side", "calls"))
+    if kind == "calls":
+        psi = EdgeColouring(g)
+        for _ in range(rng.randrange(8)):
+            op = _random_op(rng, g, psi)[1]
+            if op is not None:
+                _outcome(lambda: op(psi))
+        return psi
+    full = random_proper_colouring(g, rng, rng.random())
+    keep = [e for e in g.edges
+            if (kind == "total" or rng.random() < 0.6)
+            and (kind != "side" or not e[0] < g.split <= e[1])]
+    psi = EdgeColouring(g)
+    psi.assign_many(keep, full.colours(keep))
+    return psi
+
+
+def _overlay_op(rng: random.Random, g: Graph, psi: EdgeColouring):
+    """`_random_op`, or one of two writes it does not make: swapping the
+    colours of two edges at one vertex (a written edge leaves the colour a
+    base edge still has in the base), or colouring the whole cross block."""
+    kind = rng.choice(("swap", "cross_block", "other", "other", "other"))
+    if kind == "swap":
+        v = rng.randrange(g.n)
+        at = [(min(v, w), max(v, w)) for w in g.neighbours(v)]
+        if len(at) < 2:
+            return kind, lambda p: None
+        e, f = rng.sample(at, 2)
+
+        def swap(p):
+            ce, cf = p.get(*e), p.get(*f)
+            if ce is not None and cf is not None:
+                p.assign(*e, cf)
+                p.assign(*f, ce)
+        return kind, swap
+    if kind == "cross_block":
+        shape = psi.cross_block().shape
+        colours = np.array([rng.randrange(2 * g.n) for _ in range(shape[0] * shape[1])],
+                           dtype=np.int64).reshape(shape)
+        return kind, lambda p: p.assign_cross_block(colours)
+    return _random_op(rng, g, psi)
+
+
+@given(st.integers(1, 6), st.integers(1, 7), st.integers(0, 10**6))
+@settings(max_examples=300, deadline=None)
+def test_overlay_matches_plain_twin(a, b, seed):
+    """A copy of a frozen colouring checks only what was written to it (the
+    clash search reads the written edges' incidences and the base's index).
+    The same writes, through every write path, on it and on a plain twin
+    must give the same answers, errors and colourings: the same lowest
+    clash, totality and colours.  Copies of the overlay are overlays of the
+    same base and must agree too."""
+    rng = random.Random(seed)
+    left = Graph(a, [e for e in combinations(range(a), 2) if rng.random() < 0.6])
+    right = Graph(b, [e for e in combinations(range(b), 2) if rng.random() < 0.6])
+    g = join(left, right) if rng.random() < 0.8 else Graph(a + b, list(join(left, right).edges))
+    pre = _random_base(rng, g)
+    twin = pre.copy()
+    base = pre.freeze()
+    before = _state(base)
+    pair = [base.copy(), twin]
+    assert pair[0].overlay() == (base, frozenset(), False)
+    assert pair[1].overlay() is None
+    for _ in range(rng.randrange(1, 14)):
+        kind, op = _overlay_op(rng, g, pair[0])
+        if op is None:
+            pair = [p.copy() for p in pair]
+            assert pair[0].overlay()[0] is base
+            continue
+        assert _outcome(lambda: op(pair[0])) == _outcome(lambda: op(pair[1])), kind
+        assert _observe(pair[0]) == _observe(pair[1]), kind
+    assert _state(base) == before
+
+
+def test_overlay_logs_written_keys():
+    g = join(path_graph(3), star(2))
+    base = random_proper_colouring(g, random.Random(3), 0.5).freeze()
+    psi = base.copy()
+    psi.assign(0, 1, 7)
+    psi.assign_many([], [])
+    assert psi.overlay() == (base, frozenset({(0, 1)}), False)
+    psi.assign(2, 4, 8)
+    assert psi.overlay() == (base, frozenset({(0, 1)}), True)
+    assert psi.copy().overlay() == psi.overlay()
+    assert base.overlay() is None
+
+
+def test_frozen_colouring_refuses_every_write():
+    g = join(path_graph(3), star(2))
+    base = EdgeColouring(g, {(0, 1): 1, (3, 4): 2}).freeze()
+    before = _state(base)
+    writes = [
+        lambda: base.assign(0, 1, 3),                            # side edge
+        lambda: base.assign(0, 4, 3),                            # cross edge
+        lambda: base.assign_fresh(1, 2),
+        lambda: base.assign_many([(1, 2)], [3]),
+        lambda: base.assign_many([(1, 3)], [3]),
+        lambda: base.assign_cross_block(np.arange(9).reshape(3, 3) + 10),
+        lambda: base.fill_fresh(),
+    ]
+    for write in writes:
+        with pytest.raises(ParameterError, match="frozen"):
+            write()
+        assert _state(base) == before
+    assert base.freeze() is base
+    psi = base.copy()
+    psi.fill_fresh()
+    assert psi.is_total() and not base.is_total()
+
+
 def test_assign_cross_block_matches_assign_many():
     g = join(path_graph(3), star(2))
     colours = [[10 + 3 * i + j for j in range(3)] for i in range(3)]
@@ -521,12 +638,15 @@ def test_decide_arrows_selected_k3_cases(g, expect):
 
 
 def test_decide_arrows_long_path_needs_no_recursion():
-    g = path_graph(1002)  # 1001 edges: deeper than the default recursion limit
-    start = time.perf_counter()
-    verdict = decide_arrows(g, K3)
-    assert time.perf_counter() - start < 3
-    assert verdict.outcome == "witness"
-    assert verdict.witness.is_total() and is_proper(g, verdict.witness)
+    # 1001 edges: deeper than the default recursion limit; 2999 edges: an
+    # adjacency build over all edge pairs would take seconds
+    for k in (1002, 3000):
+        g = path_graph(k)
+        start = time.perf_counter()
+        verdict = decide_arrows(g, K3)
+        assert time.perf_counter() - start < 3
+        assert verdict.outcome == "witness"
+        assert verdict.witness.is_total() and is_proper(g, verdict.witness)
 
 
 def test_verdict_shape():

@@ -8,11 +8,18 @@ choice each procedure must make.
 
 import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rainbowlab.colouring import EdgeColouring, is_proper
+from rainbowlab.colouring import (
+    EdgeColouring,
+    colouring_to_json,
+    find_properness_clash,
+    is_proper,
+)
 from rainbowlab.errors import CounterexampleFound, ParameterError, StructureUnsupported
 from rainbowlab.graph import Graph, hat_k
 from rainbowlab.lemma_lab import (
@@ -193,6 +200,29 @@ class TestExtractRainbowK5:
             out = extract_rainbow_k5(sc, psi)
             assert_rainbow_clique(sc.graph, psi, out, 5)
             assert 3 in out  # star centre always participates
+
+    def test_every_proper_colouring_up_to_renaming_extracts(self):
+        """Exhaustive certificate of the lemma.  Up to renaming, the rainbow
+        core is coloured 0..17, and each star edge takes a core colour legal
+        at both its ends or a fresh one; the star edges share the centre, so
+        their colours are distinct.  That is 20,284 proper colourings."""
+        sc = rainbow_k5_scaffold()
+        core = EdgeColouring(sc.graph)
+        core.assign_many(sc.core_keys, range(len(sc.core_keys)))
+        core.freeze()
+        options = []
+        for i, z in enumerate(sc.star_leaves):
+            blocked = core.colours_at(sc.star_centre) | core.colours_at(z)
+            legal = [c for c in range(core.next_colour) if c not in blocked]
+            options.append(legal + [core.next_colour + i])
+        count = 0
+        for choice in product(*options):
+            if len(set(choice)) == len(choice):
+                psi = core.copy()
+                psi.assign_many(sc.star_edges(), choice)
+                assert_rainbow_clique(sc.graph, psi, extract_rainbow_k5(sc, psi), 5)
+                count += 1
+        assert count == 20_284
 
 
 # -- colour-disjoint triangle pair --------------------------------------------
@@ -502,6 +532,93 @@ def test_cross_keys_are_the_joins_whole_block(build):
     sc = build()
     g = sc.graph
     assert sc.cross_keys == tuple((u, v) for u in range(g.split) for v in range(g.split, g.n))
+
+
+# -- frozen templates and the checks on their copies ---------------------------
+
+TEMPLATE_LEMMAS = {
+    "extract-rainbow-k6": (rainbow_k6_scaffold, sample_rainbow_k6_colouring, extract_rainbow_k6),
+    "extract-rainbow-k7": (rainbow_k7_scaffold, sample_rainbow_k7_colouring, extract_rainbow_k7),
+}
+
+
+def plain_twin(psi: EdgeColouring) -> EdgeColouring:
+    """A colouring with psi's colours that is no copy of a frozen one, so
+    every check on it reads every edge."""
+    twin = EdgeColouring(psi.graph)
+    keys = psi.domain()
+    twin.assign_many(keys, psi.colours(keys))
+    return twin
+
+
+def extract_outcome(extract, sc, psi):
+    try:
+        return ("ok", extract(sc, psi))
+    except StructureUnsupported as exc:
+        failure = exc.offending
+        return ("declined", failure.check, failure.detail, failure.witness)
+
+
+def plant(kind: str, rng: random.Random, sc, psi: EdgeColouring) -> None:
+    """Recolour edges of a sampled K6/K7 colouring: a cross colour leaking
+    onto a side edge, a cross repeat (in one row, one column, or apart), a
+    colour repeated at a vertex, two colours swapped at a vertex, or a
+    small pool colour."""
+    g = sc.graph
+    side = sc.left_keys + sc.right_keys
+    if kind == "leak":
+        psi.assign(*rng.choice(sc.left_keys), psi.get(*rng.choice(sc.cross_keys)))
+    elif kind == "repeat":
+        u, w = rng.choice(sc.cross_keys)
+        x, y = rng.choice(sc.cross_keys)
+        x, y = rng.choice(((u, y), (x, w), (x, y), (x, y)))
+        if (x, y) != (u, w):
+            psi.assign(u, w, psi.get(x, y))
+    elif kind in ("clash", "swap"):
+        e = rng.choice(side) if rng.random() < 0.5 else rng.choice(sc.cross_keys)
+        v = rng.choice(e)
+        f = tuple(sorted((v, rng.choice(list(g.neighbours(v))))))
+        ce, cf = psi.get(*e), psi.get(*f)
+        psi.assign(*e, cf)
+        if kind == "swap":
+            psi.assign(*f, ce)
+    else:
+        psi.assign(*rng.choice(side), rng.randrange(40))
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATE_LEMMAS))
+@given(st.integers(0, 10**6),
+       st.lists(st.tuples(st.sampled_from(("leak", "repeat", "clash", "swap", "pool")),
+                          st.integers(0, 10**9)), max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_template_copies_are_checked_as_in_full(name, seed, writes):
+    """A sampled K6/K7 colouring is a copy of a frozen template, checked
+    only where the sampler and the planted writes wrote.  Its properness
+    clash and its extraction outcome (the clique, or the failed
+    precondition's check, detail and witness) must equal those of a plain
+    twin with the same colours."""
+    build, sample, extract = TEMPLATE_LEMMAS[name]
+    sc = build()
+    psi = sample(sc, random.Random(seed))
+    assert psi.overlay() is not None
+    for kind, r in writes:
+        plant(kind, random.Random(r), sc, psi)
+    twin = plain_twin(psi)
+    assert twin.overlay() is None
+    assert psi.is_total() and twin.is_total()
+    assert find_properness_clash(sc.graph, psi) == find_properness_clash(sc.graph, twin)
+    assert extract_outcome(extract, sc, psi) == extract_outcome(extract, sc, twin)
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATE_LEMMAS))
+def test_template_is_unchanged_by_trials(name):
+    build, sample, _ = TEMPLATE_LEMMAS[name]
+    base = sample(build(), random.Random(0)).overlay()[0]
+    before = (colouring_to_json(base), base.next_colour)
+    with pytest.raises(ParameterError, match="frozen"):
+        base.assign(*build().cross_keys[0], 0)
+    assert certify_lemma(name, 1000, seed=11).passed
+    assert (colouring_to_json(base), base.next_colour) == before
 
 
 # -- trial harness --------------------------------------------------------------
