@@ -722,17 +722,12 @@ def decide_arrows(g: Graph, h: Graph, node_budget: int = 2_000_000) -> ArrowsVer
         for e in es:
             through[e].append(ci)
     order = sorted(range(m), key=lambda e: (-len(through[e]), e))
-    # adj_list[e]: the edges sharing an endpoint with e, in ascending id
-    # order, from each vertex's incident edges (in id order already)
-    incident: list[list[int]] = [[] for _ in range(g.n)]
-    for e, (u, v) in enumerate(g.edges):
-        incident[u].append(e)
-        incident[v].append(e)
-    adj_list = [
-        sorted(f for f in incident[u] + incident[v] if f != e)
-        for e, (u, v) in enumerate(g.edges)
-    ]
+    ends = g.edges
     col = [-1] * m
+    # used[x]: bitmask of the colours on the coloured edges at vertex x, so
+    # colour c is legal at an uncoloured edge (u, v) iff bit c of
+    # used[u] | used[v] is clear
+    used = [0] * g.n
     nodes = 0
     h_size = h.m
 
@@ -741,26 +736,24 @@ def decide_arrows(g: Graph, h: Graph, node_budget: int = 2_000_000) -> ArrowsVer
         for ci in through[e]:
             es = copies[ci]
             seen = []
-            missing = []
             for f in es:
-                if col[f] >= 0:
-                    seen.append(col[f])
+                c = col[f]
+                if c >= 0:
+                    seen.append(c)
                 else:
-                    missing.append(f)
+                    last = f
             if len(set(seen)) != len(seen):
                 continue  # already a repeat inside: never rainbow
+            missing = h_size - len(seen)
             if not missing:
                 return True  # fully coloured and rainbow
-            if len(missing) == 1 and h_size >= 2:
-                f = missing[0]
-                # f must repeat a copy colour; conflicts only grow, so if no
-                # copy colour is currently legal at f the copy is doomed
-                legal = False
-                for c in set(seen):
-                    if all(col[x] != c for x in adj_list[f]):
-                        legal = True
-                        break
-                if not legal:
+            if missing == 1 and h_size >= 2:
+                # the uncoloured edge must repeat a copy colour; conflicts
+                # only grow, so if no copy colour is currently legal there
+                # the copy is doomed
+                u, v = ends[last]
+                blocked = used[u] | used[v]
+                if all(blocked >> c & 1 for c in seen):
                     return True
         return False
 
@@ -777,20 +770,28 @@ def decide_arrows(g: Graph, h: Graph, node_budget: int = 2_000_000) -> ArrowsVer
         pos = 0
         while 0 <= pos < m:
             e = order[pos]
-            col[e] = -1
+            u, v = ends[e]
+            if col[e] >= 0:  # back from a dead end below: uncolour e
+                used[u] ^= 1 << col[e]
+                used[v] ^= 1 << col[e]
+                col[e] = -1
             for c in range(next_try[pos], min(max_used[pos] + 2, m)):
                 nodes += 1
                 if nodes > node_budget:
                     return None
-                if any(col[f] == c for f in adj_list[e]):
+                if (used[u] | used[v]) >> c & 1:
                     continue
                 col[e] = c
+                used[u] |= 1 << c
+                used[v] |= 1 << c
                 if not copy_blocks(e):
                     next_try[pos] = c + 1
                     pos += 1
                     next_try[pos] = 0
                     max_used[pos] = max(max_used[pos - 1], c)
                     break
+                used[u] ^= 1 << c
+                used[v] ^= 1 << c
                 col[e] = -1
             else:
                 pos -= 1

@@ -37,7 +37,6 @@ __all__ = [
     "PHI_CEILING",
     "DENSE_PART_PHI",
     "k4_components",
-    "is_k4_tiled",
     "phi",
     "find_stretched_sequence",
     "random_tiled_graph",
@@ -210,17 +209,6 @@ def k4_components(g: Graph):
     return comps, leftover
 
 
-def is_k4_tiled(g: Graph) -> bool:
-    """Every edge in a K4, and all K4 copies in one edge-overlap component."""
-    if g.m == 0:
-        return False
-    comps, leftover = k4_components(g)
-    if leftover or len(comps) != 1:
-        return False
-    sub, back = comps[0]
-    return sub.m == g.m and sub.n == len([v for v in range(g.n) if g.adj[v]])
-
-
 def phi(h: Graph) -> int:
     """8 - 5 v + 2 e; equals 2*gamma + beta for stretched sequences."""
     v = sum(1 for u in range(h.n) if h.adj[u]) if h.m else h.n
@@ -237,24 +225,54 @@ class _QuadTable:
     present: two present vertices spanning a current edge give a standard
     step, three a vertex-step, four an edge-step.  For each copy we store its
     vertex bitmask and the bitmask of its six edge ids; a copy is applicable
-    from `mask` iff it has both a current edge and a missing edge.
+    from `mask` iff it has both a current edge and a missing edge.  The same
+    masks answer whether h is K4-tiled and list its K5 copies, so the K4
+    copies are enumerated once per search.
     """
 
     def __init__(self, h: Graph):
         self.h = h
+        self.full = (1 << h.m) - 1
+        self.eid = {e: i for i, e in enumerate(h.edges)}
         self.quads = h.cliques(4)
-        self.vmask = []
-        self.emask = []
-        for q in self.quads:
-            vm = 0
-            for x in q:
-                vm |= 1 << x
-            em = 0
-            for e in _pairs(q):
-                em |= 1 << h.edge_id(*e)
-            self.vmask.append(vm)
-            self.emask.append(em)
+        self.vmask = [(1 << a) | (1 << b) | (1 << c) | (1 << d)
+                      for a, b, c, d in self.quads]
+        self.emask = [self.edge_mask(q) for q in self.quads]
         self.edge_vmask = [(1 << u) | (1 << v) for u, v in h.edges]
+
+    def edge_mask(self, vs) -> int:
+        """Bitmask of the edge ids of the clique on the sorted vertices vs."""
+        eid = self.eid
+        em = 0
+        for e in combinations(vs, 2):
+            em |= 1 << eid[e]
+        return em
+
+    def is_tiled(self) -> bool:
+        """Every edge in a K4, and all K4 copies in one edge-overlap
+        component: grow the first copy's edges by every copy meeting them
+        until nothing joins, then compare with all of h's edges."""
+        if not self.emask:  # edgeless or K4-free
+            return False
+        reach = self.emask[0]
+        grown = True
+        while grown:
+            grown = False
+            for em in self.emask:
+                if em & reach and em & ~reach:
+                    reach |= em
+                    grown = True
+        return reach == self.full
+
+    def k5s(self) -> list:
+        """h's K5 copies in lexicographic order: each quad (a, b, c, d)
+        extended by the common neighbours above d."""
+        adj = self.h.adj
+        out = []
+        for a, b, c, d in self.quads:
+            for x in bits((adj[a] & adj[b] & adj[c] & adj[d]) >> (d + 1)):
+                out.append((a, b, c, d, d + 1 + x))
+        return out
 
     def vertex_mask_of(self, mask: int) -> int:
         vm = 0
@@ -303,15 +321,20 @@ def find_stretched_sequence(h: Graph, node_budget: int = _SEQUENCE_BUDGET) -> Ge
     Base is a K5 copy when h contains one, else a K4 copy; all base copies
     compete.  Since v and e are fixed, gamma = e - 3v + const + alpha, so the
     search minimises the number of standard steps, then maximises steps.
+
+    The recursion in `rec` stays far below Python's limit: every step adds
+    at least one edge, so it nests at most m deep, and the cap of
+    _VERTEX_CAP = 14 vertices bounds m by 91.
     """
     if sum(1 for u in range(h.n) if h.adj[u]) > _VERTEX_CAP:
         raise ParameterError(f"stretched-sequence search capped at {_VERTEX_CAP} vertices")
-    if not is_k4_tiled(h):
-        raise ParameterError("graph is not K4-tiled")
-    k5s = h.cliques(5)
-    bases = k5s if k5s else h.cliques(4)
     tab = _QuadTable(h)
-    full = (1 << h.m) - 1
+    if not tab.is_tiled():
+        raise ParameterError("graph is not K4-tiled")
+    k5s = tab.k5s()
+    bases = ([(q, tab.edge_mask(q)) for q in k5s] if k5s
+             else list(zip(tab.quads, tab.emask)))
+    full = tab.full
     memo: dict = {}
     nodes = 0
 
@@ -339,10 +362,7 @@ def find_stretched_sequence(h: Graph, node_budget: int = _SEQUENCE_BUDGET) -> Ge
         return best
 
     best_overall = None
-    for base in bases:
-        mask = 0
-        for e in _pairs(base):
-            mask |= 1 << h.edge_id(*e)
+    for base, mask in bases:
         res = rec(mask, tab.vertex_mask_of(mask))
         if res is None:
             continue

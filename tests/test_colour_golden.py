@@ -8,11 +8,14 @@ existed.  The K4 instances hold all five component kinds; the K6 set has
 one instance with non-empty M0 x M2 blocks on both sides and sampled ones
 whose fresh colours start above an unused palette.  The `colour_tiled`
 hash covers the first 300 graphs of the seed-5 tiled corpus (`corpus_graph`,
-which the `tiled` audit draws from), with their certificates.
+which the `tiled` audit draws from), with their certificates; the
+`find_stretched_sequence` hash covers the generating sequences the colourer
+replays for those graphs.
 """
 
 import hashlib
 import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -22,7 +25,13 @@ from rainbowlab.avoider_k6 import avoid_k6
 from rainbowlab.colouring import colouring_to_json
 from rainbowlab.graph import Graph
 from rainbowlab.model import PerturbedInstance, sample_perturbed
-from rainbowlab.tiled_k8 import avoid_k8_perturbed, colour_tiled, corpus_graph, phi
+from rainbowlab.tiled_k8 import (
+    avoid_k8_perturbed,
+    colour_tiled,
+    corpus_graph,
+    find_stretched_sequence,
+    phi,
+)
 
 WHEEL5 = [(0, i) for i in range(1, 6)] + [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]
 
@@ -86,3 +95,14 @@ def test_colour_tiled_colour_ids_and_certificates():
                              colouring_to_json(psi)]).encode())
     assert h.hexdigest() == (
         "bff09bb3015e3f7c2a65ac092583d9cbb73fb3bd6249fbaaf194337c8160a5e0")
+
+
+def test_stretched_sequences_of_the_corpus():
+    h = hashlib.sha256()
+    for index in range(300):
+        g, _ = corpus_graph(5, index)
+        seq = find_stretched_sequence(g)
+        h.update(json.dumps([seq.base_vertices, [astuple(st) for st in seq.steps],
+                             seq.n]).encode())
+    assert h.hexdigest() == (
+        "9615c22603782ae3441fa36f2f0a15487bffd00cf1b50740c9f9cc6be2019fe5")

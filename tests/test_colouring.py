@@ -591,6 +591,17 @@ def test_decide_arrows_budget_and_validation():
     assert v.nodes > 10
 
 
+@pytest.mark.parametrize("g,outcome,nodes", [
+    (hat_k(3, 4), "arrows", 71_794),
+    (clique(5), "witness", 88),
+], ids=["HatK(3,4)", "K5"])
+def test_decide_arrows_node_counts(g, outcome, nodes):
+    # `decide` prints the node count and verify-all records it, so the
+    # search must keep visiting colours in the same order
+    v = decide_arrows(g, K4, node_budget=50_000_000)
+    assert (v.outcome, v.nodes) == (outcome, nodes)
+
+
 @pytest.mark.parametrize("g,h", [
     (K3, clique(1)), (K3, empty_graph(2)), (K3, empty_graph(0)), (empty_graph(3), clique(1)),
 ])

@@ -12,16 +12,24 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rainbowlab.avoiders import validate
 from rainbowlab.colouring import EdgeColouring, is_proper
-from rainbowlab.errors import OutOfRegime, ParameterError, StructureUnsupported
+from rainbowlab.errors import (
+    OutOfRegime,
+    ParameterError,
+    SearchExhausted,
+    StructureUnsupported,
+)
 from rainbowlab.graph import Graph
 from rainbowlab.model import PerturbedInstance, sample_perturbed
 from rainbowlab.tiled_k8 import (
     RED,
     CoverCertificate,
     GeneratingSequence,
+    _QuadTable,
     avoid_k8,
     avoid_k8_perturbed,
     certificate_allowed,
@@ -30,7 +38,6 @@ from rainbowlab.tiled_k8 import (
     colour_tiled,
     cover_certificate,
     find_stretched_sequence,
-    is_k4_tiled,
     k4_components,
     partial_colouring,
     phi,
@@ -112,18 +119,16 @@ def test_phi_ignores_isolated_vertices():
     assert phi(padded) == 0
 
 
-def test_is_k4_tiled():
-    assert is_k4_tiled(complete_graph(4))
-    assert is_k4_tiled(complete_graph(5))
-    assert is_k4_tiled(BOOK)
-    assert is_k4_tiled(TRI_SHARE)
-    assert not is_k4_tiled(Graph(3, [(0, 1), (0, 2), (1, 2)]))
-    assert not is_k4_tiled(Graph(4, []))
-    # a pendant edge is in no K4
-    assert not is_k4_tiled(Graph(5, pairs(range(4)) + [(3, 4)]))
-    # two K4 copies sharing one vertex form two components
-    two = Graph(7, pairs(range(4)) + pairs(range(3, 7)))
-    assert not is_k4_tiled(two)
+def test_stretched_accepts_only_tiled_graphs():
+    for g in (complete_graph(4), complete_graph(5), BOOK, TRI_SHARE):
+        assert find_stretched_sequence(g).graph() == g
+    # a pendant edge is in no K4; two K4 copies sharing one vertex form two
+    # components
+    for g in (Graph(3, [(0, 1), (0, 2), (1, 2)]), Graph(4, []),
+              Graph(5, pairs(range(4)) + [(3, 4)]),
+              Graph(7, pairs(range(4)) + pairs(range(3, 7)))):
+        with pytest.raises(ParameterError, match="not K4-tiled"):
+            find_stretched_sequence(g)
 
 
 def test_k4_components_single():
@@ -157,6 +162,40 @@ def test_k4_components_leftover():
     comps, leftover = k4_components(g)
     assert len(comps) == 1
     assert leftover == ((4, 5),)
+
+
+@st.composite
+def small_graphs(draw):
+    """At most 10 vertices: a union of random K4 copies (tiled, or meeting
+    at single vertices) plus random extra edges (pendants, K4-free parts)."""
+    n = draw(st.integers(0, 10))
+    vertex = st.integers(0, max(n - 1, 0))
+    edges = set()
+    if n >= 4:
+        for quad in draw(st.lists(st.lists(vertex, min_size=4, max_size=4, unique=True),
+                                  max_size=4)):
+            edges.update(pairs(quad))
+    if n >= 2:
+        for u, v in draw(st.lists(st.lists(vertex, min_size=2, max_size=2, unique=True),
+                                  max_size=6)):
+            edges.add((min(u, v), max(u, v)))
+    return Graph(n, sorted(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+@example(Graph(0, []))
+@example(Graph(4, []))
+@example(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]))  # K4-free
+@example(Graph(5, pairs(range(4)) + [(3, 4)]))  # pendant edge
+@example(Graph(7, pairs(range(4)) + pairs(range(3, 7))))  # K4s meet at a vertex
+@example(BOOK)
+@example(complete_graph(7))
+def test_quad_table_matches_components_and_cliques(g):
+    tab = _QuadTable(g)
+    comps, leftover = k4_components(g)
+    assert tab.is_tiled() == (g.m > 0 and not leftover and len(comps) == 1)
+    assert tab.k5s() == g.cliques(5)
 
 
 # -- stretched sequences -----------------------------------------------------
@@ -223,8 +262,7 @@ def test_sequence_counter_identities_corpus():
     rng = random.Random(7)
     for _ in range(50):
         g = random_tiled_graph(rng, max_vertices=9, steps=5)
-        assert is_k4_tiled(g)
-        seq = find_stretched_sequence(g)
+        seq = find_stretched_sequence(g)  # raises unless g is K4-tiled
         b = len(seq.base_vertices)
         v = sum(1 for u in range(g.n) if g.adj[u])
         assert v == b + 2 * seq.alpha + seq.beta
@@ -284,7 +322,11 @@ def test_random_tiled_graph_always_tiled():
     for _ in range(40):
         g = random_tiled_graph(rng, max_vertices=10, steps=6)
         assert g.n <= 10
-        assert is_k4_tiled(g)
+        # a non-tiled graph raises ParameterError before the search starts
+        try:
+            find_stretched_sequence(g, node_budget=1)
+        except SearchExhausted:
+            pass  # tiled; only the search was cut short
 
 
 # -- partial colouring --------------------------------------------------------
