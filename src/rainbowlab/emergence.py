@@ -25,6 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import combinations, permutations
 
 import numpy as np
@@ -370,16 +371,26 @@ def _density_mincut(h: Graph, a: int, b: int):
 
 
 def _degeneracy(h: Graph) -> int:
+    """Max over the peeling of the degree of the vertex removed, always
+    removing one of minimum remaining degree (smallest-last order).  This
+    is the degeneracy, whichever minimum-degree vertex each step takes.
+    The candidates sit on a heap of (degree, vertex) with lazy deletion:
+    an entry whose degree is stale, or whose vertex is gone, is skipped.
+    O((n + m) log n)."""
     degs = [h.degree(v) for v in range(h.n)]
-    alive = set(range(h.n))
+    heap = [(d, v) for v, d in enumerate(degs)]
+    heapify(heap)
+    alive = h.vertex_mask()
     worst = 0
-    for _ in range(h.n):
-        v = min(alive, key=lambda w: degs[w])
-        worst = max(worst, degs[v])
-        alive.remove(v)
-        for u in bits(h.adj[v]):
-            if u in alive:
-                degs[u] -= 1
+    while heap:
+        d, v = heappop(heap)
+        if not alive >> v & 1 or d != degs[v]:
+            continue
+        worst = max(worst, d)
+        alive ^= 1 << v
+        for u in bits(h.adj[v] & alive):
+            degs[u] -= 1
+            heappush(heap, (degs[u], u))
     return worst
 
 

@@ -544,6 +544,9 @@ def components(g: Graph) -> list[tuple[Graph, list[int]]]:
     for v in range(g.n):
         if seen >> v & 1:
             continue
+        if not g.adj[v]:  # isolated: no induced-edge scan
+            out.append((Graph(1, ()), [v]))
+            continue
         comp = 1 << v
         frontier = 1 << v
         while frontier:
@@ -612,42 +615,53 @@ def densities(h: Graph, want_bip2: bool = True) -> DensityReport:
              (None when v > 16 or want_bip2 is false).
 
     Subgraph maxima are attained on induced subgraphs, so the scans range
-    over vertex subsets only.
+    over vertex subsets only.  Every running value is an integer pair
+    (numerator, denominator) compared by cross-multiplication; only the
+    three returned values become `Fraction`s.  Cost: O(2^v) for m1 and m2,
+    O(v 2^v) more for m_bip2.
     """
     if h.n == 0:
         raise ParameterError("densities of the empty graph are undefined")
     if h.n > _DENSITY_CAP:
         raise ParameterError(f"density scan capped at {_DENSITY_CAP} vertices, got {h.n}")
     e = edge_counts_all_subsets(h)
-    m1 = Fraction(0)
-    m2: Fraction | None = None
+    n1, d1 = 0, 1
+    n2, d2 = -1, 1  # below every candidate: m2 is None while it stays
     for mask in range(1, 1 << h.n):
         v = mask.bit_count()
         ecnt = e[mask]
-        m1 = max(m1, Fraction(ecnt, v))
-        if v >= 3 and ecnt >= 2:
-            cand = Fraction(ecnt - 1, v - 2)
-            m2 = cand if m2 is None else max(m2, cand)
+        if ecnt * d1 > n1 * v:
+            n1, d1 = ecnt, v
+        # two edges span at least three vertices, so v - 2 >= 1 here
+        if ecnt >= 2 and (ecnt - 1) * d2 > n2 * (v - 2):
+            n2, d2 = ecnt - 1, v - 2
     m_bip2: Fraction | None = None
     if want_bip2 and h.n <= 16:
-        # m1max[S] = max density over non-empty subsets of S
-        m1max: list[Fraction | None] = [None] * (1 << h.n)
+        # num[S]/den[S] = max density over non-empty subsets of S (0/1 for S empty)
+        num = [0] * (1 << h.n)
+        den = [1] * (1 << h.n)
         for mask in range(1, 1 << h.n):
-            best = Fraction(e[mask], mask.bit_count())
-            sub = mask
-            for v in bits(mask):
-                prev = m1max[mask ^ (1 << v)]
-                if prev is not None and prev > best:
-                    best = prev
-            m1max[mask] = best
+            bn, bd = e[mask], mask.bit_count()
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                sub = mask ^ low
+                if num[sub] * bd > bn * den[sub]:
+                    bn, bd = num[sub], den[sub]
+            num[mask], den[mask] = bn, bd
         full = h.vertex_mask()
+        n3, d3 = 1, 0  # above every candidate
         for mask in range((1 << h.n) // 2 + 1):
-            left = m1max[mask] if mask else Fraction(0)
-            right = m1max[full ^ mask] if full ^ mask else Fraction(0)
-            cand = max(left, right)
-            if m_bip2 is None or cand < m_bip2:
-                m_bip2 = cand
-    return DensityReport(m1=m1, m2=m2, m_bip2=m_bip2)
+            cn, cd = num[mask], den[mask]
+            rn, rd = num[full ^ mask], den[full ^ mask]
+            if rn * cd > cn * rd:
+                cn, cd = rn, rd
+            if cn * d3 < n3 * cd:
+                n3, d3 = cn, cd
+        m_bip2 = Fraction(n3, d3)
+    return DensityReport(
+        m1=Fraction(n1, d1), m2=None if n2 < 0 else Fraction(n2, d2), m_bip2=m_bip2)
 
 
 # -- serialization ---------------------------------------------------------

@@ -872,9 +872,7 @@ def extract_rainbow_k7(scaffold: RainbowK7Scaffold, psi: EdgeColouring) -> tuple
             colours=len(bad_cols),
         )
 
-    removed = {
-        k for k, c in zip(scaffold.right_keys, psi.colours(scaffold.right_keys)) if c in bad_cols
-    }
+    removed = _fan_keys_coloured(psi, scaffold, bad_cols)
     tri = _surviving_triangle_core(g, psi, scaffold.fan, removed, "rainbow-k7")
     tri_cols = _triangle_colours(psi, tri)
 
@@ -888,6 +886,42 @@ def extract_rainbow_k7(scaffold: RainbowK7Scaffold, psi: EdgeColouring) -> tuple
         psi,
         triangle=tri,
     )
+
+
+def _fan_keys_coloured(psi: EdgeColouring, scaffold: RainbowK7Scaffold, colours) -> set:
+    """The fan keys (`right_keys`) of the total colouring psi that wear one
+    of `colours`.
+
+    On an overlay, a fan key not written has its base colour (a key
+    uncoloured in the base was written, psi being total), so only the
+    written fan keys are read; the unwritten ones come from the base's
+    colour -> fan keys index (`_fan_index`), one lookup per colour.  Any
+    other colouring has every fan key read.
+    """
+    view = psi.overlay()
+    if view is None:
+        keys = scaffold.right_keys
+        return {k for k, c in zip(keys, psi.colours(keys)) if c in colours}
+    base, written, _ = view
+    by_colour, fan = _fan_index(base, scaffold)
+    rewritten = [k for k in written if k in fan]
+    out = {k for k, c in zip(rewritten, psi.colours(rewritten)) if c in colours}
+    for c in colours:
+        out.update(k for k in by_colour.get(c, ()) if k not in written)
+    return out
+
+
+@lru_cache(maxsize=4)
+def _fan_index(base: EdgeColouring, scaffold: RainbowK7Scaffold):
+    """(colour -> fan keys of that colour, set of fan keys) of the frozen
+    colouring `base`; uncoloured fan keys are left out.  Computed once per
+    (base, scaffold)."""
+    by_colour: dict[int, list[tuple[int, int]]] = {}
+    for k in scaffold.right_keys:
+        c = base.get(*k)
+        if c is not None:
+            by_colour.setdefault(c, []).append(k)
+    return by_colour, frozenset(scaffold.right_keys)
 
 
 # -- trial samplers -----------------------------------------------------------

@@ -388,10 +388,19 @@ def random_tiled_graph(rng: random.Random, max_vertices: int = 12,
     """A random K4-tiled graph built by applying random growth steps to K4.
 
     Every step's new K4 shares an edge with the current graph, so the result
-    is K4-tiled by construction.
+    is K4-tiled by construction.  Adjacency bitmasks kept beside the edge
+    set answer the steps' edge tests.
     """
     edges = set(_pairs(range(4)))
+    adj = [0b1110, 0b1101, 0b1011, 0b0111] + [0] * max_vertices
     n = 4
+
+    def add_clique(vs):
+        edges.update(_pairs(vs))
+        mask = sum(1 << v for v in vs)
+        for v in vs:
+            adj[v] |= mask ^ (1 << v)
+
     for _ in range(steps):
         kinds = ["vertex", "edge"]
         if n + 2 <= max_vertices:
@@ -402,24 +411,24 @@ def random_tiled_graph(rng: random.Random, max_vertices: int = 12,
         if kind == "standard":
             z, w = rng.choice(sorted(edges))
             x, y = n, n + 1
-            edges.update(_k(a, b) for a, b in
-                         ((x, y), (x, z), (x, w), (y, z), (y, w)))
+            add_clique((x, y, z, w))  # (z, w) is already an edge
             n += 2
         elif kind == "vertex":
             while True:
                 y, z, w = rng.sample(range(n), 3)
-                if _k(y, z) in edges or _k(y, w) in edges or _k(z, w) in edges:
+                if (adj[y] | adj[z]) >> w & 1 or adj[y] >> z & 1:
                     break
-            x = n
-            edges.update((_k(x, y), _k(x, z), _k(x, w),
-                          _k(y, z), _k(y, w), _k(z, w)))
+            add_clique((n, y, z, w))
             n += 1
         else:
             for _attempt in range(30):
                 quad = rng.sample(range(n), 4)
-                present = sum(1 for e in _pairs(quad) if e in edges)
+                a, b, c, d = quad
+                present = ((adj[a] & (1 << b | 1 << c | 1 << d)).bit_count()
+                           + (adj[b] & (1 << c | 1 << d)).bit_count()
+                           + (adj[c] >> d & 1))
                 if 1 <= present <= 5:
-                    edges.update(_pairs(quad))
+                    add_clique(quad)
                     break
     return Graph(n, sorted(edges))
 

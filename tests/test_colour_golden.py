@@ -10,11 +10,14 @@ whose fresh colours start above an unused palette.  The `colour_tiled`
 hash covers the first 300 graphs of the seed-5 tiled corpus (`corpus_graph`,
 which the `tiled` audit draws from), with their certificates; the
 `find_stretched_sequence` hash covers the generating sequences the colourer
-replays for those graphs.
+replays for those graphs.  The `random_tiled_graph` hash covers the raw
+draws the corpus is made of, and the next `rng.random()` after each, so it
+pins the calls a draw makes on its rng as well as the graph it returns.
 """
 
 import hashlib
 import json
+import random
 from dataclasses import astuple
 
 import numpy as np
@@ -31,6 +34,7 @@ from rainbowlab.tiled_k8 import (
     corpus_graph,
     find_stretched_sequence,
     phi,
+    random_tiled_graph,
 )
 
 WHEEL5 = [(0, i) for i in range(1, 6)] + [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]
@@ -106,3 +110,15 @@ def test_stretched_sequences_of_the_corpus():
                              seq.n]).encode())
     assert h.hexdigest() == (
         "9615c22603782ae3441fa36f2f0a15487bffd00cf1b50740c9f9cc6be2019fe5")
+
+
+def test_random_tiled_graph_draws():
+    h = hashlib.sha256()
+    for max_vertices in (8, 9, 10, 12):
+        for steps in range(1, 7):
+            for seed in range(50):
+                rng = random.Random(f"draw:{max_vertices}:{steps}:{seed}")
+                g = random_tiled_graph(rng, max_vertices=max_vertices, steps=steps)
+                h.update(json.dumps([g.n, g.edges, rng.random()]).encode())
+    assert h.hexdigest() == (
+        "b21403da68a113979f56af4087062ec06f2cfe549233115de97d9e06cc14af80")

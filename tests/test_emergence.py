@@ -397,6 +397,27 @@ class TestDensityCondition:
         with pytest.raises(StructureUnsupported):
             density_condition(k_delta(25, 49), Fraction(2, 3), MARGIN_LINEAR)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_degeneracy_certificate_matches_networkx_cores(self, seed):
+        """Above the mincut cap the certificate holds exactly when
+        x * degeneracy <= 1, the degeneracy being the largest core number
+        in networkx: 1/d is accepted and 1/(d - 1) refused, naming d."""
+        rng = random.Random(f"degeneracy:{seed}")
+        n = rng.randint(121, 180)
+        target = rng.uniform(2.5, 9.0)  # mean degree
+        edges = [e for e in combinations(range(n), 2) if rng.random() < target / n]
+        h = Graph(n, edges)
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(edges)
+        d = max(nx.core_number(g).values())
+        assert d >= 2
+        report = density_condition(h, Fraction(1, d), MARGIN_LINEAR)
+        assert report.strategy == "degeneracy"
+        assert report.satisfied is True
+        with pytest.raises(StructureUnsupported, match=f"degeneracy = {d}\\)"):
+            density_condition(h, Fraction(1, d - 1), MARGIN_UNIT)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ParameterError):
             density_condition(clique(3), Fraction(2, 3), "omega(log n)")

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from rainbowlab.canon import aut_order
 from rainbowlab.errors import ParameterError
 from rainbowlab.graph import (
+    DensityReport,
     DisjointSets,
     Graph,
     clique,
@@ -267,6 +268,32 @@ def test_m_bip2_matches_bruteforce(seed):
     assert densities(g).m_bip2 == oracle_m_bip2(g)
 
 
+def oracle_densities(g: Graph) -> tuple:
+    """(m1, m2, m_bip2) from a Fraction per vertex subset and a direct scan
+    of every bipartition."""
+    m1, m2 = Fraction(0), None
+    for size in range(1, g.n + 1):
+        for sub in combinations(range(g.n), size):
+            e = sum(1 for u, v in combinations(sub, 2) if g.has_edge(u, v))
+            m1 = max(m1, Fraction(e, size))
+            if e >= 2:
+                cand = Fraction(e - 1, size - 2)
+                m2 = cand if m2 is None else max(m2, cand)
+    return m1, m2, oracle_m_bip2(g)
+
+
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                         max_size=n * (n - 1) // 2))))
+@settings(max_examples=60, deadline=None)
+def test_densities_match_fraction_oracle(shape):
+    n, keep = shape
+    g = Graph(n, [e for e, k in zip(combinations(range(n), 2), keep) if k])
+    d = densities(g)
+    assert (d.m1, d.m2, d.m_bip2) == oracle_densities(g)
+    assert densities(g, want_bip2=False) == DensityReport(d.m1, d.m2, None)
+
+
 def test_density_cap():
     with pytest.raises(ParameterError):
         densities(empty_graph(21))
@@ -349,11 +376,20 @@ def test_cliques_match_networkx(g):
     assert g.triangles() == g.cliques(3)
 
 
-@given(small_graphs(max_n=10))
-@settings(max_examples=150, deadline=None)
+@st.composite
+def sparse_graphs(draw, max_n=64):
+    """Up to 64 vertices and at most n/4 edges: most vertices isolated."""
+    n = draw(st.integers(1, max_n))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1])
+    return Graph(n, draw(st.lists(pairs, max_size=n // 4)))
+
+
+@given(st.one_of(small_graphs(max_n=10), sparse_graphs()))
+@settings(max_examples=300, deadline=None)
 def test_components_match_networkx(g):
-    ours = components(g)
-    assert sorted(back for _, back in ours) == sorted(
+    ours = components(g)  # in order of least vertex, back-maps sorted
+    assert [back for _, back in ours] == sorted(
         sorted(c) for c in nx.connected_components(_nx(g)))
     for sub, back in ours:
         assert sub.n == len(back)

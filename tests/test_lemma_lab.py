@@ -610,6 +610,52 @@ def test_template_copies_are_checked_as_in_full(name, seed, writes):
     assert extract_outcome(extract, sc, psi) == extract_outcome(extract, sc, twin)
 
 
+def plant_fan(rng: random.Random, sc, psi: EdgeColouring, count: int) -> None:
+    """Up to `count` writes that keep psi proper.  A fan edge of the first
+    two spokes (half of the time, of the first three fan triangles) takes
+    a block colour (which extraction may prune), another fan edge's colour
+    or a fresh colour; or a block triangle edge, which every block K4
+    contains, takes the colour of such a fan edge, which is then pruned
+    unless it is recoloured fresh next."""
+    head = sc.right_keys[: 2 * len(sc.right_keys) // len(sc.fan.spokes)]
+
+    def proper_assign(u, v, c):
+        if c not in psi.colours_at(u) and c not in psi.colours_at(v):
+            psi.assign(u, v, c)
+
+    for _ in range(count):
+        pick = rng.random()
+        fan_key = rng.choice(head[: rng.choice((7, len(head)))])
+        if pick < 0.3:
+            proper_assign(*rng.choice(rng.choice(sc.blocks).edges()[:3]), psi.get(*fan_key))
+            if rng.random() < 0.5:
+                psi.assign(*fan_key, psi.next_colour)
+        elif pick < 0.7:
+            proper_assign(*fan_key, psi.get(*rng.choice(sc.left_keys)))
+        elif pick < 0.85:
+            proper_assign(*fan_key, psi.get(*rng.choice(sc.right_keys)))
+        else:
+            psi.assign(*fan_key, psi.next_colour)
+
+
+@given(st.integers(0, 10**6), st.integers(0, 10**9), st.integers(0, 150))
+@settings(max_examples=40, deadline=None)
+def test_k7_fan_rewrites_prune_as_in_full(seed, plant_seed, count):
+    """On a copy of the frozen K7 template the pruned fan edges are found
+    from the written fan keys and the template's colour index; with
+    planted fan rewrites the extraction (which fan triangle survives, or
+    why it fails) equals that of a plain twin, which reads every fan
+    colour."""
+    sc = rainbow_k7_scaffold()
+    psi = sample_rainbow_k7_colouring(sc, random.Random(seed))
+    plant_fan(random.Random(plant_seed), sc, psi, count)
+    assert psi.overlay() is not None and is_proper(sc.graph, psi)
+    twin = plain_twin(psi)
+    assert twin.overlay() is None
+    assert (extract_outcome(extract_rainbow_k7, sc, psi)
+            == extract_outcome(extract_rainbow_k7, sc, twin))
+
+
 @pytest.mark.parametrize("name", sorted(TEMPLATE_LEMMAS))
 def test_template_is_unchanged_by_trials(name):
     build, sample, _ = TEMPLATE_LEMMAS[name]
