@@ -13,6 +13,10 @@ which the `tiled` audit draws from), with their certificates; the
 replays for those graphs.  The `random_tiled_graph` hash covers the raw
 draws the corpus is made of, and the next `rng.random()` after each, so it
 pins the calls a draw makes on its rng as well as the graph it returns.
+The lemma-sampler hash does the same for the six falsification samplers,
+seeded as `certify_lemma` seeds them: each colouring (for the surviving
+triangle, the matchings), the overlay log of a template copy, `next_colour`
+and the next `rng.random()`.
 """
 
 import hashlib
@@ -27,6 +31,20 @@ from rainbowlab.avoider_k4 import avoid_k4, classify_components
 from rainbowlab.avoider_k6 import avoid_k6
 from rainbowlab.colouring import colouring_to_json
 from rainbowlab.graph import Graph
+from rainbowlab.lemma_lab import (
+    rainbow_k4_scaffold,
+    rainbow_k5_scaffold,
+    rainbow_k6_scaffold,
+    rainbow_k7_scaffold,
+    sample_fan_matchings,
+    sample_rainbow_k4_colouring,
+    sample_rainbow_k5_colouring,
+    sample_rainbow_k6_colouring,
+    sample_rainbow_k7_colouring,
+    sample_triangle_pair_colouring,
+    spoked_fan_instance,
+    triangle_pair_instance,
+)
 from rainbowlab.model import PerturbedInstance, sample_perturbed
 from rainbowlab.tiled_k8 import (
     avoid_k8_perturbed,
@@ -122,3 +140,34 @@ def test_random_tiled_graph_draws():
                 h.update(json.dumps([g.n, g.edges, rng.random()]).encode())
     assert h.hexdigest() == (
         "b21403da68a113979f56af4087062ec06f2cfe549233115de97d9e06cc14af80")
+
+
+# name, scaffold, sampler, trials per seed (a K6/K7 colouring has 20k-36k
+# cross edges, so its JSON costs 20-60 ms)
+SAMPLERS = [
+    ("extract-rainbow-k4", rainbow_k4_scaffold, sample_rainbow_k4_colouring, 60),
+    ("extract-rainbow-k5", rainbow_k5_scaffold, sample_rainbow_k5_colouring, 60),
+    ("disjoint-colour-triangles", triangle_pair_instance, sample_triangle_pair_colouring, 60),
+    ("extract-rainbow-k6", rainbow_k6_scaffold, sample_rainbow_k6_colouring, 15),
+    ("surviving-triangle", spoked_fan_instance, sample_fan_matchings, 60),
+    ("extract-rainbow-k7", rainbow_k7_scaffold, sample_rainbow_k7_colouring, 15),
+]
+
+
+def test_lemma_sampler_draws():
+    h = hashlib.sha256()
+    for name, build, sample, trials in SAMPLERS:
+        inst = build()
+        for seed in range(3):
+            for trial in range(trials):
+                rng = random.Random(f"{name}:{seed}:{trial}")
+                out = sample(inst, rng)
+                if isinstance(out, list):  # the surviving triangle's matchings
+                    record = [out]
+                else:
+                    view = out.overlay()
+                    log = None if view is None else [sorted(view[1]), view[2]]
+                    record = [colouring_to_json(out), log, out.next_colour]
+                h.update(json.dumps(record + [rng.random()]).encode())
+    assert h.hexdigest() == (
+        "7106cdd3c15c3981e70b883a4ed769f0fe4512158b5c49041ace1fbdf57dbcf4")
