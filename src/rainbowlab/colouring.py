@@ -100,7 +100,8 @@ class EdgeColouring:
     per key (`colours` reads a list of side keys at dict speed);
     `colours_at` and `would_clash` are O(degree), a vertex's cross edges
     being one slice of the buffer; `assign_many` is O(its input) plus an
-    O(s) disjointness check; `assign_cross_block`, `fill_fresh`,
+    O(s) disjointness check, `recolour_many` O(its input);
+    `assign_cross_block`, `fill_fresh`,
     `is_total`, `len`, `colours_used`, `copy` and `domain` take O(s) plus
     one numpy pass over the buffer; `find_properness_clash` sorts the
     side incidences and the buffer's rows and columns.  Fresh colours are
@@ -118,11 +119,12 @@ class EdgeColouring:
     full check and an O(m log m) incidence index of the base, done once
     per base and kept on it (16 bytes per base incidence, 8 per colour).
 
-    `assign_many`, `assign_cross_block` and `fill_fresh` colour many
-    edges in one call.  The bulk contract: every input is validated before
+    `assign_many`, `recolour_many`, `assign_cross_block` and `fill_fresh`
+    colour many edges in one call; only `recolour_many` may overwrite a
+    coloured edge.  The bulk contract: every input is validated before
     anything changes (a rejected call leaves the colouring as it was), and
     the result is the colouring that assigning the same pairs one at a time
-    would give, with the same colour ids.
+    would give, with the same colour ids, overlay log and `next_colour`.
     """
 
     __slots__ = ("graph", "_col", "_cross", "_shape", "next_colour", "_log")
@@ -184,6 +186,15 @@ class EdgeColouring:
         yet coloured and listed once; each colour is an int in
         [0, 2**63 - 1].
         """
+        self._write_many(edges, colours, overwrite=False)
+
+    def recolour_many(self, edges, colours) -> None:
+        """`assign_many` that may overwrite coloured edges: the colouring,
+        overlay log and `next_colour` that assigning the pairs one at a
+        time with `assign` would give."""
+        self._write_many(edges, colours, overwrite=True)
+
+    def _write_many(self, edges, colours, overwrite: bool) -> None:
         edges = list(edges)
         colours = list(colours)
         if len(edges) != len(colours):
@@ -207,8 +218,8 @@ class EdgeColouring:
             if cells:
                 side = {e: c for e, c in side.items() if not e[0] < split <= e[1]}
         cross = self._cross
-        if (not self._col.keys().isdisjoint(side)
-                or any(cross[i] >= 0 for i in cells)):
+        if not overwrite and (not self._col.keys().isdisjoint(side)
+                              or any(cross[i] >= 0 for i in cells)):
             e = next(e for e in edges if self.get(*e) is not None)
             raise ParameterError(f"{e} is already coloured")
         if self._log is not None:
@@ -682,20 +693,35 @@ def rainbow_copies(g: Graph, psi: EdgeColouring, h: Graph) -> list[tuple[int, ..
 def random_proper_colouring(g: Graph, rng, fresh_bias: float) -> EdgeColouring:
     """Random proper colouring: random edge order; each edge goes fresh
     with probability fresh_bias, else takes a uniform non-conflicting
-    already-used colour (fresh when none is available)."""
+    already-used colour (fresh when none is available).
+
+    The colours are decided on per-vertex bitmasks and written in one
+    `assign_many`; the rng sees the calls an edge-by-edge loop of
+    `colours_at` and `assign`/`assign_fresh` made (`shuffle` of the edge
+    list, then per edge `random` and, for a reuse with a legal colour,
+    `randrange(len(legal))`), so a seed gives the colouring it always gave.
+    """
     if not (0.0 <= fresh_bias <= 1.0):
         raise ParameterError(f"fresh_bias must be a probability, got {fresh_bias}")
-    psi = EdgeColouring(g)
     order = list(g.edges)
     rng.shuffle(order)
+    used = [0] * g.n  # used[x]: bitmask of the colours at vertex x
+    fresh = 0
+    colours = []
     for u, v in order:
+        c = fresh
         if fresh_bias < 1.0 and rng.random() >= fresh_bias:
-            blocked = psi.colours_at(u) | psi.colours_at(v)
-            legal = [c for c in range(psi.next_colour) if c not in blocked]
+            blocked = used[u] | used[v]
+            legal = [x for x in range(fresh) if not blocked >> x & 1]
             if legal:
-                psi.assign(u, v, legal[rng.randrange(len(legal))])
-                continue
-        psi.assign_fresh(u, v)
+                c = legal[rng.randrange(len(legal))]
+        if c == fresh:
+            fresh += 1
+        used[u] |= 1 << c
+        used[v] |= 1 << c
+        colours.append(c)
+    psi = EdgeColouring(g)
+    psi.assign_many(order, colours)
     return psi
 
 

@@ -956,26 +956,63 @@ def sample_triangle_pair_colouring(
     return random_proper_colouring(instance.graph, rng, bias)
 
 
-def _greedy_pool_colouring(psi: EdgeColouring, edge_keys, pool, reuse_p, rng):
-    """Colour edges properly, drawing from a shared small pool with
-    probability reuse_p (when legal) and fresh ids otherwise.
+class _LegalPool(dict):
+    """blocked bitmask -> the pool colours 0 .. size - 1 whose bit is clear,
+    ascending.  A list is built on its first lookup and kept, so a trial
+    builds each one once."""
+
+    __slots__ = ("size",)
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size = size
+
+    def __missing__(self, blocked: int) -> list[int]:
+        size = self.size
+        if 2 * blocked.bit_count() < size:  # few blocked: delete them
+            legal = list(range(size))
+            rest = blocked
+            while rest:  # highest first, so each is still at its own index
+                top = rest.bit_length() - 1
+                del legal[top]
+                rest ^= 1 << top
+        else:  # few legal: collect them, lowest first
+            legal = []
+            free = ((1 << size) - 1) & ~blocked
+            while free:
+                low = free & -free
+                legal.append(low.bit_length() - 1)
+                free ^= low
+        self[blocked] = legal
+        return legal
+
+
+def _greedy_pool_colouring(edge_keys, legal_pool: _LegalPool, reuse_p, rng, fresh: int):
+    """Proper colours for `edge_keys`, in order: with probability reuse_p
+    a uniform pick from the pool colours legal at the edge (when there is
+    one), else the next fresh id, counting up from `fresh`.  Returns the
+    colours and the next unused fresh id.
 
     Pool ids sit below every other palette in use, so only pool colours
     placed by this pass can conflict; fresh ids never can.
     """
-    used_at: dict[int, set[int]] = {}
+    used: dict[int, int] = {}  # vertex -> bitmask of its pool colours
+    rand, choice = rng.random, rng.choice
+    out = []
     for u, v in edge_keys:
-        if rng.random() < reuse_p:
-            bu = used_at.setdefault(u, set())
-            bv = used_at.setdefault(v, set())
-            legal = [c for c in pool if c not in bu and c not in bv]
+        if rand() < reuse_p:
+            bu = used.get(u, 0)
+            bv = used.get(v, 0)
+            legal = legal_pool[bu | bv]
             if legal:
-                c = rng.choice(legal)
-                psi.assign(u, v, c)
-                bu.add(c)
-                bv.add(c)
+                c = choice(legal)
+                used[u] = bu | 1 << c
+                used[v] = bv | 1 << c
+                out.append(c)
                 continue
-        psi.assign_fresh(u, v)
+        out.append(fresh)
+        fresh += 1
+    return out, fresh
 
 
 def _colour_cross_keys(psi: EdgeColouring, cross_keys) -> None:
@@ -1002,11 +1039,14 @@ def sample_rainbow_k6_colouring(
     if scaffold is not rainbow_k6_scaffold():
         raise ParameterError("sampler supports the canonical scaffold only")
     psi = _k6_cross_template().copy()
-    pool = tuple(range(rng.randrange(8, 32)))
+    legal_pool = _LegalPool(rng.randrange(8, 32))
     reuse = rng.choice((0.6, 0.9, 1.0))
-    for cherry in scaffold.cherries:
-        _greedy_pool_colouring(psi, cherry.edges(), pool, reuse, rng)
-    _greedy_pool_colouring(psi, scaffold.right_keys, pool, reuse, rng)
+    # The cherries are vertex-disjoint, so one pass over `left_keys` (the
+    # cherries' edges, cherry by cherry) colours as one pass per cherry.
+    left, fresh = _greedy_pool_colouring(
+        scaffold.left_keys, legal_pool, reuse, rng, psi.next_colour)
+    right, _ = _greedy_pool_colouring(scaffold.right_keys, legal_pool, reuse, rng, fresh)
+    psi.assign_many(scaffold.left_keys + scaffold.right_keys, left + right)
     return psi
 
 
@@ -1064,45 +1104,44 @@ def sample_rainbow_k7_colouring(
     if scaffold is not rainbow_k7_scaffold():
         raise ParameterError("sampler supports the canonical scaffold only")
     psi = _k7_template().copy()
-    pool = tuple(range(rng.randrange(8, 20)))
-    for block in scaffold.blocks:
-        _greedy_pool_colouring(psi, block.edges(), pool, 0.95, rng)
+    size = rng.randrange(8, 20)
+    # the blocks are vertex-disjoint: one pass colours as one per block
+    colours, _ = _greedy_pool_colouring(
+        scaffold.left_keys, _LegalPool(size), 0.95, rng, psi.next_colour)
+    keys = list(scaffold.left_keys)
 
     fan = scaffold.fan
-    assign = psi.assign
-    rand = rng.random
+    rand, choice = rng.random, rng.choice
     centre = fan.centre
-    centre_pool_used: set[int] = set()
-
-    def pool_pick(blocked_a, blocked_b):
-        legal = [c for c in pool if c not in blocked_a and c not in blocked_b]
-        return rng.choice(legal) if legal else None
-
+    # the pool colours still legal at the centre and at the current spoke,
+    # ascending; each pick removes its colour from them
+    centre_legal = list(range(size))
     for i, s in enumerate(fan.spokes):
-        spoke_used: set[int] = set()
-        if rand() < 0.2:
-            c_skel = pool_pick(centre_pool_used, spoke_used)
-            if c_skel is not None:
-                assign(centre, s, c_skel)
-                centre_pool_used.add(c_skel)
-                spoke_used.add(c_skel)
-        # (centre, p) is written only in p's own iteration below, so these
-        # are the colours that iteration would read before writing
-        mids = psi.colours([(centre, p) for p in fan.apexes[i]])
-        for p, c_old in zip(fan.apexes[i], mids):
-            c_mid = None
-            if rand() < 0.15:
-                c_mid = pool_pick(centre_pool_used, ())
-                if c_mid is not None:
-                    assign(centre, p, c_mid)
-                    centre_pool_used.add(c_mid)
-            if c_mid is None:
-                c_mid = c_old
-            if rand() < 0.4:
-                c_rim = pool_pick(spoke_used, (c_mid,))
-                if c_rim is not None:
-                    assign(s, p, c_rim)
-                    spoke_used.add(c_rim)
+        spoke_legal = list(range(size))
+        if rand() < 0.2 and centre_legal:
+            c = choice(centre_legal)
+            keys.append((centre, s))
+            colours.append(c)
+            centre_legal.remove(c)
+            spoke_legal.remove(c)
+        for p in fan.apexes[i]:
+            # (centre, p) keeps its template colour unless picked here; the
+            # template's fan ids lie above every pool id, so only a pool
+            # pick there blocks a colour on (s, p)
+            legal = spoke_legal
+            if rand() < 0.15 and centre_legal:
+                c = choice(centre_legal)
+                keys.append((centre, p))
+                colours.append(c)
+                centre_legal.remove(c)
+                if c in spoke_legal:
+                    legal = [x for x in spoke_legal if x != c]
+            if rand() < 0.4 and legal:
+                c = choice(legal)
+                keys.append((s, p))
+                colours.append(c)
+                spoke_legal.remove(c)
+    psi.recolour_many(keys, colours)
     return psi
 
 

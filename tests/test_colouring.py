@@ -163,6 +163,44 @@ def test_assign_many_rejects_without_change(edges, colours):
     assert _state(psi) == before
 
 
+@pytest.mark.parametrize("edges,colours", [
+    ([(0, 1), (0, 2)], [4, 5]),          # (0, 2) is not an edge
+    ([(0, 1), (2, 1)], [4, 5]),          # reversed pair
+    ([(0, 1), (0, 1)], [4, 5]),          # repeated key
+    ([(0, 1), (1, 2)], [4, 5.0]),        # float colour
+    ([(0, 1), (1, 2)], [4, 2**63]),      # colour beyond int64
+    ([(0, 1), (1, 2)], [4, -1]),         # negative colour
+    ([(0, 1), (1, 2)], [4]),             # length mismatch
+])
+@pytest.mark.parametrize("frozen_base", [False, True])
+def test_recolour_many_rejects_without_change(edges, colours, frozen_base):
+    """A refused bulk recolouring changes nothing: neither the colours nor,
+    on a copy of a frozen colouring, the overlay log."""
+    g = path_graph(4)
+    psi = EdgeColouring(g, {(0, 1): 7, (2, 3): 2})
+    if frozen_base:
+        psi = psi.freeze().copy()
+        psi.assign(1, 2, 9)
+    before = (_state(psi), psi.overlay())
+    with pytest.raises(ParameterError):
+        psi.recolour_many(edges, colours)
+    assert (_state(psi), psi.overlay()) == before
+
+
+def test_recolour_many_overwrites_like_assign():
+    g = join(path_graph(3), star(2))
+    base = EdgeColouring(g, {(0, 1): 1, (0, 3): 2, (3, 4): 3}).freeze()
+    psi = base.copy()
+    psi.recolour_many([(0, 1), (3, 4), (1, 2)], [5, 4, 8])
+    assert [psi.get(0, 1), psi.get(3, 4), psi.get(1, 2), psi.get(0, 3)] == [5, 4, 8, 2]
+    assert psi.overlay() == (base, frozenset({(0, 1), (1, 2), (3, 4)}), False)
+    assert psi.next_colour == 9
+    psi.recolour_many([(0, 3)], [0])
+    assert psi.get(0, 3) == 0 and psi.overlay()[2] and psi.next_colour == 9
+    with pytest.raises(ParameterError, match="already coloured"):
+        psi.assign_many([(0, 1)], [6])
+
+
 # -- a join's cross block against its plain twin ----------------------------
 
 
@@ -190,6 +228,22 @@ def _observe(psi: EdgeColouring) -> tuple:
     )
 
 
+def _recolour_as_assign(psi: EdgeColouring, edges, colours) -> None:
+    """psi.recolour_many(edges, colours), checked against `assign` of one
+    pair at a time on a copy: the same colouring, overlay log and
+    next_colour.  A refused call must leave psi as it was."""
+    loop = psi.copy()
+    before = (_state(psi), psi.overlay())
+    try:
+        psi.recolour_many(edges, colours)
+    except ParameterError:
+        assert (_state(psi), psi.overlay()) == before
+        raise
+    for (u, v), c in zip(edges, colours):
+        loop.assign(u, v, c)
+    assert (_state(psi), psi.overlay()) == (_state(loop), loop.overlay())
+
+
 def _random_op(rng: random.Random, g: Graph, psi: EdgeColouring):
     """One random call, as a function of the colouring it is applied to."""
     edges = list(g.edges)
@@ -205,12 +259,12 @@ def _random_op(rng: random.Random, g: Graph, psi: EdgeColouring):
             return (v, u) if rng.random() < 0.3 else (u, v)
         return rng.randrange(-1, g.n + 1), rng.randrange(-1, g.n + 1)
 
-    kind = rng.choice(("assign", "assign_many", "fill_fresh", "plant", "copy",
-                       "colours", "colour_set", "get"))
+    kind = rng.choice(("assign", "assign_many", "recolour_many", "fill_fresh", "plant",
+                       "copy", "colours", "colour_set", "get"))
     if kind == "assign":
         (u, v), c = pair(), colour()
         return kind, lambda p: p.assign(u, v, c)
-    if kind == "assign_many":
+    if kind in ("assign_many", "recolour_many"):
         chosen = rng.sample(edges, rng.randrange(len(edges) + 1))
         if chosen and rng.random() < 0.2:
             chosen.append(rng.choice(chosen))
@@ -219,7 +273,9 @@ def _random_op(rng: random.Random, g: Graph, psi: EdgeColouring):
         cs = [rng.randrange(pool) if rng.random() < 0.7 else 10**6 + i
               for i, _ in enumerate(chosen)]
         if cs and rng.random() < 0.1:
-            cs[-1] = colour()
+            cs[-1] = rng.choice((colour(), 1.5))
+        if kind == "recolour_many":
+            return kind, lambda p: _recolour_as_assign(p, chosen, cs)
         return kind, lambda p: p.assign_many(chosen, cs)
     if kind == "fill_fresh":
         start = None if rng.random() < 0.5 else psi.next_colour + rng.randrange(-1, 3)
@@ -374,6 +430,9 @@ def test_frozen_colouring_refuses_every_write():
         lambda: base.assign_fresh(1, 2),
         lambda: base.assign_many([(1, 2)], [3]),
         lambda: base.assign_many([(1, 3)], [3]),
+        lambda: base.recolour_many([(0, 1)], [3]),
+        lambda: base.recolour_many([(0, 4)], [3]),
+        lambda: base.recolour_many([], []),
         lambda: base.assign_cross_block(np.arange(9).reshape(3, 3) + 10),
         lambda: base.fill_fresh(),
     ]
@@ -550,6 +609,41 @@ def test_random_proper_colouring_is_proper(seed, bias):
     psi = random_proper_colouring(g, random.Random(seed), bias)
     assert psi.is_total()
     assert is_proper(g, psi)
+
+
+def reference_random_proper_colouring(g: Graph, rng, fresh_bias: float) -> EdgeColouring:
+    """random_proper_colouring as an edge-by-edge loop of `colours_at` and
+    `assign`/`assign_fresh`."""
+    psi = EdgeColouring(g)
+    order = list(g.edges)
+    rng.shuffle(order)
+    for u, v in order:
+        if fresh_bias < 1.0 and rng.random() >= fresh_bias:
+            blocked = psi.colours_at(u) | psi.colours_at(v)
+            legal = [c for c in range(psi.next_colour) if c not in blocked]
+            if legal:
+                psi.assign(u, v, legal[rng.randrange(len(legal))])
+                continue
+        psi.assign_fresh(u, v)
+    return psi
+
+
+@given(st.integers(0, 10**6), st.integers(1, 9), st.floats(0.1, 1.0),
+       st.sampled_from((0.0, 1.0, 0.05, 0.5, None)), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_random_proper_colouring_matches_reference(seed, n, density, bias, as_join):
+    """The bitmask sampler gives the reference loop's colouring and leaves
+    the rng where the loop leaves it."""
+    rng = random.Random(seed)
+    g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+    if as_join:
+        g = join(g, Graph(3, [(0, 1)]))
+    if bias is None:
+        bias = rng.random()
+    ours, ref = random.Random(seed + 1), random.Random(seed + 1)
+    psi = random_proper_colouring(g, ours, bias)
+    assert _state(psi) == _state(reference_random_proper_colouring(g, ref, bias))
+    assert ours.getstate() == ref.getstate()
 
 
 def test_random_proper_colouring_fresh_bias_one():

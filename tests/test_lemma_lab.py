@@ -534,6 +534,33 @@ def test_cross_keys_are_the_joins_whole_block(build):
     assert sc.cross_keys == tuple((u, v) for u in range(g.split) for v in range(g.split, g.n))
 
 
+@pytest.mark.parametrize("build,gadgets", [
+    (rainbow_k6_scaffold, lambda sc: sc.cherries),
+    (rainbow_k7_scaffold, lambda sc: sc.blocks),
+])
+def test_sampler_passes_rest_on_disjoint_gadgets(build, gadgets):
+    """The K6/K7 samplers colour all of `left_keys` in one greedy pass, as
+    if one pass per cherry or block: sound because the gadgets are
+    pairwise vertex-disjoint (no pool colour placed in one can block an
+    edge of another) and `left_keys` lists their edges gadget by gadget.
+    The fan shares no vertex with them either."""
+    sc = build()
+    parts = [set(gadget.vertices()) for gadget in gadgets(sc)]
+    fan = set(sc.fan.vertices())
+    assert sum(map(len, parts)) + len(fan) == len(set().union(fan, *parts))
+    assert sc.left_keys == tuple(k for gadget in gadgets(sc) for k in gadget.edges())
+
+
+def test_k7_template_fan_colours_lie_above_the_pool():
+    """The K7 sampler's fan loop never reads the template: an apex's
+    (centre, p) colour blocks a pool pick on (s, p) only when the trial
+    put a pool colour there, because the template's fan ids are at least
+    20 and the pool (`randrange(8, 20)` colours) is 0 .. 18."""
+    sc = rainbow_k7_scaffold()
+    fan_colours = lemma_lab._k7_template().colours(sc.right_keys)
+    assert min(fan_colours) >= 20
+
+
 # -- frozen templates and the checks on their copies ---------------------------
 
 TEMPLATE_LEMMAS = {
