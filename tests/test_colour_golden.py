@@ -10,9 +10,12 @@ whose fresh colours start above an unused palette.  The `colour_tiled`
 hash covers the first 300 graphs of the seed-5 tiled corpus (`corpus_graph`,
 which the `tiled` audit draws from), with their certificates; the
 `find_stretched_sequence` hash covers the generating sequences the colourer
-replays for those graphs.  The `random_tiled_graph` hash covers the raw
-draws the corpus is made of, and the next `rng.random()` after each, so it
-pins the calls a draw makes on its rng as well as the graph it returns.
+replays for those graphs.  A wider hash pins every stage of the colourer
+on corpus seeds 1-3 and on unfiltered draws: the sequence, the replay of
+each configuration the colourer may try, and the colouring and certificate
+it returns.  The `random_tiled_graph` hash covers the raw draws the corpus
+is made of, and the next `rng.random()` after each, so it pins the calls a
+draw makes on its rng as well as the graph it returns.
 The lemma-sampler hash does the same for the six falsification samplers,
 seeded as `certify_lemma` seeds them: each colouring (for the surviving
 triangle, the matchings), the overlay log of a template copy, `next_colour`
@@ -30,6 +33,7 @@ import pytest
 from rainbowlab.avoider_k4 import avoid_k4, classify_components
 from rainbowlab.avoider_k6 import avoid_k6
 from rainbowlab.colouring import colouring_to_json
+from rainbowlab.errors import OutOfRegime, SearchExhausted
 from rainbowlab.graph import Graph
 from rainbowlab.lemma_lab import (
     rainbow_k4_scaffold,
@@ -47,10 +51,12 @@ from rainbowlab.lemma_lab import (
 )
 from rainbowlab.model import PerturbedInstance, sample_perturbed
 from rainbowlab.tiled_k8 import (
+    _colour_variants,
     avoid_k8_perturbed,
     colour_tiled,
     corpus_graph,
     find_stretched_sequence,
+    partial_colouring,
     phi,
     random_tiled_graph,
 )
@@ -128,6 +134,46 @@ def test_stretched_sequences_of_the_corpus():
                              seq.n]).encode())
     assert h.hexdigest() == (
         "9615c22603782ae3441fa36f2f0a15487bffd00cf1b50740c9f9cc6be2019fe5")
+
+
+def tiled_colourer_graphs():
+    """Corpus seeds 1-3, 1,000 graphs each, then the 250 unfiltered draws
+    (phi above the ceiling included) of `test_first_edge_step_structure`."""
+    for seed in (1, 2, 3):
+        for index in range(1000):
+            yield corpus_graph(seed, index)[0]
+    rng = random.Random(19)
+    for _ in range(250):
+        yield random_tiled_graph(rng, max_vertices=9, steps=5)
+
+
+def test_tiled_colourer_outputs():
+    """Every stage of the certificate colourer on 3,250 graphs: the
+    stretched sequence, the replay under each configuration
+    `_colour_variants` yields (the winning one and the ones tried before
+    it), and `colour_tiled`'s colouring and certificate, or the error it
+    raises."""
+    h = hashlib.sha256()
+    for g in tiled_colourer_graphs():
+        seq = find_stretched_sequence(g)
+        replays = []
+        for cfg in _colour_variants(seq):
+            psi = partial_colouring(seq, **cfg)
+            replays.append([sorted(cfg.get("suppress", ())),
+                            cfg.get("pair_first_edge_step", False),
+                            colouring_to_json(psi), psi.next_colour])
+        try:
+            psi, cert = colour_tiled(g)
+        except (OutOfRegime, SearchExhausted) as exc:
+            tiled = type(exc).__name__
+        else:
+            tiled = [cert.kind, cert.triangle, cert.matching,
+                     colouring_to_json(psi), psi.next_colour]
+        h.update(json.dumps([phi(g), seq.base_vertices,
+                             [astuple(st) for st in seq.steps],
+                             replays, tiled]).encode())
+    assert h.hexdigest() == (
+        "f48c7add33d6ec5f6c7168dcac64aeb8d663726841abe4c4b2618cd5a794f49a")
 
 
 def test_random_tiled_graph_draws():

@@ -446,6 +446,35 @@ def test_frozen_colouring_refuses_every_write():
     assert psi.is_total() and not base.is_total()
 
 
+@pytest.mark.parametrize("as_join", [False, True], ids=["plain", "join"])
+@pytest.mark.parametrize("kind", ["mutable", "frozen", "overlay"])
+def test_get_contract(as_join, kind):
+    """`get` on every kind of colouring: a pair that is not an edge raises,
+    the two orders of a pair read the same colour, an uncoloured edge reads
+    None.  The join's cross edges (u < 3 <= v) live in the cross block, its
+    other edges in the dict; the plain twin keeps all of them in the dict."""
+    g = join(path_graph(3), star(2))
+    if not as_join:
+        g = Graph(g.n, g.edges)
+    coloured = {(0, 1): 1, (3, 4): 2, (0, 4): 3}
+    if kind == "overlay":
+        psi = EdgeColouring(g, {(0, 1): 1, (3, 4): 2}).freeze().copy()
+        psi.assign(4, 0, 3)
+    else:
+        psi = EdgeColouring(g, coloured)
+        if kind == "frozen":
+            psi.freeze()
+    n = g.n
+    not_edges = [(0, 0), (4, 4), (-1, 0), (0, -1), (-1, 4), (4, -2), (0, n),
+                 (n, 4), (n, n + 1), (0, 2), (2, 0), (4, 5), (5, 4)]
+    for u, v in not_edges:
+        with pytest.raises(ParameterError):
+            psi.get(u, v)
+    assert {e: psi.get(*e) for e in g.edges} == {e: coloured.get(e) for e in g.edges}
+    assert all(psi.get(v, u) == psi.get(u, v) for u, v in g.edges)
+    assert psi.get(1, 2) is psi.get(3, 5) is psi.get(2, 5) is None
+
+
 def test_assign_cross_block_matches_assign_many():
     g = join(path_graph(3), star(2))
     colours = [[10 + 3 * i + j for j in range(3)] for i in range(3)]

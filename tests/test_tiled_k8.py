@@ -16,7 +16,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rainbowlab.avoiders import validate
-from rainbowlab.colouring import EdgeColouring, is_proper
+from rainbowlab.colouring import (
+    EdgeColouring,
+    is_proper,
+    rainbow_copies,
+    random_proper_colouring,
+)
 from rainbowlab.errors import (
     OutOfRegime,
     ParameterError,
@@ -36,6 +41,7 @@ from rainbowlab.tiled_k8 import (
     certificate_covers,
     colour_component_tree,
     colour_tiled,
+    corpus_graph,
     cover_certificate,
     find_stretched_sequence,
     k4_components,
@@ -504,6 +510,49 @@ def test_cover_certificate_needs_a_total_colouring():
         psi.assign_fresh(*e)
     with pytest.raises(ParameterError, match="total"):
         cover_certificate(g, psi)
+
+
+def reference_cover_certificate(g, psi):
+    """The certificate search as first written: the rainbow K4s come from
+    `rainbow_copies` over K4 embeddings, the triangle and matching search
+    follows."""
+    if not psi.is_total():
+        raise ParameterError("cover_certificate needs a total colouring")
+    rain = rainbow_copies(g, psi, complete_graph(4))
+    if not rain:
+        return CoverCertificate("no-rainbow")
+    for tri in combinations(sorted(rain[0]), 3):
+        if all(set(tri) <= set(q) for q in rain):
+            return CoverCertificate("triangle", triangle=tri)
+    cand = sorted({e for q in rain for e in pairs(q)})
+    for size in (1, 2, 3):
+        for m in combinations(cand, size):
+            vs = [v for e in m for v in e]
+            if len(vs) != len(set(vs)):
+                continue
+            if all(any(set(e) <= set(q) for e in m) for q in rain):
+                return CoverCertificate("matching", matching=m)
+    return None
+
+
+@pytest.mark.parametrize("bias", [0.0, 0.3, 1.0])
+def test_cover_certificate_matches_reference(bias):
+    """On random proper colourings of corpus graphs, from mostly reused
+    colours (few rainbow K4s) to all fresh (every K4 rainbow, often no
+    certificate), the certificate is the reference's."""
+    rng = random.Random(f"certificate:{bias}")
+    kinds = Counter()
+    for index in range(200):
+        g, _ = corpus_graph(4, index)
+        psi = random_proper_colouring(g, rng, bias)
+        psi.fill_fresh()
+        cert = cover_certificate(g, psi)
+        assert cert == reference_cover_certificate(g, psi)
+        kinds[None if cert is None else cert.kind] += 1
+    if bias == 1.0:
+        assert kinds[None] and kinds["triangle"] and kinds["matching"]
+    else:
+        assert len(kinds) >= 3
 
 
 def test_certificate_checks():
