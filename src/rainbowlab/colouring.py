@@ -96,16 +96,16 @@ class EdgeColouring:
     and no Python object.
 
     Costs, with s the side (dict) edges and B the cross cells: `get`,
-    `assign` and `assign_fresh` are O(1), `colours` and `colour_set` O(1)
-    per key (`colours` reads a list of side keys at dict speed);
-    `colours_at` and `would_clash` are O(degree), a vertex's cross edges
-    being one slice of the buffer; `assign_many` is O(its input) plus an
-    O(s) disjointness check, `recolour_many` O(its input);
-    `assign_cross_block`, `fill_fresh`,
-    `is_total`, `len`, `colours_used`, `copy` and `domain` take O(s) plus
-    one numpy pass over the buffer; `find_properness_clash` sorts the
-    side incidences and the buffer's rows and columns.  Fresh colours are
-    handed out monotonically.
+    `assign` and `assign_fresh` are O(1), `get` being one cross-cell read
+    or one dict lookup that validates its pair only on a miss; `colours`
+    and `colour_set` are O(1) per key (`colours` reads a list of side keys
+    at dict speed); `colours_at` and `would_clash` are O(degree), a
+    vertex's cross edges being one slice of the buffer; `assign_many` is
+    O(its input) plus an O(s) disjointness check, `recolour_many` O(its
+    input); `assign_cross_block`, `fill_fresh`, `is_total`, `len`,
+    `colours_used`, `copy` and `domain` take O(s) plus one numpy pass over
+    the buffer; `find_properness_clash` sorts the side incidences and the
+    buffer's rows and columns.  Fresh colours are handed out monotonically.
 
     `freeze()` makes a colouring read-only: every write raises
     ParameterError.  A `copy()` of a frozen colouring is an *overlay*: an
@@ -305,13 +305,19 @@ class EdgeColouring:
         return chain(g.left.edges, ((u + off, v + off) for u, v in g.right.edges))
 
     def get(self, u: int, v: int):
+        """Colour of the edge uv, None when it is uncoloured; a pair that is
+        not an edge raises ParameterError.  Only a dict miss validates the
+        pair: every stored key is a graph edge."""
+        a, b = (u, v) if u < v else (v, u)
         if self._cross:
-            a, b = (u, v) if u < v else (v, u)
             split, width = self._shape
             if 0 <= a < split <= b < split + width:
                 c = self._cross[a * width + b - split]
                 return None if c < 0 else c
-        return self._col.get(self._key(u, v))
+        c = self._col.get((a, b))
+        if c is None:
+            self._key(u, v)
+        return c
 
     def colours(self, edges) -> list[int]:
         """Colour of each (u, v) key, u < v, in order.  Keys are not

@@ -24,9 +24,9 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .colouring import EdgeColouring, is_proper, rainbow_copies
+from .colouring import EdgeColouring, is_proper
 from .errors import OutOfRegime, ParameterError, SearchExhausted, StructureUnsupported
-from .graph import DisjointSets, Graph, bits, clique, disjoint_union
+from .graph import DisjointSets, Graph, bits, disjoint_union
 from .model import PerturbedInstance
 
 __all__ = [
@@ -41,8 +41,6 @@ __all__ = [
     "find_stretched_sequence",
     "random_tiled_graph",
     "corpus_graph",
-    "partial_colouring",
-    "cover_certificate",
     "colour_tiled",
     "colour_component_tree",
     "avoid_k8",
@@ -159,7 +157,7 @@ class CoverCertificate:
 
 def certificate_covers(cert: CoverCertificate, quads) -> bool:
     """Does cert cover every K4 vertex set in quads?  The independent check
-    of ``cover_certificate``'s output against a direct rainbow-K4 scan."""
+    of ``colour_tiled``'s certificate against a direct rainbow-K4 scan."""
     if cert.kind == "no-rainbow":
         return not quads
     if cert.kind == "triangle":
@@ -224,28 +222,38 @@ class _QuadTable:
     Every growth step completes one K4 copy of h whose vertices are partly
     present: two present vertices spanning a current edge give a standard
     step, three a vertex-step, four an edge-step.  For each copy we store its
-    vertex bitmask and the bitmask of its six edge ids; a copy is applicable
-    from `mask` iff it has both a current edge and a missing edge.  The same
-    masks answer whether h is K4-tiled and list its K5 copies, so the K4
-    copies are enumerated once per search.
+    vertex bitmask, its six edge ids (`quad_eids`, in the order of its
+    vertex pairs) and their bitmask; a copy is applicable from `mask` iff it
+    has both a current edge and a missing edge.  The same masks answer
+    whether h is K4-tiled and list its K5 copies.  `colour_tiled` builds
+    one table per graph for its sequence search, its replays (which colour
+    the table's h) and its certificates' rainbow scans, so the K4 copies
+    are enumerated once per graph.
     """
 
     def __init__(self, h: Graph):
         self.h = h
         self.full = (1 << h.m) - 1
-        self.eid = {e: i for i, e in enumerate(h.edges)}
+        n = h.n
+        self.eid = eid = [-1] * (n * n)  # eid[u * n + v]: id of edge (u, v), u < v
+        for i, (u, v) in enumerate(h.edges):
+            eid[u * n + v] = i
         self.quads = h.cliques(4)
         self.vmask = [(1 << a) | (1 << b) | (1 << c) | (1 << d)
                       for a, b, c, d in self.quads]
-        self.emask = [self.edge_mask(q) for q in self.quads]
-        self.edge_vmask = [(1 << u) | (1 << v) for u, v in h.edges]
+        self.quad_eids = [
+            (eid[a * n + b], eid[a * n + c], eid[a * n + d],
+             eid[b * n + c], eid[b * n + d], eid[c * n + d])
+            for a, b, c, d in self.quads]
+        self.emask = [(1 << i) | (1 << j) | (1 << k) | (1 << x) | (1 << y) | (1 << z)
+                      for i, j, k, x, y, z in self.quad_eids]
 
     def edge_mask(self, vs) -> int:
         """Bitmask of the edge ids of the clique on the sorted vertices vs."""
-        eid = self.eid
+        eid, n = self.eid, self.h.n
         em = 0
-        for e in combinations(vs, 2):
-            em |= 1 << eid[e]
+        for u, v in combinations(vs, 2):
+            em |= 1 << eid[u * n + v]
         return em
 
     def is_tiled(self) -> bool:
@@ -274,36 +282,11 @@ class _QuadTable:
                 out.append((a, b, c, d, d + 1 + x))
         return out
 
-    def vertex_mask_of(self, mask: int) -> int:
-        vm = 0
-        for i in bits(mask):
-            vm |= self.edge_vmask[i]
-        return vm
-
-    def candidates(self, mask: int, vset: int):
-        """(kind_rank, quad_index, new_mask) triples with kind_rank 0 for
-        standard, 1 for vertex-steps, 2 for edge-steps; standard steps first,
-        then vertex-steps, then edge-steps, each in quad order.  Any copy
-        with a current edge has >= 2 present vertices, so the present-vertex
-        count alone classifies the step."""
-        std, vx, ed = [], [], []
-        for qi in range(len(self.quads)):
-            em = self.emask[qi]
-            if not (em & mask) or not (em & ~mask):
-                continue
-            cnt = (self.vmask[qi] & vset).bit_count()
-            if cnt == 2:
-                std.append((0, qi, mask | em))
-            elif cnt == 3:
-                vx.append((1, qi, mask | em))
-            else:
-                ed.append((2, qi, mask | em))
-        return std + vx + ed
-
     def materialize(self, mask: int, vset: int, qi: int) -> GenStep:
         q = self.quads[qi]
-        added_ids = self.emask[qi] & ~mask
-        added = tuple(sorted(self.h.edges[i] for i in bits(added_ids)))
+        edges = self.h.edges
+        # the copy's vertex pairs in lexicographic order, so `added` is sorted
+        added = tuple(edges[i] for i in self.quad_eids[qi] if not mask >> i & 1)
         inside = tuple(x for x in q if (vset >> x) & 1)
         outside = tuple(x for x in q if not (vset >> x) & 1)
         if len(outside) == 2:
@@ -315,33 +298,56 @@ class _QuadTable:
         return GenStep("edge", (), q, added, added)
 
 
+def _quad_table(h: Graph) -> _QuadTable:
+    """h's K4 table, after refusing a graph above the vertex cap."""
+    if sum(1 for u in range(h.n) if h.adj[u]) > _VERTEX_CAP:
+        raise ParameterError(f"stretched-sequence search capped at {_VERTEX_CAP} vertices")
+    return _QuadTable(h)
+
+
 def find_stretched_sequence(h: Graph, node_budget: int = _SEQUENCE_BUDGET) -> GeneratingSequence:
     """A generating sequence for h minimising gamma, then maximising length.
 
     Base is a K5 copy when h contains one, else a K4 copy; all base copies
     compete.  Since v and e are fixed, gamma = e - 3v + const + alpha, so the
     search minimises the number of standard steps, then maximises steps.
+    """
+    return _search(_quad_table(h), node_budget)
+
+
+def _search(tab: _QuadTable, node_budget: int) -> GeneratingSequence:
+    """`find_stretched_sequence` on h's table.
+
+    Each node is one pass over the K4 copies; a copy applicable from the
+    node's edge mask is a standard step when two of its vertices are
+    present, a vertex-step at three, an edge-step at four (a copy with a
+    current edge has at least two).  The node keeps the step minimising
+    (alpha, -steps, kind rank, copy index), kind rank 0 for standard, 1 for
+    vertex- and 2 for edge-steps: ties go to standard steps first, then
+    vertex-steps, then edge-steps, each in copy order.  Every reachable
+    edge mask is expanded once and counts one node against the budget.
 
     The recursion in `rec` stays far below Python's limit: every step adds
     at least one edge, so it nests at most m deep, and the cap of
     _VERTEX_CAP = 14 vertices bounds m by 91.
     """
-    if sum(1 for u in range(h.n) if h.adj[u]) > _VERTEX_CAP:
-        raise ParameterError(f"stretched-sequence search capped at {_VERTEX_CAP} vertices")
-    tab = _QuadTable(h)
+    h = tab.h
     if not tab.is_tiled():
         raise ParameterError("graph is not K4-tiled")
     k5s = tab.k5s()
-    bases = ([(q, tab.edge_mask(q)) for q in k5s] if k5s
-             else list(zip(tab.quads, tab.emask)))
+    # (vertices, edge mask, vertex mask) of each base copy
+    bases = ([(q, tab.edge_mask(q), sum(1 << v for v in q)) for q in k5s] if k5s
+             else list(zip(tab.quads, tab.emask, tab.vmask)))
     full = tab.full
-    memo: dict = {}
+    table = list(zip(range(len(tab.quads)), tab.emask, tab.vmask))
+    memo: dict = {full: (0, 0)}
     nodes = 0
 
     def rec(mask: int, vset: int):
+        """(alpha, -steps, rank, qi, next mask) of the best completion from
+        mask, None when there is none; (0, 0) at the full mask.  The loop
+        reads the memo itself and calls rec only on a miss."""
         nonlocal nodes
-        if mask == full:
-            return (0, 0, -1, 0)
         got = memo.get(mask)
         if got is not None:
             return got
@@ -351,32 +357,36 @@ def find_stretched_sequence(h: Graph, node_budget: int = _SEQUENCE_BUDGET) -> Ge
                 f"stretched-sequence search budget exhausted on a graph with "
                 f"{h.n} vertices, {h.m} edges")
         best = None
-        for rank, qi, nm in tab.candidates(mask, vset):
-            sub = rec(nm, vset | tab.vmask[qi])
+        for qi, em, vm in table:
+            have = em & mask
+            if not have or have == em:
+                continue
+            nm = mask | em
+            sub = memo.get(nm) or rec(nm, vset | vm)
             if sub is None:
                 continue
-            val = (sub[0] + (1 if rank == 0 else 0), sub[1] - 1)
-            if best is None or val < (best[0], best[1]):
-                best = (val[0], val[1], qi, nm)
+            rank = (vm & vset).bit_count() - 2  # present vertices: 2, 3 or 4
+            cand = (sub[0] + (rank == 0), sub[1] - 1, rank, qi, nm)
+            if best is None or cand < best:
+                best = cand
         memo[mask] = best
         return best
 
     best_overall = None
-    for base, mask in bases:
-        res = rec(mask, tab.vertex_mask_of(mask))
+    for base, mask, vset in bases:
+        res = rec(mask, vset)
         if res is None:
             continue
         key = (res[0], res[1], base)
         if best_overall is None or key < best_overall[0]:
-            best_overall = (key, base, mask)
+            best_overall = (key, base, mask, vset)
     if best_overall is None:
         raise SearchExhausted("no generating sequence found (graph not reachable from any base)")
 
-    _, base, mask = best_overall
-    vset = tab.vertex_mask_of(mask)
+    _, base, mask, vset = best_overall
     steps = []
     while mask != full:
-        _, _, qi, nm = memo[mask]
+        _, _, _, qi, nm = memo[mask]
         steps.append(tab.materialize(mask, vset, qi))
         vset |= tab.vmask[qi]
         mask = nm
@@ -457,9 +467,10 @@ def _k4_matchings(vs):
     return (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
 
 
-def partial_colouring(seq: GeneratingSequence, *, suppress=frozenset(),
-                      pair_first_edge_step: bool = False) -> EdgeColouring:
-    """Replay the sequence, colouring so each new K4 repeats a colour.
+def _partial_colouring(h: Graph, seq: GeneratingSequence, *, suppress=frozenset(),
+                       pair_first_edge_step: bool = False) -> EdgeColouring:
+    """Replay the sequence, colouring so each new K4 repeats a colour; the
+    colouring is of h, the graph seq generates.
 
     Base K4: one matching of size two shares a colour (K5 base: the cyclic
     one-factorisation, five colours of two edges each).  Standard steps pair
@@ -470,8 +481,20 @@ def partial_colouring(seq: GeneratingSequence, *, suppress=frozenset(),
     problematic).  Steps in `suppress` colour nothing; with
     `pair_first_edge_step` the first 1-edge-step pairs its new edge with the
     opposite one, which earlier steps keep uncoloured when a choice exists.
+
+    New colours are 0, 1, 2, ... in order of use.  They are decided on a
+    local edge -> colour dict and per-vertex colour sets (a reuse is proper
+    when neither end of the edge already sees the colour, the rule of
+    `EdgeColouring.would_clash`) and written with one `assign_many`.
     """
-    psi = EdgeColouring(seq.graph())
+    col: dict = {}
+    at = [set() for _ in range(h.n)]  # at[x]: the colours on x's coloured edges
+    fresh = 0
+
+    def put(e, colour):
+        col[e] = colour
+        at[e[0]].add(colour)
+        at[e[1]].add(colour)
 
     avoid: set = set()
     target_idx = None
@@ -488,14 +511,14 @@ def partial_colouring(seq: GeneratingSequence, *, suppress=frozenset(),
     if seq.base_kind == "K4":
         pair = next((m for m in _k4_matchings(base)
                      if not (set(m) & avoid)), _k4_matchings(base)[0])
-        colour = psi.next_colour
-        for a, b in pair:
-            psi.assign(a, b, colour)
+        for e in pair:
+            put(e, fresh)
+        fresh += 1
     else:
         for i in range(5):
-            colour = psi.next_colour
-            psi.assign(base[(i + 1) % 5], base[(i + 4) % 5], colour)
-            psi.assign(base[(i + 2) % 5], base[(i + 3) % 5], colour)
+            put(_k(base[(i + 1) % 5], base[(i + 4) % 5]), fresh)
+            put(_k(base[(i + 2) % 5], base[(i + 3) % 5]), fresh)
+            fresh += 1
 
     for idx, st in enumerate(seq.steps):
         if idx in suppress:
@@ -503,50 +526,56 @@ def partial_colouring(seq: GeneratingSequence, *, suppress=frozenset(),
         if st.kind == "standard":
             x, y = st.new_vertices
             z, w = st.anchor
-            options = (( _k(x, z), _k(y, w)), (_k(x, w), _k(y, z)))
+            options = ((_k(x, z), _k(y, w)), (_k(x, w), _k(y, z)))
             pair = next((p for p in options if not (set(p) & avoid)), options[0])
-            colour = psi.next_colour
-            for a, b in pair:
-                psi.assign(a, b, colour)
+            for e in pair:
+                put(e, fresh)
+            fresh += 1
         elif st.kind == "vertex":
             x = st.new_vertices[0]
-            tri_pairs = _pairs(st.anchor)
-            third_of = {e: next(v for v in st.anchor if v not in e) for e in tri_pairs}
-            for e in tri_pairs:  # reuse an existing triangle colour
-                col = psi.get(*e)
-                if (col is not None and _k(x, third_of[e]) not in avoid
-                        and not psi.would_clash(x, third_of[e], col)):
-                    psi.assign(x, third_of[e], col)
+            a, b, c = sorted(st.anchor)
+            # the triangle's edges in order, each with its opposite new edge
+            tri = (((a, b), _k(x, c)), ((a, c), _k(x, b)), ((b, c), _k(x, a)))
+            for e, opp in tri:  # reuse an existing triangle colour
+                colour = col.get(e)
+                if (colour is not None and opp not in avoid
+                        and colour not in at[opp[0]] and colour not in at[opp[1]]):
+                    put(opp, colour)
                     break
             else:
-                for e in tri_pairs:  # pair an uncoloured triangle edge
-                    if (psi.get(*e) is None and e not in avoid
-                            and _k(x, third_of[e]) not in avoid):
-                        colour = psi.next_colour
-                        psi.assign(*e, colour)
-                        psi.assign(x, third_of[e], colour)
+                for e, opp in tri:  # pair an uncoloured triangle edge
+                    if e not in col and e not in avoid and opp not in avoid:
+                        put(e, fresh)
+                        put(opp, fresh)
+                        fresh += 1
                         break
         elif idx == target_idx:  # edge steps colour nothing but this pairing
             xy = st.added_edges[0]
             zw = _k(*(set(st.quad) - set(xy)))
-            if psi.get(*zw) is None:
-                colour = psi.next_colour
-                psi.assign(*xy, colour)
-                psi.assign(*zw, colour)
+            if zw not in col:
+                put(xy, fresh)
+                put(zw, fresh)
+                fresh += 1
+    psi = EdgeColouring(h)
+    psi.assign_many(list(col), list(col.values()))
     return psi
 
 
 # -- certificates -----------------------------------------------------------
 
 
-def cover_certificate(h: Graph, psi: EdgeColouring) -> CoverCertificate | None:
-    """Smallest-kind certificate covering all rainbow K4s of psi, or None.
+def _cover_certificate(tab: _QuadTable, psi: EdgeColouring) -> CoverCertificate | None:
+    """Smallest-kind certificate covering all rainbow K4s of psi, a
+    colouring of tab.h, or None.
 
-    psi must be total: the rainbow scan treats uncoloured edges as
-    wildcards, which would count a partly coloured K4 as rainbow."""
+    psi must be total: a partly coloured K4 has no six colours to compare.
+    The rainbow K4s are the table's K4 copies, in clique order, whose six
+    edge ids read six distinct colours in one `colours` call over h."""
     if not psi.is_total():
         raise ParameterError("cover_certificate needs a total colouring")
-    rain = rainbow_copies(h, psi, clique(4))
+    cols = psi.colours(tab.h.edges)
+    rain = [q for q, (a, b, c, d, e, f) in zip(tab.quads, tab.quad_eids)
+            if len({cols[a], cols[b], cols[c], cols[d], cols[e], cols[f]}) == 6]
     if not rain:
         return CoverCertificate("no-rainbow")
     first = set(rain[0])
@@ -607,16 +636,19 @@ def colour_tiled(h: Graph):
     phi <= 2 yields no-rainbow, phi in [3,5] a shared triangle, phi in [6,7]
     a matching of <= 3 edges meeting every rainbow K4 (stronger kinds always
     accepted).  Replay variants are tried in order and the first whose
-    a-posteriori certificate fits the class is returned.
+    a-posteriori certificate fits the class is returned.  One K4 table of h
+    serves the sequence search, every replay (each colours h itself, not a
+    graph rebuilt from the sequence) and every certificate's rainbow scan.
     """
     f = phi(h)
     if f > PHI_CEILING:
         raise OutOfRegime(f"phi = {f} > {PHI_CEILING}", offending=h)
-    seq = find_stretched_sequence(h)
+    tab = _quad_table(h)
+    seq = _search(tab, _SEQUENCE_BUDGET)
     for cfg in _colour_variants(seq):
-        psi = partial_colouring(seq, **cfg)
+        psi = _partial_colouring(h, seq, **cfg)
         psi.fill_fresh()
-        cert = cover_certificate(h, psi)
+        cert = _cover_certificate(tab, psi)
         if certificate_allowed(cert, f):
             return psi, cert
     raise SearchExhausted(

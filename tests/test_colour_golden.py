@@ -52,11 +52,11 @@ from rainbowlab.lemma_lab import (
 from rainbowlab.model import PerturbedInstance, sample_perturbed
 from rainbowlab.tiled_k8 import (
     _colour_variants,
+    _partial_colouring,
     avoid_k8_perturbed,
     colour_tiled,
     corpus_graph,
     find_stretched_sequence,
-    partial_colouring,
     phi,
     random_tiled_graph,
 )
@@ -158,7 +158,7 @@ def test_tiled_colourer_outputs():
         seq = find_stretched_sequence(g)
         replays = []
         for cfg in _colour_variants(seq):
-            psi = partial_colouring(seq, **cfg)
+            psi = _partial_colouring(g, seq, **cfg)
             replays.append([sorted(cfg.get("suppress", ())),
                             cfg.get("pair_first_edge_step", False),
                             colouring_to_json(psi), psi.next_colour])

@@ -34,6 +34,8 @@ from rainbowlab.tiled_k8 import (
     RED,
     CoverCertificate,
     GeneratingSequence,
+    _cover_certificate,
+    _partial_colouring,
     _QuadTable,
     avoid_k8,
     avoid_k8_perturbed,
@@ -42,10 +44,8 @@ from rainbowlab.tiled_k8 import (
     colour_component_tree,
     colour_tiled,
     corpus_graph,
-    cover_certificate,
     find_stretched_sequence,
     k4_components,
-    partial_colouring,
     phi,
     random_tiled_graph,
 )
@@ -352,7 +352,7 @@ def replay_ledger(seq):
     bound_ok, problematic, coloured_before = True, [], 0
     for i in range(len(seq.steps) + 1):
         prefix = GeneratingSequence(seq.base_vertices, seq.steps[:i], seq.n)
-        psi = partial_colouring(prefix)
+        psi = _partial_colouring(prefix.graph(), prefix)
         coloured = psi.domain()
         vertex_steps = Counter(tuple(sorted(s.anchor))
                                for s in prefix.steps if s.kind == "vertex")
@@ -391,8 +391,9 @@ def test_replay_ledger_examples(g, expected):
 
 
 def test_partial_base_k4():
-    seq = find_stretched_sequence(complete_graph(4))
-    psi = partial_colouring(seq)
+    g = complete_graph(4)
+    seq = find_stretched_sequence(g)
+    psi = _partial_colouring(g, seq)
     coloured = [e for e in pairs(range(4)) if psi.get(*e) is not None]
     assert len(coloured) == 2
     c1, c2 = (psi.get(*e) for e in coloured)
@@ -402,9 +403,10 @@ def test_partial_base_k4():
 
 
 def test_partial_base_k5_factorisation():
-    psi = partial_colouring(find_stretched_sequence(complete_graph(5)))
+    g = complete_graph(5)
+    psi = _partial_colouring(g, find_stretched_sequence(g))
     assert psi.is_total()
-    assert is_proper(complete_graph(5), psi)
+    assert is_proper(g, psi)
     classes = {}
     for e in pairs(range(5)):
         classes.setdefault(psi.get(*e), []).append(e)
@@ -412,7 +414,7 @@ def test_partial_base_k5_factorisation():
     for es in classes.values():
         assert len(es) == 2
         assert set(es[0]).isdisjoint(es[1])
-    assert rainbow_quads(complete_graph(5), psi) == []
+    assert rainbow_quads(g, psi) == []
 
 
 def test_partial_all_standard_never_problematic():
@@ -423,10 +425,11 @@ def test_partial_all_standard_never_problematic():
         edges.update(tuple(sorted(e)) for e in
                      ((x, y), (x, z), (x, w), (y, z), (y, w)))
         n += 2
-    seq = find_stretched_sequence(Graph(n, sorted(edges)))
+    g = Graph(n, sorted(edges))
+    seq = find_stretched_sequence(g)
     assert all(s.kind == "standard" for s in seq.steps)
     assert replay_ledger(seq)[1] == []
-    assert rainbow_quads(seq.graph(), partial_colouring(seq)) == []
+    assert rainbow_quads(g, _partial_colouring(g, seq)) == []
 
 
 def test_partial_properness_corpus():
@@ -434,7 +437,7 @@ def test_partial_properness_corpus():
     for _ in range(60):
         g = random_tiled_graph(rng, max_vertices=8, steps=4)
         seq = find_stretched_sequence(g)
-        assert is_proper(g, partial_colouring(seq))
+        assert is_proper(g, _partial_colouring(g, seq))
 
 
 def test_partial_saturation_bound_where_proven():
@@ -469,7 +472,7 @@ def test_cover_certificate_no_rainbow():
     for e in pairs(range(4)):
         if psi.get(*e) is None:
             psi.assign_fresh(*e)
-    cert = cover_certificate(g, psi)
+    cert = _cover_certificate(_QuadTable(g), psi)
     assert cert.kind == "no-rainbow"
 
 
@@ -478,7 +481,7 @@ def test_cover_certificate_triangle():
     psi = EdgeColouring(g)
     for e in pairs(range(4)):
         psi.assign_fresh(*e)
-    cert = cover_certificate(g, psi)
+    cert = _cover_certificate(_QuadTable(g), psi)
     assert cert.kind == "triangle"
     assert cert.triangle == (0, 1, 2)
     assert_certificate_sound(g, psi, cert)
@@ -489,7 +492,7 @@ def test_cover_certificate_matching():
     psi = EdgeColouring(g)
     for u, v in g.edges:
         psi.assign_fresh(u, v)
-    cert = cover_certificate(g, psi)
+    cert = _cover_certificate(_QuadTable(g), psi)
     assert cert.kind == "matching"
     assert len(cert.matching) == 2
     assert_certificate_sound(g, psi, cert)
@@ -500,7 +503,7 @@ def test_cover_certificate_uncoverable():
     psi = EdgeColouring(g)
     for u, v in g.edges:
         psi.assign_fresh(u, v)
-    assert cover_certificate(g, psi) is None
+    assert _cover_certificate(_QuadTable(g), psi) is None
 
 
 def test_cover_certificate_needs_a_total_colouring():
@@ -509,7 +512,7 @@ def test_cover_certificate_needs_a_total_colouring():
     for e in pairs(range(4))[:-1]:
         psi.assign_fresh(*e)
     with pytest.raises(ParameterError, match="total"):
-        cover_certificate(g, psi)
+        _cover_certificate(_QuadTable(g), psi)
 
 
 def reference_cover_certificate(g, psi):
@@ -546,7 +549,7 @@ def test_cover_certificate_matches_reference(bias):
         g, _ = corpus_graph(4, index)
         psi = random_proper_colouring(g, rng, bias)
         psi.fill_fresh()
-        cert = cover_certificate(g, psi)
+        cert = _cover_certificate(_QuadTable(g), psi)
         assert cert == reference_cover_certificate(g, psi)
         kinds[None if cert is None else cert.kind] += 1
     if bias == 1.0:
