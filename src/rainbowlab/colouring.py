@@ -308,12 +308,14 @@ class EdgeColouring:
         """Colour of the edge uv, None when it is uncoloured; a pair that is
         not an edge raises ParameterError.  Only a dict miss validates the
         pair: every stored key is a graph edge."""
-        a, b = (u, v) if u < v else (v, u)
-        if self._cross:
-            split, width = self._shape
-            if 0 <= a < split <= b < split + width:
-                c = self._cross[a * width + b - split]
-                return None if c < 0 else c
+        if u < v:
+            a, b = u, v
+        else:
+            a, b = v, u
+        split, width = self._shape
+        if 0 <= a < split <= b < split + width:  # a cross cell: the buffer is not empty
+            c = self._cross[a * width + b - split]
+            return None if c < 0 else c
         c = self._col.get((a, b))
         if c is None:
             self._key(u, v)

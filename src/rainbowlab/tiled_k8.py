@@ -318,14 +318,11 @@ def find_stretched_sequence(h: Graph, node_budget: int = _SEQUENCE_BUDGET) -> Ge
 def _search(tab: _QuadTable, node_budget: int) -> GeneratingSequence:
     """`find_stretched_sequence` on h's table.
 
-    Each node is one pass over the K4 copies; a copy applicable from the
-    node's edge mask is a standard step when two of its vertices are
-    present, a vertex-step at three, an edge-step at four (a copy with a
-    current edge has at least two).  The node keeps the step minimising
-    (alpha, -steps, kind rank, copy index), kind rank 0 for standard, 1 for
-    vertex- and 2 for edge-steps: ties go to standard steps first, then
-    vertex-steps, then edge-steps, each in copy order.  Every reachable
-    edge mask is expanded once and counts one node against the budget.
+    Each node makes one pass over the K4 copies and keeps the applicable
+    one minimising (alpha, -steps, rank, copy index), rank 0, 1 or 2 for a
+    standard, vertex- or edge-step (2, 3 or 4 present vertices): ties go to
+    standard steps, then vertex-steps, then edge-steps, each in copy order.
+    Every reachable edge mask counts one node against the budget.
 
     The recursion in `rec` stays far below Python's limit: every step adds
     at least one edge, so it nests at most m deep, and the cap of
