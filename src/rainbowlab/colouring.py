@@ -96,16 +96,17 @@ class EdgeColouring:
     and no Python object.
 
     Costs, with s the side (dict) edges and B the cross cells: `get`,
-    `assign` and `assign_fresh` are O(1), `get` being one cross-cell read
-    or one dict lookup that validates its pair only on a miss; `colours`
-    and `colour_set` are O(1) per key (`colours` reads a list of side keys
-    at dict speed); `colours_at` and `would_clash` are O(degree), a
-    vertex's cross edges being one slice of the buffer; `assign_many` is
-    O(its input) plus an O(s) disjointness check, `recolour_many` O(its
-    input); `assign_cross_block`, `fill_fresh`, `is_total`, `len`,
-    `colours_used`, `copy` and `domain` take O(s) plus one numpy pass over
-    the buffer; `find_properness_clash` sorts the side incidences and the
-    buffer's rows and columns.  Fresh colours are handed out monotonically.
+    `assign` and `assign_fresh` are O(1) (`get` validates its pair only
+    when the dict misses), `colours` and `colour_set` O(1)
+    per key (`colours` reads a list of side keys at dict speed);
+    `colours_at` and `would_clash` are O(degree), a vertex's cross edges
+    being one slice of the buffer; `assign_many` is O(its input) plus an
+    O(s) disjointness check, `recolour_many` O(its input);
+    `assign_cross_block`, `fill_fresh`,
+    `is_total`, `len`, `colours_used`, `copy` and `domain` take O(s) plus
+    one numpy pass over the buffer; `find_properness_clash` sorts the
+    side incidences and the buffer's rows and columns.  Fresh colours are
+    handed out monotonically.
 
     `freeze()` makes a colouring read-only: every write raises
     ParameterError.  A `copy()` of a frozen colouring is an *overlay*: an
