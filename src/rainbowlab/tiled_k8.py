@@ -488,10 +488,16 @@ def _partial_colouring(h: Graph, seq: GeneratingSequence, *, suppress=frozenset(
     at = [set() for _ in range(h.n)]  # at[x]: the colours on x's coloured edges
     fresh = 0
 
-    def put(e, colour):
-        col[e] = colour
-        at[e[0]].add(colour)
-        at[e[1]].add(colour)
+    def paint(colour, *edges):
+        for e in edges:
+            col[e] = colour
+            at[e[0]].add(colour)
+            at[e[1]].add(colour)
+
+    def paint_new(*edges):
+        nonlocal fresh
+        paint(fresh, *edges)
+        fresh += 1
 
     avoid: set = set()
     target_idx = None
@@ -508,14 +514,11 @@ def _partial_colouring(h: Graph, seq: GeneratingSequence, *, suppress=frozenset(
     if seq.base_kind == "K4":
         pair = next((m for m in _k4_matchings(base)
                      if not (set(m) & avoid)), _k4_matchings(base)[0])
-        for e in pair:
-            put(e, fresh)
-        fresh += 1
+        paint_new(*pair)
     else:
         for i in range(5):
-            put(_k(base[(i + 1) % 5], base[(i + 4) % 5]), fresh)
-            put(_k(base[(i + 2) % 5], base[(i + 3) % 5]), fresh)
-            fresh += 1
+            paint_new(_k(base[(i + 1) % 5], base[(i + 4) % 5]),
+                      _k(base[(i + 2) % 5], base[(i + 3) % 5]))
 
     for idx, st in enumerate(seq.steps):
         if idx in suppress:
@@ -524,10 +527,7 @@ def _partial_colouring(h: Graph, seq: GeneratingSequence, *, suppress=frozenset(
             x, y = st.new_vertices
             z, w = st.anchor
             options = ((_k(x, z), _k(y, w)), (_k(x, w), _k(y, z)))
-            pair = next((p for p in options if not (set(p) & avoid)), options[0])
-            for e in pair:
-                put(e, fresh)
-            fresh += 1
+            paint_new(*next((p for p in options if not (set(p) & avoid)), options[0]))
         elif st.kind == "vertex":
             x = st.new_vertices[0]
             a, b, c = sorted(st.anchor)
@@ -537,22 +537,18 @@ def _partial_colouring(h: Graph, seq: GeneratingSequence, *, suppress=frozenset(
                 colour = col.get(e)
                 if (colour is not None and opp not in avoid
                         and colour not in at[opp[0]] and colour not in at[opp[1]]):
-                    put(opp, colour)
+                    paint(colour, opp)
                     break
             else:
                 for e, opp in tri:  # pair an uncoloured triangle edge
                     if e not in col and e not in avoid and opp not in avoid:
-                        put(e, fresh)
-                        put(opp, fresh)
-                        fresh += 1
+                        paint_new(e, opp)
                         break
         elif idx == target_idx:  # edge steps colour nothing but this pairing
             xy = st.added_edges[0]
             zw = _k(*(set(st.quad) - set(xy)))
             if zw not in col:
-                put(xy, fresh)
-                put(zw, fresh)
-                fresh += 1
+                paint_new(xy, zw)
     psi = EdgeColouring(h)
     psi.assign_many(list(col), list(col.values()))
     return psi
