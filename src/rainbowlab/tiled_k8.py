@@ -20,7 +20,7 @@ on one side, which the red matching also rules out) and hence cannot exist.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -225,19 +225,20 @@ class _QuadTable:
     vertex bitmask, its six edge ids (`quad_eids`, in the order of its
     vertex pairs) and their bitmask; a copy is applicable from `mask` iff it
     has both a current edge and a missing edge.  The same masks answer
-    whether h is K4-tiled and list its K5 copies.  `colour_tiled` builds
-    one table per graph for its sequence search, its replays (which colour
-    the table's h) and its certificates' rainbow scans, so the K4 copies
-    are enumerated once per graph.
+    whether h is K4-tiled and list its K5 copies.  The sequence search
+    builds one table per graph and returns it with the sequence, so
+    `colour_tiled`'s replays (which colour the table's h) and its
+    certificates' rainbow scans read the same table, and the K4 copies are
+    enumerated once per graph.
     """
 
     def __init__(self, h: Graph):
         self.h = h
         self.full = (1 << h.m) - 1
         n = h.n
-        self.eid = eid = [-1] * (n * n)  # eid[u * n + v]: id of edge (u, v), u < v
-        for i, (u, v) in enumerate(h.edges):
-            eid[u * n + v] = i
+        # eid[u * n + v]: id of edge (u, v), u < v; a dict, so isolated
+        # vertices cost nothing
+        self.eid = eid = {u * n + v: i for i, (u, v) in enumerate(h.edges)}
         self.quads = h.cliques(4)
         self.vmask = [(1 << a) | (1 << b) | (1 << c) | (1 << d)
                       for a, b, c, d in self.quads]
@@ -298,13 +299,6 @@ class _QuadTable:
         return GenStep("edge", (), q, added, added)
 
 
-def _quad_table(h: Graph) -> _QuadTable:
-    """h's K4 table, after refusing a graph above the vertex cap."""
-    if sum(1 for u in range(h.n) if h.adj[u]) > _VERTEX_CAP:
-        raise ParameterError(f"stretched-sequence search capped at {_VERTEX_CAP} vertices")
-    return _QuadTable(h)
-
-
 def find_stretched_sequence(h: Graph, node_budget: int = _SEQUENCE_BUDGET) -> GeneratingSequence:
     """A generating sequence for h minimising gamma, then maximising length.
 
@@ -312,23 +306,28 @@ def find_stretched_sequence(h: Graph, node_budget: int = _SEQUENCE_BUDGET) -> Ge
     compete.  Since v and e are fixed, gamma = e - 3v + const + alpha, so the
     search minimises the number of standard steps, then maximises steps.
     """
-    return _search(_quad_table(h), node_budget)
+    return _search(h, node_budget)[1]
 
 
-def _search(tab: _QuadTable, node_budget: int) -> GeneratingSequence:
-    """`find_stretched_sequence` on h's table.
+def _search(h: Graph, node_budget: int) -> tuple[_QuadTable, GeneratingSequence]:
+    """h's K4 table and `find_stretched_sequence(h)`.  A graph above the
+    vertex cap is refused before its K4 copies are listed.
 
     Each node makes one pass over the K4 copies and keeps the applicable
     one minimising (alpha, -steps, rank, copy index), rank 0, 1 or 2 for a
     standard, vertex- or edge-step (2, 3 or 4 present vertices): ties go to
     standard steps, then vertex-steps, then edge-steps, each in copy order.
-    Every reachable edge mask counts one node against the budget.
+    Each visit to an unmemoised or dead edge mask counts one node against
+    the budget: a dead mask memoises as None, which reads as a miss, so it
+    is expanded again each time it is reached.
 
     The recursion in `rec` stays far below Python's limit: every step adds
     at least one edge, so it nests at most m deep, and the cap of
     _VERTEX_CAP = 14 vertices bounds m by 91.
     """
-    h = tab.h
+    if sum(1 for u in range(h.n) if h.adj[u]) > _VERTEX_CAP:
+        raise ParameterError(f"stretched-sequence search capped at {_VERTEX_CAP} vertices")
+    tab = _QuadTable(h)
     if not tab.is_tiled():
         raise ParameterError("graph is not K4-tiled")
     k5s = tab.k5s()
@@ -387,7 +386,7 @@ def _search(tab: _QuadTable, node_budget: int) -> GeneratingSequence:
         steps.append(tab.materialize(mask, vset, qi))
         vset |= tab.vmask[qi]
         mask = nm
-    return GeneratingSequence(tuple(base), tuple(steps), h.n)
+    return tab, GeneratingSequence(tuple(base), tuple(steps), h.n)
 
 
 def random_tiled_graph(rng: random.Random, max_vertices: int = 12,
@@ -485,7 +484,7 @@ def _partial_colouring(h: Graph, seq: GeneratingSequence, *, suppress=frozenset(
     `EdgeColouring.would_clash`) and written with one `assign_many`.
     """
     col: dict = {}
-    at = [set() for _ in range(h.n)]  # at[x]: the colours on x's coloured edges
+    at = defaultdict(set)  # at[x]: the colours on x's coloured edges
     fresh = 0
 
     def paint(colour, *edges):
@@ -636,8 +635,7 @@ def colour_tiled(h: Graph):
     f = phi(h)
     if f > PHI_CEILING:
         raise OutOfRegime(f"phi = {f} > {PHI_CEILING}", offending=h)
-    tab = _quad_table(h)
-    seq = _search(tab, _SEQUENCE_BUDGET)
+    tab, seq = _search(h, _SEQUENCE_BUDGET)
     for cfg in _colour_variants(seq):
         psi = _partial_colouring(h, seq, **cfg)
         psi.fill_fresh()
