@@ -16,6 +16,10 @@ each configuration the colourer may try, and the colouring and certificate
 it returns.  The `random_tiled_graph` hash covers the raw draws the corpus
 is made of, and the next `rng.random()` after each, so it pins the calls a
 draw makes on its rng as well as the graph it returns.
+The perturbed-sampler hash covers `sample_perturbed`'s two random parts on
+a grid that reaches both `sample_gnp` paths (rejection over all pairs up to
+n = 800, gap skipping at n = 3,000) in the gate's three p regimes, and
+`perturbed_cliques` of each instance, in the order it returns them.
 The lemma-sampler hash does the same for the six falsification samplers,
 seeded as `certify_lemma` seeds them: each colouring (for the surviving
 triangle, the matchings), the overlay log of a template copy, `next_colour`
@@ -32,6 +36,7 @@ import pytest
 
 from rainbowlab.avoider_k4 import avoid_k4, classify_components
 from rainbowlab.avoider_k6 import avoid_k6
+from rainbowlab.avoiders import perturbed_cliques
 from rainbowlab.colouring import colouring_to_json
 from rainbowlab.errors import OutOfRegime, SearchExhausted
 from rainbowlab.graph import Graph
@@ -49,7 +54,7 @@ from rainbowlab.lemma_lab import (
     spoked_fan_instance,
     triangle_pair_instance,
 )
-from rainbowlab.model import PerturbedInstance, sample_perturbed
+from rainbowlab.model import _DENSE_PAIR_CAP, PerturbedInstance, sample_perturbed
 from rainbowlab.tiled_k8 import (
     _colour_variants,
     _partial_colouring,
@@ -112,6 +117,33 @@ def test_avoid_k6_colour_ids_with_m0_m2_blocks():
 def test_avoid_k8_perturbed_colour_ids(n, seed, expected):
     inst = sample_perturbed(n, n ** -0.45, np.random.default_rng([seed, 0]))
     assert digest(avoid_k8_perturbed(inst)) == expected
+
+
+# (name, p(n), clique orders): the K4 sweep's two densities, the K6 and the
+# K8 sweep's; each regime hashes the cliques of its own order and of the
+# larger ones, which are mostly empty there.  At n = 50 every regime hashes
+# all three orders, so cliques split between the sides in several ways.
+P_REGIMES = [
+    ("k4-c0.3", lambda n: 0.3 * n ** -1.25, (4, 6, 8)),
+    ("k4-c0.7", lambda n: 0.7 * n ** -1.25, (4, 6, 8)),
+    ("k6", lambda n: n ** -0.7, (6, 8)),
+    ("k8", lambda n: n ** -0.45, (8,)),
+]
+
+
+def test_perturbed_sampler_edges_and_cliques():
+    assert 800 * 799 // 2 <= _DENSE_PAIR_CAP < 3000 * 2999 // 2
+    h = hashlib.sha256()
+    for n in (50, 400, 800, 3000):
+        for name, p, orders in P_REGIMES:
+            for trial in range(2):
+                inst = sample_perturbed(n, p(n), np.random.default_rng([n, trial]))
+                h.update(json.dumps([n, name, trial, inst.left.edges,
+                                     inst.right.edges]).encode())
+                for r in orders if n > 50 else (4, 6, 8):
+                    h.update(json.dumps([r, perturbed_cliques(inst, r)]).encode())
+    assert h.hexdigest() == (
+        "65a47aac69cacf53728392b754e4831d2f66670bd21484863fb01c598807dd31")
 
 
 def test_colour_tiled_colour_ids_and_certificates():
