@@ -25,7 +25,6 @@ from .model import PerturbedInstance
 
 __all__ = [
     "Component",
-    "classify_components",
     "colour_inside",
     "cross_table",
     "avoid_k4",
@@ -75,6 +74,9 @@ def _classify_one(sub: Graph, back: list[int]) -> Component:
 
 
 def classify_components(random_edges: Graph) -> list[Component]:
+    """Every component of the random part, K1s included, classified.
+    `avoid_k4` classifies through `_roles` instead, which makes no
+    `Component` for an isolated vertex."""
     return [_classify_one(sub, back) for sub, back in components(random_edges)]
 
 
@@ -218,16 +220,27 @@ def _block_tables() -> tuple[np.ndarray, np.ndarray]:
 _BLOCK_SIZES, _BLOCK_OFFSETS = _block_tables()
 
 
-def _roles(comps: list[Component], n: int):
-    """Kind index of each component, and the component and role position
-    of each of the n (part-local) vertices."""
-    kind = np.array([_KIND_INDEX[c.kind] for c in comps], dtype=np.int64)
-    comp = np.empty(n, dtype=np.int64)
-    role = np.empty(n, dtype=np.int64)
-    for i, c in enumerate(comps):
-        comp[list(c.vertices)] = i
-        role[list(c.vertices)] = range(len(c.vertices))
-    return kind, comp, role
+def _roles(part: Graph) -> tuple[list[Component], np.ndarray, np.ndarray, np.ndarray]:
+    """The part's components other than K1s, the kind index of every
+    component, and the component and role position of each vertex.  An
+    isolated vertex is a K1 at role 0 and gets no `Component`."""
+    shaped: list[Component] = []
+    kind = []
+    comp = [0] * part.n
+    role = [0] * part.n
+    for i, (sub, back) in enumerate(components(part)):
+        if sub.n == 1:
+            kind.append(_KIND_INDEX["K1"])
+            comp[back[0]] = i
+            continue
+        c = _classify_one(sub, back)
+        shaped.append(c)
+        kind.append(_KIND_INDEX[c.kind])
+        for r, v in enumerate(c.vertices):
+            comp[v] = i
+            role[v] = r
+    return (shaped, np.array(kind, dtype=np.int64), np.array(comp, dtype=np.int64),
+            np.array(role, dtype=np.int64))
 
 
 def avoid_k4(instance: PerturbedInstance) -> EdgeColouring:
@@ -242,8 +255,8 @@ def avoid_k4(instance: PerturbedInstance) -> EdgeColouring:
     its table offset.
     """
     off = instance.u_size
-    left = classify_components(instance.left)
-    right = classify_components(instance.right)
+    left, kind_l, comp_l, role_l = _roles(instance.left)
+    right, kind_r, comp_r, role_r = _roles(instance.right)
     psi = EdgeColouring(instance.graph())
     inside = {}
     for comp in left:
@@ -253,8 +266,6 @@ def avoid_k4(instance: PerturbedInstance) -> EdgeColouring:
             Component(comp.kind, tuple(v + off for v in comp.vertices))))
     psi.assign_many(inside, inside.values())
 
-    kind_l, comp_l, role_l = _roles(left, off)
-    kind_r, comp_r, role_r = _roles(right, instance.w_size)
     # A sparse perturbation has about as many component pairs as cross
     # edges, so each array below is as large as the colouring's block; they
     # are updated in place and dropped early, two alive at a time.

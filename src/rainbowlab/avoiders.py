@@ -28,10 +28,41 @@ __all__ = ["AVOIDERS", "attempt", "perturbed_cliques", "validate"]
 AVOIDERS = {4: avoid_k4, 5: avoid_k4, 6: avoid_k6, 7: avoid_k6, 8: avoid_k8_perturbed}
 
 
-def _side_cliques(part: Graph, k: int, shift: int) -> list[tuple[int, ...]]:
-    if k == 0:
-        return [()]
-    return [tuple(v + shift for v in c) for c in part.cliques(k)]
+def _side_levels(part: Graph, r: int) -> list:
+    """One side's cliques by size: entry s holds the s-cliques, for s from
+    0 up to r or to the last size the side has.  A graph with no K_s has no
+    K_(s+1), so the first empty size ends the list and no larger size is
+    searched.  Entry 1, one clique per vertex, is the range of the
+    vertices; `_pair_levels` makes it tuples only where it pairs."""
+    if not part.n:
+        return [[()]]
+    levels = [[()], range(part.n)]
+    for s in range(2, r + 1):
+        found = part.cliques(s)
+        if not found:
+            break
+        levels.append(found)
+    return levels
+
+
+def _shifted(level, off: int) -> list[tuple[int, ...]]:
+    """One entry of `_side_levels` as vertex tuples, ids shifted by off."""
+    if isinstance(level, range):
+        return [(v + off,) for v in level]
+    return [tuple([v + off for v in c]) for c in level] if off else level
+
+
+def _pair_levels(left: list, right: list, r: int, off: int) -> list[tuple[int, ...]]:
+    """Every union of a left k-clique and a right (r - k)-clique, the right
+    ids shifted by off: k rising, then the right clique, then the left one,
+    each side in its own order.  Only sizes that pair are made tuples."""
+    out = []
+    for k in range(max(0, r + 1 - len(right)), min(r, len(left) - 1) + 1):
+        lows = _shifted(left[k], 0)
+        for high in _shifted(right[r - k], off):
+            for low in lows:
+                out.append(low + high)
+    return out
 
 
 def perturbed_cliques(instance: PerturbedInstance, r: int) -> list[tuple[int, ...]]:
@@ -39,18 +70,15 @@ def perturbed_cliques(instance: PerturbedInstance, r: int) -> list[tuple[int, ..
 
     The seed is complete bipartite, so an r-set is a clique exactly when
     its intersection with each side is a clique of that side's random
-    graph; enumerating side-clique pairs is exhaustive.
+    graph; pairing every left k-clique with every right (r - k)-clique is
+    exhaustive.  Each side is searched one size at a time and only up to
+    its first empty size, which loses nothing: a side without a K_s has no
+    larger clique, so no pair needs one.  A size is listed as cliques of
+    the perturbed graph only when the other side has cliques of the
+    complementary size.
     """
     off = instance.u_size
-    out = []
-    for k in range(r + 1):
-        left = _side_cliques(instance.left, k, 0)
-        if not left:
-            continue
-        for right in _side_cliques(instance.right, r - k, off):
-            for a in left:
-                out.append(a + right)
-    return out
+    return _pair_levels(_side_levels(instance.left, r), _side_levels(instance.right, r), r, off)
 
 
 def _colours(psi: EdgeColouring, vs) -> list:
@@ -71,11 +99,12 @@ def validate(instance: PerturbedInstance, psi: EdgeColouring, ell: int) -> str |
         return "colouring not total"
     if not is_proper(instance.graph(), psi):
         return "colouring not proper"
+    off = instance.u_size
+    left = _side_levels(instance.left, ell)
+    right = _side_levels(instance.right, ell)
     if ell == 8:
-        off = instance.u_size
-        for part, shift in ((instance.left, 0), (instance.right, off)):
-            for quad in part.cliques(4):
-                vs = tuple(v + shift for v in quad)
+        for levels, shift in ((left, 0), (right, off)):
+            for vs in _shifted(levels[4], shift) if len(levels) > 4 else ():
                 cols = _colours(psi, vs)
                 if len(set(cols)) == 6 and RED not in cols:
                     return f"rainbow K4 without red at {vs}"
@@ -83,7 +112,7 @@ def validate(instance: PerturbedInstance, psi: EdgeColouring, ell: int) -> str |
     # has four vertices in one half, so a rainbow K8 holds a side rainbow
     # K4 without RED and the red-cover check above has already returned.
     pairs = ell * (ell - 1) // 2
-    for vs in perturbed_cliques(instance, ell):
+    for vs in _pair_levels(left, right, ell, off):
         if len(set(_colours(psi, vs))) == pairs:
             return f"rainbow K{ell} at {vs}"
     return None

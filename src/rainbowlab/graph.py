@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
@@ -66,6 +67,13 @@ def bits(mask: int):
         mask ^= low
 
 
+def _check_size(n: int) -> None:
+    """A vertex count is a list length, so it must fit an index; checked
+    before anything of that size is built."""
+    if n > sys.maxsize:
+        raise ParameterError(f"vertex count must be at most {sys.maxsize}, got {n}")
+
+
 class Graph:
     """Immutable undirected simple graph.
 
@@ -79,6 +87,7 @@ class Graph:
     def __init__(self, n: int, edges):
         if n < 0:
             raise ParameterError(f"vertex count must be >= 0, got {n}")
+        _check_size(n)
         adj = [0] * n
         norm = []
         seen = set()
@@ -164,40 +173,57 @@ class Graph:
     def iter_cliques(self, r: int):
         """Yield every r-clique as a sorted vertex tuple, in lexicographic
         order: the one clique search.  A caller that only asks whether a
-        clique exists stops at the first with `next(..., None)`."""
+        clique exists stops at the first with `next(..., None)`.
+
+        The search is rooted at each clique's least vertex, and only at
+        vertices of degree at least r - 1, the only ones an r-clique can
+        hold: on a sparse graph it pays a degree test for each vertex and a
+        search for each vertex with enough neighbours, and skipping a root
+        that yields nothing keeps the order."""
         if r < 1:
             raise ParameterError("clique order must be >= 1")
         if r > self.n:  # also keeps the stack below as small as the graph
             return
         adj = self.adj
-        # cur holds the clique so far; cands[d] is the bitset of vertices
-        # still to try at depth d, lowest first: the common neighbours of
-        # cur[:d] above cur[d - 1].
-        cur: list[int] = []
+        last = r - 1
+        # cur holds the clique so far, its root first; cands[d] is the
+        # bitset of vertices still to try at depth d, lowest first: the
+        # common neighbours of cur[:d] above cur[d - 1].
         cands = [0] * r
-        cands[0] = self.vertex_mask()
-        d = 0
-        while d >= 0:
-            cand = cands[d]
-            if not cand:
-                d -= 1
-                if cur:
-                    cur.pop()
+        for root, row in enumerate(adj):
+            if row.bit_count() < last:
                 continue
-            low = cand & -cand
-            cand ^= low
-            cands[d] = cand
-            v = low.bit_length() - 1
-            if d == r - 1:
-                yield (*cur, v)
-            else:
-                cur.append(v)
-                d += 1
-                cands[d] = cand & adj[v]
+            if not last:
+                yield (root,)
+                continue
+            cur = [root]
+            cands[1] = (row >> (root + 1)) << (root + 1)
+            d = 1
+            while d:
+                cand = cands[d]
+                if not cand:
+                    d -= 1
+                    cur.pop()
+                    continue
+                low = cand & -cand
+                cand ^= low
+                cands[d] = cand
+                v = low.bit_length() - 1
+                if d == last:
+                    yield (*cur, v)
+                else:
+                    cur.append(v)
+                    d += 1
+                    cands[d] = cand & adj[v]
 
     def cliques(self, r: int) -> list[tuple[int, ...]]:
         """All r-cliques as sorted vertex tuples."""
         return list(self.iter_cliques(r))
+
+
+# The one-vertex graph that every isolated vertex's component shares (a
+# Graph is immutable).
+_K1 = Graph(1, ())
 
 
 @dataclass(frozen=True)
@@ -217,24 +243,28 @@ def empty_graph(n: int) -> Graph:
 def clique(r: int) -> Graph:
     if r < 1:
         raise ParameterError(f"Clique order must be >= 1, got {r}")
+    _check_size(r)
     return Graph(r, list(combinations(range(r), 2)))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 0 or b < 0:
         raise ParameterError("CompleteBipartite parts must be >= 0")
+    _check_size(a + b)
     return Graph(a + b, [(u, a + w) for u in range(a) for w in range(b)])
 
 
 def path_graph(k: int) -> Graph:
     if k < 1:
         raise ParameterError(f"Path needs >= 1 vertex, got {k}")
+    _check_size(k)
     return Graph(k, [(i, i + 1) for i in range(k - 1)])
 
 
 def star(k: int) -> Graph:
     if k < 0:
         raise ParameterError("Star leaf count must be >= 0")
+    _check_size(k + 1)
     return Graph(k + 1, [(0, i) for i in range(1, k + 1)])
 
 
@@ -309,6 +339,7 @@ def t_graph(k: int) -> Graph:
     """k vertex-disjoint triangles glued at a single hub vertex."""
     if k < 1:
         raise ParameterError(f"T(k) needs k >= 1, got {k}")
+    _check_size(2 * k + 1)
     edges = []
     for i in range(1, k + 1):
         a, b = 2 * i - 1, 2 * i
@@ -320,6 +351,7 @@ def k_delta(s: int, t: int) -> Graph:
     """Star with s spokes, each spoke edge carrying t pendant triangles."""
     if s < 1 or t < 0:
         raise ParameterError(f"KDelta needs s >= 1, t >= 0, got ({s},{t})")
+    _check_size(1 + s + s * t)
     edges = [(0, i) for i in range(1, s + 1)]
     for i in range(1, s + 1):
         for j in range(1, t + 1):
@@ -538,14 +570,15 @@ def _enumerate_disconnected(g: Graph, comps) -> list[tuple[int, ...]]:
 
 
 def components(g: Graph) -> list[tuple[Graph, list[int]]]:
-    """Connected components with back-maps to original vertex ids."""
+    """Connected components with back-maps to original vertex ids.  Every
+    isolated vertex gets the one shared K1 graph."""
     seen = 0
     out = []
     for v in range(g.n):
         if seen >> v & 1:
             continue
         if not g.adj[v]:  # isolated: no induced-edge scan
-            out.append((Graph(1, ()), [v]))
+            out.append((_K1, [v]))
             continue
         comp = 1 << v
         frontier = 1 << v

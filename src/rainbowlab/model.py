@@ -14,6 +14,7 @@ stream, and no result depends on the order in which trials run.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,19 +31,29 @@ _DENSE_PAIR_CAP = 4_000_000
 
 
 def sample_gnp(n: int, p: float, rng: np.random.Generator) -> Graph:
+    return Graph(n, _gnp_edges(n, p, rng))
+
+
+def _gnp_edges(n: int, p: float, rng: np.random.Generator) -> list[tuple[int, int]]:
+    """The edges of one G(n,p) draw, sorted.
+
+    Up to `_DENSE_PAIR_CAP` pairs, one uniform draw per pair, compared
+    with p; above it, geometric gaps between hits.  Either way the hit
+    pair indices are decoded by `_decode_pairs`, so past the draw the
+    cost follows the edges, not the n^2 pairs.
+    """
     if n < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
+    if n > sys.maxsize:
+        raise ParameterError(f"n must be at most {sys.maxsize}, got {n}")
     if not (0.0 <= p <= 1.0):
         raise ParameterError(f"p must be a probability, got {p}")
     pairs = n * (n - 1) // 2
     if pairs == 0 or p == 0.0:
-        return Graph(n, [])
+        return []
     if pairs <= _DENSE_PAIR_CAP:
-        hits = rng.random(pairs) < p
-        us, vs = np.triu_indices(n, k=1)
-        edges = list(zip(us[hits].tolist(), vs[hits].tolist()))
-        return Graph(n, edges)
-    return Graph(n, _sparse_gnp_edges(n, pairs, p, rng))
+        return _decode_pairs(n, np.flatnonzero(rng.random(pairs) < p))
+    return _sparse_gnp_edges(n, pairs, p, rng)
 
 
 def _sparse_gnp_edges(n: int, pairs: int, p: float, rng: np.random.Generator):
@@ -57,9 +68,11 @@ def _sparse_gnp_edges(n: int, pairs: int, p: float, rng: np.random.Generator):
         if cumulative[-1] >= pairs:
             break
         pos = int(cumulative[-1])
-    t = np.concatenate(chunks)
-    if t.size == 0:
-        return []
+    return _decode_pairs(n, np.concatenate(chunks))
+
+
+def _decode_pairs(n: int, t: np.ndarray) -> list[tuple[int, int]]:
+    """The pairs (u, v), u < v, with the increasing pair indices t."""
     # Pairs (u, v), u < v, are ranked lexicographically; the first index
     # with left endpoint u is C(u) = u*(2n - u - 1)/2.  Invert with a
     # float estimate, then correct the rounding.
@@ -109,10 +122,10 @@ def sample_perturbed(n: int, p: float, rng: np.random.Generator) -> PerturbedIns
     (cross edges are already in the seed)."""
     if n < 2:
         raise ParameterError(f"perturbed model needs n >= 2, got {n}")
-    full = sample_gnp(n, p, rng)
+    edges = _gnp_edges(n, p, rng)
     u = n // 2
-    left_edges = [(a, b) for a, b in full.edges if b < u]
-    right_edges = [(a - u, b - u) for a, b in full.edges if a >= u]
+    left_edges = [(a, b) for a, b in edges if b < u]
+    right_edges = [(a - u, b - u) for a, b in edges if a >= u]
     return PerturbedInstance(
         n=n, p=p, left=Graph(u, left_edges), right=Graph(n - u, right_edges)
     )

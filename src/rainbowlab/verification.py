@@ -210,6 +210,9 @@ def check_avoid_k6(seed: int, budget: str = "quick", threads: int = 1) -> CheckR
 # -- criterion 4: K4-tiled corpus ------------------------------------------------
 
 
+_K4 = clique(4)
+
+
 def check_tiled_corpus(seed: int, budget: str = "quick", threads: int = 1) -> CheckResult:
     """K4-tiled corpus audit; ``threads`` is accepted and starts no threads."""
     corpus_size = 10_000 if budget == "full" else 1_000
@@ -228,7 +231,7 @@ def check_tiled_corpus(seed: int, budget: str = "quick", threads: int = 1) -> Ch
             problems.append(f"graph {index}: colouring not total+proper")
         if not certificate_allowed(cert, f):
             problems.append(f"graph {index}: certificate {cert.kind} not allowed for phi={f}")
-        quads = rainbow_copies(g, psi, clique(4))
+        quads = rainbow_copies(g, psi, _K4)
         if not certificate_covers(cert, quads):
             problems.append(f"graph {index}: certificate {cert.kind} unsound")
         if index < resolve_size:

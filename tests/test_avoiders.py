@@ -148,10 +148,24 @@ def test_side_rainbow_k4_with_red_passes():
     assert validate(inst, psi, 8) is None
 
 
+K4_AND_TRIANGLE = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]
+
+
+def brute_force_instances():
+    """Dense sides, sides of mostly isolated vertices, and a K4 with a
+    triangle beside isolated vertices against an empty side, both ways."""
+    for trial in range(3):
+        yield sample_perturbed(12, 0.5, np.random.default_rng([5, trial]))
+    for trial in range(3):
+        yield sample_perturbed(20, 0.1, np.random.default_rng([6, trial]))
+    yield PerturbedInstance(18, 0.0, Graph(9, K4_AND_TRIANGLE), empty_graph(9))
+    yield PerturbedInstance(17, 0.0, empty_graph(8), Graph(9, K4_AND_TRIANGLE))
+
+
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("trial", range(3))
-def test_perturbed_cliques_match_brute_force(r, trial):
-    inst = sample_perturbed(12, 0.5, np.random.default_rng([5, trial]))
+@pytest.mark.parametrize("index", range(8))
+def test_perturbed_cliques_match_brute_force(r, index):
+    inst = list(brute_force_instances())[index]
     g = inst.graph()
     expected = {
         vs for vs in combinations(range(g.n), r)
@@ -160,6 +174,14 @@ def test_perturbed_cliques_match_brute_force(r, trial):
     found = perturbed_cliques(inst, r)
     assert len(found) == len(set(found))
     assert {tuple(sorted(vs)) for vs in found} == expected
+    # left part size first, then the right part, then the left part
+    off = inst.u_size
+
+    def key(vs):
+        low = tuple(v for v in vs if v < off)
+        return len(low), vs[len(low):], low
+
+    assert found == sorted(found, key=key)
 
 
 def test_k4_trial_memory_does_not_grow_with_the_join():

@@ -143,6 +143,24 @@ class TestUsageErrors:
         assert out == ""
         assert "trials must be >= 1" in err
 
+    @pytest.mark.parametrize("command", [
+        ("construct", "--graph", "K99999999999999999999"),
+        ("construct", "--graph", "Empty(99999999999999999999)"),
+        ("construct", "--graph", "CompleteBipartite(99999999999999999999,1)"),
+        ("construct", "--graph", "Star(99999999999999999999)"),
+        ("construct", "--graph", "KDelta(1,99999999999999999999)"),
+        ("avoid-k4", "--n", "99999999999999999999", "--p", "0.001"),
+        ("scan", "--mode", "avoider-success-rate", "--ell", "4",
+         "--n", "99999999999999999999", "--p", "0.001", "--trials", "1"),
+    ])
+    def test_vertex_count_beyond_an_index(self, capsys, command):
+        """Refused before anything of that size is built (these raised
+        OverflowError or numpy's ValueError, or looped without end)."""
+        rc, out, err = run(capsys, *command)
+        assert rc == 3
+        assert out == ""
+        assert "must be at most" in err
+
 
 # -- internal errors -> exit 4 ------------------------------------------------
 
