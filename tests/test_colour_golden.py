@@ -15,7 +15,10 @@ on corpus seeds 1-3 and on unfiltered draws: the sequence, the replay of
 each configuration the colourer may try, and the colouring and certificate
 it returns.  The `random_tiled_graph` hash covers the raw draws the corpus
 is made of, and the next `rng.random()` after each, so it pins the calls a
-draw makes on its rng as well as the graph it returns.
+draw makes on its rng as well as the graph it returns; a second draw hash
+does the same for long draws on up to 40 vertices, whose index draws over
+more than 21 vertices take `Random.sample`'s set branch.  The corpus-draw
+hash pins `corpus_graph`'s graphs with the number of draws each took.
 The perturbed-sampler hash covers `sample_perturbed`'s two random parts on
 a grid that reaches both `sample_gnp` paths (rejection over all pairs up to
 n = 800, gap skipping at n = 3,000) in the gate's three p regimes, and
@@ -218,6 +221,31 @@ def test_random_tiled_graph_draws():
                 h.update(json.dumps([g.n, g.edges, rng.random()]).encode())
     assert h.hexdigest() == (
         "b21403da68a113979f56af4087062ec06f2cfe549233115de97d9e06cc14af80")
+
+
+def test_random_tiled_graph_long_draws():
+    h = hashlib.sha256()
+    top = 0
+    for max_vertices in (24, 32, 40):
+        for steps in (10, 14, 18):
+            for seed in range(40):
+                rng = random.Random(f"wide:{max_vertices}:{steps}:{seed}")
+                g = random_tiled_graph(rng, max_vertices=max_vertices, steps=steps)
+                top = max(top, g.n)
+                h.update(json.dumps([g.n, g.edges, rng.random()]).encode())
+    assert top == 28
+    assert h.hexdigest() == (
+        "bd94a97f7d5baebfea85286343fbd265998fdf2db5bd6a1a6b4c83b61dfa1cbd")
+
+
+def test_corpus_graphs_and_draw_counts():
+    h = hashlib.sha256()
+    for seed in (1, 2, 3):
+        for index in range(1000):
+            g, draws = corpus_graph(seed, index)
+            h.update(json.dumps([g.n, g.edges, draws]).encode())
+    assert h.hexdigest() == (
+        "3a9268a2adba507a433b714bd4db565bf1c7bf74e32fa061d9d835eb1c4d6d0c")
 
 
 # name, scaffold, sampler, trials per seed (a K6/K7 colouring has 20k-36k
