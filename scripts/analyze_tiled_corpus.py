@@ -18,6 +18,8 @@ def main(argv=None) -> int:
     parser.add_argument("--size", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    if args.size < 1:
+        parser.error(f"--size must be at least 1, got {args.size}")
 
     table: Counter = Counter()
     attempts = 0

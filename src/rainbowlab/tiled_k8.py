@@ -389,14 +389,57 @@ def _search(h: Graph, node_budget: int) -> tuple[_QuadTable, GeneratingSequence]
     return tab, GeneratingSequence(tuple(base), tuple(steps), h.n)
 
 
-def random_tiled_graph(rng: random.Random, max_vertices: int = 12,
-                       steps: int = 6) -> Graph:
-    """A random K4-tiled graph built by applying random growth steps to K4.
+def _index_draws(rng: random.Random):
+    """`below(m)`, a uniform index in range(m), and `sample(n, k)`, k <= 5
+    distinct indices in range(n), reading `rng.getrandbits` directly, word
+    for word as CPython's `Random.choice` and `Random.sample(range(n), k)`
+    read it, so rng sees the same calls as through those wrappers.
+
+    `below` is `Random._randbelow_with_getrandbits`: it draws
+    m.bit_length() bits until the value is below m.  `sample` follows
+    `Random.sample` for k <= 5: while n <= 21 it swaps picks out of a pool,
+    above that it redraws repeats.
+    """
+    getrandbits = rng.getrandbits
+
+    def below(m):
+        width = m.bit_length()
+        r = getrandbits(width)
+        while r >= m:
+            r = getrandbits(width)
+        return r
+
+    def sample(n, k):
+        out = []
+        if n <= 21:
+            pool = list(range(n))
+            for i in range(k):
+                j = below(n - i)
+                out.append(pool[j])
+                pool[j] = pool[n - i - 1]
+        else:
+            for _ in range(k):
+                j = below(n)
+                while j in out:
+                    j = below(n)
+                out.append(j)
+        return out
+
+    return below, sample
+
+
+def _tiled_draw(rng: random.Random, max_vertices: int, steps: int) -> tuple[int, set]:
+    """Vertex count and edge set of one random K4-tiled draw: random growth
+    steps applied to K4.
 
     Every step's new K4 shares an edge with the current graph, so the result
-    is K4-tiled by construction.  Adjacency bitmasks kept beside the edge
-    set answer the steps' edge tests.
+    is K4-tiled by construction, and every vertex lies in a K4.  Adjacency
+    bitmasks kept beside the edge set answer the steps' edge tests.  Each
+    choice of a step kind or an anchor edge is `seq[below(len(seq))]`, as
+    `Random.choice(seq)` is, and each vertex tuple a `sample` of range(n),
+    so the rng stream is the one the stdlib wrappers drew.
     """
+    below, sample = _index_draws(rng)
     edges = set(_pairs(range(4)))
     adj = [0b1110, 0b1101, 0b1011, 0b0111] + [0] * max_vertices
     n = 4
@@ -413,22 +456,23 @@ def random_tiled_graph(rng: random.Random, max_vertices: int = 12,
             kinds.append("standard")
         if n + 1 > max_vertices:
             kinds.remove("vertex")
-        kind = rng.choice(kinds)
+        kind = kinds[below(len(kinds))]
         if kind == "standard":
-            z, w = rng.choice(sorted(edges))
+            anchors = sorted(edges)
+            z, w = anchors[below(len(anchors))]
             x, y = n, n + 1
             add_clique((x, y, z, w))  # (z, w) is already an edge
             n += 2
         elif kind == "vertex":
             while True:
-                y, z, w = rng.sample(range(n), 3)
+                y, z, w = sample(n, 3)
                 if (adj[y] | adj[z]) >> w & 1 or adj[y] >> z & 1:
                     break
             add_clique((n, y, z, w))
             n += 1
         else:
             for _attempt in range(30):
-                quad = rng.sample(range(n), 4)
+                quad = sample(n, 4)
                 a, b, c, d = quad
                 present = ((adj[a] & (1 << b | 1 << c | 1 << d)).bit_count()
                            + (adj[b] & (1 << c | 1 << d)).bit_count()
@@ -436,7 +480,21 @@ def random_tiled_graph(rng: random.Random, max_vertices: int = 12,
                 if 1 <= present <= 5:
                     add_clique(quad)
                     break
-    return Graph(n, sorted(edges))
+    return n, edges
+
+
+def random_tiled_graph(rng: random.Random, max_vertices: int = 12,
+                       steps: int = 6) -> Graph:
+    """A random K4-tiled graph built by applying `steps` random growth steps
+    to K4, on at most `max_vertices` vertices.
+
+    The draw reads generator words exactly as `Random.choice` and
+    `Random.sample` would (see `_index_draws`), so a seeded rng gives the
+    same graphs, and is left in the same state, as when the steps called
+    those wrappers; golden draw hashes pin both.
+    """
+    n, edges = _tiled_draw(rng, max_vertices, steps)
+    return Graph(n, edges)
 
 
 def corpus_graph(seed: int, index: int) -> tuple[Graph, int]:
@@ -445,14 +503,16 @@ def corpus_graph(seed: int, index: int) -> tuple[Graph, int]:
 
     Mixed step counts diversify the deficiency classes; draws with phi
     above PHI_CEILING fall outside the certificate classes and are redrawn.
+    phi is decided on the raw draw, where every vertex lies in a K4, so
+    phi = 8 - 5 n + 2 |E|, and only the kept draw becomes a `Graph`.
     """
     rng = random.Random(f"corpus:{seed}:{index}")
     draws = 0
     while True:
         draws += 1
-        g = random_tiled_graph(rng, steps=rng.randint(1, 6))
-        if phi(g) <= PHI_CEILING:
-            return g, draws
+        n, edges = _tiled_draw(rng, max_vertices=12, steps=rng.randint(1, 6))
+        if 8 - 5 * n + 2 * len(edges) <= PHI_CEILING:
+            return Graph(n, edges), draws
 
 
 # -- partial colouring -----------------------------------------------------

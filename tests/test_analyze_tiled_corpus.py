@@ -4,6 +4,8 @@ certificate kind over a random tiled corpus."""
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "analyze_tiled_corpus.py"
 
 
@@ -23,3 +25,13 @@ def test_corpus_table_counts_every_graph(capsys):
     *kinds, total = rows["all"]
     assert sum(kinds) == total == 40
     assert sum(row[-1] for f, row in rows.items() if f != "all") == 40
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_corpus_size_below_one_is_a_usage_error(size, capsys):
+    with pytest.raises(SystemExit) as exc:
+        load_script().main(["--size", size])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--size must be at least 1, got {size}" in captured.err

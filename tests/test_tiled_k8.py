@@ -36,6 +36,7 @@ from rainbowlab.tiled_k8 import (
     CoverCertificate,
     GeneratingSequence,
     _cover_certificate,
+    _index_draws,
     _partial_colouring,
     _QuadTable,
     avoid_k8,
@@ -334,6 +335,58 @@ def test_random_tiled_graph_always_tiled():
             find_stretched_sequence(g, node_budget=1)
         except SearchExhausted:
             pass  # tiled; only the search was cut short
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_index_draws_match_random_sample_and_choice(seed):
+    """The draw's index helpers read the generator as `Random.sample` over
+    range(n) and `Random.choice` do: the same indices, and the same next
+    `random()` after them, for every k <= 5 the pool branch (n <= 21) and
+    the set branch take.  An interpreter whose sample or choice draws
+    differently fails here by name, before any golden hash does."""
+    ours, ref = random.Random(f"index:{seed}"), random.Random(f"index:{seed}")
+    below, sample = _index_draws(ours)
+    for n in range(1, 41):
+        for k in range(1, min(5, n) + 1):
+            for _ in range(4):
+                assert sample(n, k) == ref.sample(range(n), k), (n, k)
+                assert ours.random() == ref.random(), (n, k)
+    for length in range(1, 71):
+        seq = [(length, i) for i in range(length)]
+        for _ in range(4):
+            assert seq[below(length)] == ref.choice(seq), length
+            assert ours.random() == ref.random(), length
+
+
+class NoWrappersRandom(random.Random):
+    def sample(self, *args, **kwargs):
+        raise AssertionError("tiled draw called Random.sample")
+
+    def choice(self, *args, **kwargs):
+        raise AssertionError("tiled draw called Random.choice")
+
+
+def test_tiled_draws_read_the_generator_directly(monkeypatch):
+    """A draw makes no `sample` or `choice` call, and `corpus_graph` builds
+    one Graph per returned graph, however many draws it redrew."""
+    for seed in range(20):
+        random_tiled_graph(NoWrappersRandom(seed), max_vertices=30, steps=14)
+    built = []
+
+    class CountingGraph(Graph):
+        def __init__(self, n, edges):
+            built.append(n)
+            super().__init__(n, edges)
+
+    monkeypatch.setattr("rainbowlab.tiled_k8.Graph", CountingGraph)
+    monkeypatch.setattr("rainbowlab.tiled_k8.random.Random", NoWrappersRandom)
+    redrawn = 0
+    for index in range(60):
+        built.clear()
+        g, draws = corpus_graph(8, index)
+        assert built == [g.n]
+        redrawn += draws > 1
+    assert redrawn
 
 
 # -- partial colouring --------------------------------------------------------
