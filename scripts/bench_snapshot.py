@@ -72,18 +72,14 @@ def summarise(runs: list, names: list) -> dict:
         metrics = sorted({m for rs in by_tree.values() for r in rs for m in r["metrics"]})
         row = {}
         for m in metrics:
-            def value(run):
-                return run["metrics"][m]["value"]
-
-            row[m] = {n: quartiles([value(r) for r in rs])
-                      for n, rs in by_tree.items() if rs}
+            # each checkout's runs are in pair order, so zip pairs them
+            values = {n: [r["metrics"][m]["value"] for r in rs] for n, rs in by_tree.items()}
+            row[m] = {n: quartiles(v) for n, v in values.items() if v}
             if len(names) == 2:
                 a, b = names
-                pairs = list(zip(by_tree[a], by_tree[b]))
-                row[m]["pairs_won"] = {
-                    a: sum(value(x) < value(y) for x, y in pairs),
-                    b: sum(value(y) < value(x) for x, y in pairs),
-                }
+                pairs = list(zip(values[a], values[b]))
+                row[m]["pairs_won"] = {a: sum(x < y for x, y in pairs),
+                                       b: sum(y < x for x, y in pairs)}
         out[workload] = row
     return out
 
