@@ -1,21 +1,24 @@
 #!/usr/bin/env python3
-"""Run the benchmark's four workloads on one or more checkouts and write
-what each run printed to one JSON snapshot.
+"""Run the benchmark's four workloads on a parent and a change checkout,
+ten alternating pairs each, and write what each run printed to one JSON
+snapshot.
 
-Example, a parent checkout against this one, three alternating pairs:
-    python3 scripts/bench_snapshot.py --tree parent=../parent --tree change=. \\
-        --pairs 3 --out BENCH_19.json
+Example, the parent commit checked out in ../parent against this one:
+    python3 scripts/bench_snapshot.py --parent ../parent --change . \\
+        --seed 53 --out BENCH_19.json
 
 Each run is ``python3 bench/run.py --workload W --seed S --seconds T
 --trace 0`` started in the checkout's root, so every checkout is measured
 by its own benchmark code; T is ``run_seconds`` of ``BENCHMARK.json``.
-For each run the snapshot keeps the result line (``correct``,
-``attempted``, ``failed``, ``metrics``) and the info line's ``env`` (git
-sha, nproc, versions, load average, ``reference_ms``); for each checkout,
-the line count of ``src/rainbowlab/*.py``.  Runs of one pair alternate
-which checkout goes first.  The summary gives each metric's median and
-quartiles per checkout and workload, and with two checkouts the pairs
-each one won (the lower value wins; ties count for neither).
+For each run the snapshot keeps the exit status, the result line
+(``correct``, ``attempted``, ``failed``, ``metrics``) and the info line's
+``env`` (git sha, nproc, versions, load average, ``reference_ms``); for
+each checkout, the line count of ``src/rainbowlab/*.py``.  Runs of one
+pair alternate which checkout goes first.  The summary gives each
+metric's median and quartiles per checkout and workload, and the pairs
+each checkout won (the lower value wins; ties count for neither).  A gain
+is claimed only on a seed not used while writing the change.  The exit
+status is 1 unless every run exited 0, was correct and failed nothing.
 """
 
 import argparse
@@ -27,16 +30,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("dense-join", "lemma-falsify", "tiled-search", "gate-threads")
+PAIRS = 10
 
 
-def parse_tree(text: str) -> tuple[str, Path]:
-    name, sep, path = text.partition("=")
-    if not sep or not name or not path:
-        raise argparse.ArgumentTypeError(f"expected NAME=PATH, got {text!r}")
-    root = Path(path).resolve()
+def checkout(text: str) -> Path:
+    root = Path(text).resolve()
     if not (root / "bench" / "run.py").is_file():
         raise argparse.ArgumentTypeError(f"{root} has no bench/run.py")
-    return name, root
+    return root
 
 
 def src_lines(root: Path) -> int:
@@ -58,28 +59,23 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def quartiles(values: list) -> dict:
-    if len(values) == 1:
-        return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarise(runs: list, names: list) -> dict:
+def summarise(runs: list) -> dict:
     out = {}
-    for workload in dict.fromkeys(r["workload"] for r in runs):
-        by_tree = {n: [r for r in runs if r["workload"] == workload and r["tree"] == n]
-                   for n in names}
-        metrics = sorted({m for rs in by_tree.values() for r in rs for m in r["metrics"]})
+    for workload in WORKLOADS:
+        parent = [r for r in runs if r["workload"] == workload and r["tree"] == "parent"]
+        change = [r for r in runs if r["workload"] == workload and r["tree"] == "change"]
         row = {}
-        for m in metrics:
+        for m in sorted(parent[0]["metrics"]):
             # each checkout's runs are in pair order, so zip pairs them
-            values = {n: [r["metrics"][m]["value"] for r in rs] for n, rs in by_tree.items()}
-            row[m] = {n: quartiles(v) for n, v in values.items() if v}
-            if len(names) == 2:
-                a, b = names
-                pairs = list(zip(values[a], values[b]))
-                row[m]["pairs_won"] = {a: sum(x < y for x, y in pairs),
-                                       b: sum(y < x for x, y in pairs)}
+            a = [r["metrics"][m]["value"] for r in parent]
+            b = [r["metrics"][m]["value"] for r in change]
+            row[m] = {"parent": quartiles(a), "change": quartiles(b),
+                      "pairs_won": {"parent": sum(x < y for x, y in zip(a, b)),
+                                    "change": sum(y < x for x, y in zip(a, b))}}
         out[workload] = row
     return out
 
@@ -87,40 +83,35 @@ def summarise(runs: list, names: list) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--tree", type=parse_tree, action="append", required=True,
-                        help="NAME=PATH of a checkout to measure (repeatable)")
-    parser.add_argument("--workload", choices=WORKLOADS, action="append",
-                        help="workload to run (repeatable; default all four)")
-    parser.add_argument("--seed", type=int, default=19)
-    parser.add_argument("--pairs", type=int, default=1,
-                        help="runs of each checkout per workload")
+    parser.add_argument("--parent", type=checkout, required=True,
+                        help="checkout of the parent commit")
+    parser.add_argument("--change", type=checkout, required=True,
+                        help="checkout of the change")
+    parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    names = [name for name, _ in args.tree]
-    if len(set(names)) != len(names):
-        parser.error("checkout names must differ")
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    trees = {"parent": args.parent, "change": args.change}
 
     runs = []
-    for workload in args.workload or WORKLOADS:
-        for pair in range(args.pairs):
-            order = args.tree if pair % 2 == 0 else args.tree[::-1]
-            for name, root in order:
-                run = run_once(root, workload, args.seed, seconds)
+    for workload in WORKLOADS:
+        for pair in range(PAIRS):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for name in order:
+                run = run_once(trees[name], workload, args.seed, seconds)
                 runs.append({"tree": name, "pair": pair, **run})
                 print(json.dumps({k: runs[-1][k] for k in ("tree", "workload", "pair",
-                                                          "correct", "metrics")}),
+                                                          "exit", "correct", "metrics")}),
                       flush=True)
     snapshot = {
         "command": f"bench/run.py --seed {args.seed} --seconds {seconds} --trace 0",
-        "trees": {name: {"src_lines": src_lines(root)} for name, root in args.tree},
-        "summary": summarise(runs, names),
+        "trees": {name: {"src_lines": src_lines(root)} for name, root in trees.items()},
+        "summary": summarise(runs),
         "runs": runs,
     }
     args.out.write_text(json.dumps(snapshot, indent=1) + "\n")
-    return 0 if all(r["correct"] for r in runs) else 1
+    clean = all(r["exit"] == 0 and r["correct"] and r["failed"] == 0 for r in runs)
+    return 0 if clean else 1
 
 
 if __name__ == "__main__":

@@ -207,10 +207,15 @@ def k4_components(g: Graph):
     return comps, leftover
 
 
+def _deficiency(v: int, e: int) -> int:
+    return 8 - 5 * v + 2 * e
+
+
 def phi(h: Graph) -> int:
-    """8 - 5 v + 2 e; equals 2*gamma + beta for stretched sequences."""
+    """8 - 5 v + 2 e over non-isolated vertices; equals 2*gamma + beta for
+    stretched sequences."""
     v = sum(1 for u in range(h.n) if h.adj[u]) if h.m else h.n
-    return 8 - 5 * v + 2 * h.m
+    return _deficiency(v, h.m)
 
 
 # -- stretched sequence search --------------------------------------------
@@ -503,15 +508,15 @@ def corpus_graph(seed: int, index: int) -> tuple[Graph, int]:
 
     Mixed step counts diversify the deficiency classes; draws with phi
     above PHI_CEILING fall outside the certificate classes and are redrawn.
-    phi is decided on the raw draw, where every vertex lies in a K4, so
-    phi = 8 - 5 n + 2 |E|, and only the kept draw becomes a `Graph`.
+    phi is decided on the raw draw, where every vertex lies in a K4 and so
+    counts, and only the kept draw becomes a `Graph`.
     """
     rng = random.Random(f"corpus:{seed}:{index}")
     draws = 0
     while True:
         draws += 1
-        n, edges = _tiled_draw(rng, max_vertices=12, steps=rng.randint(1, 6))
-        if 8 - 5 * n + 2 * len(edges) <= PHI_CEILING:
+        n, edges = _tiled_draw(rng, 12, rng.randint(1, 6))
+        if _deficiency(n, len(edges)) <= PHI_CEILING:
             return Graph(n, edges), draws
 
 

@@ -1,6 +1,7 @@
-"""scripts/bench_snapshot.py runs bench/run.py in each named checkout and
-collects the result lines into one JSON snapshot.  The checkouts here are
-stand-ins whose bench/run.py prints a fixed info and result line."""
+"""scripts/bench_snapshot.py runs bench/run.py in a parent and a change
+checkout and collects the result lines into one JSON snapshot.  The
+checkouts here are stand-ins whose bench/run.py prints a fixed info and
+result line and exits with a fixed status."""
 
 import importlib.util
 import json
@@ -16,49 +17,75 @@ args = sys.argv[1:]
 workload = args[args.index("--workload") + 1]
 print("progress")
 print(json.dumps({"workload": workload, "env": {"nproc": 2, "reference_ms": 30.0}}))
-print(json.dumps({"correct": True, "attempted": 4, "failed": 0,
+print(json.dumps({"correct": True, "attempted": 4, "failed": FAILED,
                   "metrics": {"unit_ms_p50": {"value": UNIT_MS, "unit": "ms"}}}))
+sys.exit(EXIT)
 '''
 
 
-def load_script():
+def load_script(pairs: int):
+    """The script with `pairs` pairs per workload instead of its ten, so a
+    test starts a few dozen stand-in runs rather than 80."""
     spec = importlib.util.spec_from_file_location("bench_snapshot", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    assert module.PAIRS == 10
+    module.PAIRS = pairs
     return module
 
 
-def fake_checkout(root: Path, unit_ms: float, src_lines: int) -> Path:
+def fake_checkout(root: Path, unit_ms: float, src_lines: int,
+                  exit: int = 0, failed: int = 0) -> Path:
     (root / "bench").mkdir(parents=True)
-    (root / "bench" / "run.py").write_text(FAKE_RUN.replace("UNIT_MS", repr(unit_ms)))
+    (root / "bench" / "run.py").write_text(
+        FAKE_RUN.replace("UNIT_MS", repr(unit_ms)).replace("FAILED", str(failed))
+        .replace("EXIT", str(exit)))
     (root / "src" / "rainbowlab").mkdir(parents=True)
     (root / "src" / "rainbowlab" / "m.py").write_text("x = 1\n" * src_lines)
     return root
 
 
-def test_snapshot_of_two_checkouts(tmp_path, capsys):
+def test_snapshot_of_parent_and_change(tmp_path, capsys):
     old = fake_checkout(tmp_path / "old", 2.0, 7)
     new = fake_checkout(tmp_path / "new", 1.0, 5)
     out = tmp_path / "snap.json"
-    code = load_script().main(["--tree", f"old={old}", "--tree", f"new={new}",
-                               "--workload", "tiled-search", "--pairs", "3",
-                               "--out", str(out)])
+    code = load_script(3).main(["--parent", str(old), "--change", str(new),
+                                "--seed", "19", "--out", str(out)])
     assert code == 0
     snap = json.loads(out.read_text())
-    assert snap["trees"] == {"old": {"src_lines": 7}, "new": {"src_lines": 5}}
+    assert snap["trees"] == {"parent": {"src_lines": 7}, "change": {"src_lines": 5}}
+    runs = [r for r in snap["runs"] if r["workload"] == "tiled-search"]
     # pairs alternate which checkout runs first
-    assert [(r["tree"], r["pair"]) for r in snap["runs"]] == [
-        ("old", 0), ("new", 0), ("new", 1), ("old", 1), ("old", 2), ("new", 2)]
+    assert [(r["tree"], r["pair"]) for r in runs] == [
+        ("parent", 0), ("change", 0), ("change", 1), ("parent", 1),
+        ("parent", 2), ("change", 2)]
+    assert len(snap["runs"]) == 24
     assert all(r["env"]["reference_ms"] == 30.0 and r["exit"] == 0 for r in snap["runs"])
+    assert list(snap["summary"]) == ["dense-join", "lemma-falsify", "tiled-search",
+                                     "gate-threads"]
     row = snap["summary"]["tiled-search"]["unit_ms_p50"]
-    assert row["old"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
-    assert row["new"]["median"] == 1.0
-    assert row["pairs_won"] == {"old": 0, "new": 3}
+    assert row["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
+    assert row["change"]["median"] == 1.0
+    assert row["pairs_won"] == {"parent": 0, "change": 3}
     assert snap["command"] == "bench/run.py --seed 19 --seconds 25 --trace 0"
-    assert len(capsys.readouterr().out.splitlines()) == 6
+    assert len(capsys.readouterr().out.splitlines()) == 24
+
+
+@pytest.mark.parametrize("exit, failed", [(1, 0), (0, 2)])
+def test_snapshot_fails_on_a_run_that_exits_nonzero_or_fails(tmp_path, exit, failed):
+    old = fake_checkout(tmp_path / "old", 2.0, 7)
+    new = fake_checkout(tmp_path / "new", 1.0, 5, exit=exit, failed=failed)
+    out = tmp_path / "snap.json"
+    code = load_script(2).main(["--parent", str(old), "--change", str(new),
+                                "--seed", "19", "--out", str(out)])
+    assert code == 1
+    runs = json.loads(out.read_text())["runs"]
+    assert {(r["exit"], r["failed"]) for r in runs if r["tree"] == "change"} == {(exit, failed)}
 
 
 def test_snapshot_rejects_a_directory_without_the_benchmark(tmp_path):
+    new = fake_checkout(tmp_path / "new", 1.0, 5)
     with pytest.raises(SystemExit) as exc:
-        load_script().main(["--tree", f"x={tmp_path}", "--out", str(tmp_path / "s.json")])
+        load_script(2).main(["--parent", str(tmp_path), "--change", str(new),
+                             "--seed", "19", "--out", str(tmp_path / "s.json")])
     assert exc.value.code == 2
