@@ -19,6 +19,11 @@ draw makes on its rng as well as the graph it returns; a second draw hash
 does the same for long draws on up to 40 vertices, whose index draws over
 more than 21 vertices take `Random.sample`'s set branch.  The corpus-draw
 hash pins `corpus_graph`'s graphs with the number of draws each took.
+The corpus-audit hash pins what `check_tiled_corpus` reports: its passing
+result on seeds 0-2, and a failing one on seed 42 with `certificate_covers`
+made to reject every certificate of a graph with exactly three rainbow K4s,
+which pins the per-graph messages, their order and how the summary and
+details truncate them.
 The perturbed-sampler hash covers `sample_perturbed`'s two random parts on
 a grid that reaches both `sample_gnp` paths (rejection over all pairs up to
 n = 800, gap skipping at n = 3,000) in the gate's three p regimes, and
@@ -37,6 +42,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from rainbowlab import verification
 from rainbowlab.avoider_k4 import avoid_k4, classify_components
 from rainbowlab.avoider_k6 import avoid_k6
 from rainbowlab.avoiders import perturbed_cliques
@@ -246,6 +252,23 @@ def test_corpus_graphs_and_draw_counts():
             h.update(json.dumps([g.n, g.edges, draws]).encode())
     assert h.hexdigest() == (
         "3a9268a2adba507a433b714bd4db565bf1c7bf74e32fa061d9d835eb1c4d6d0c")
+
+
+def test_tiled_corpus_audit(monkeypatch):
+    h = hashlib.sha256()
+    for seed in (0, 1, 2):
+        result = verification.check_tiled_corpus(seed, "quick")
+        assert result.passed
+        h.update(json.dumps(result.to_json_dict()).encode())
+    covers = verification.certificate_covers
+    monkeypatch.setattr(verification, "certificate_covers",
+                        lambda cert, quads: len(quads) != 3 and covers(cert, quads))
+    result = verification.check_tiled_corpus(42, "quick")
+    assert not result.passed
+    assert len(result.details["violations"]) == 10
+    h.update(json.dumps(result.to_json_dict()).encode())
+    assert h.hexdigest() == (
+        "f9ed20d550ee4005eaae726cdb8f604c738a18fa467ca575190a0516387a6217")
 
 
 # name, scaffold, sampler, trials per seed (a K6/K7 colouring has 20k-36k
