@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Generate a random corpus of K4-tiled graphs and tabulate how the
 deficiency value relates to the certificate kind the colourer produces.
+The table counts every graph of the corpus; a graph that repeats an
+earlier one is coloured only once.
 
 Example:
     python3 scripts/analyze_tiled_corpus.py --size 2000 --seed 11
@@ -23,11 +25,13 @@ def main(argv=None) -> int:
 
     table: Counter = Counter()
     attempts = 0
+    cells = {}  # graph -> its (phi, certificate kind): a repeated graph is coloured once
     for index in range(args.size):
         g, draws = corpus_graph(args.seed, index)
         attempts += draws
-        _, cert = colour_tiled(g)
-        table[(phi(g), cert.kind)] += 1
+        if g not in cells:
+            cells[g] = (phi(g), colour_tiled(g)[1].kind)
+        table[cells[g]] += 1
 
     kinds = ("no-rainbow", "triangle", "matching")
     print(f"{'phi':>4} " + "".join(f"{k:>12}" for k in kinds) + f"{'total':>8}")

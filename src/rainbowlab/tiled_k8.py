@@ -398,12 +398,17 @@ def _index_draws(rng: random.Random):
     """`below(m)`, a uniform index in range(m), and `sample(n, k)`, k <= 5
     distinct indices in range(n), reading `rng.getrandbits` directly, word
     for word as CPython's `Random.choice` and `Random.sample(range(n), k)`
-    read it, so rng sees the same calls as through those wrappers.
+    read it, so rng sees the same calls as through those wrappers.  The
+    third helper, `spend(n, k, times)`, reads the words of `times` such
+    `sample(n, k)` calls for n <= 21 and returns nothing.
 
     `below` is `Random._randbelow_with_getrandbits`: it draws
     m.bit_length() bits until the value is below m.  `sample` follows
     `Random.sample` for k <= 5: while n <= 21 it swaps picks out of a pool,
-    above that it redraws repeats.
+    above that it redraws repeats.  A pool pick's words depend only on the
+    pool's size, never on its contents, so `spend` keeps no pool: pick i
+    of each call redraws m.bit_length() bits until they fall below
+    m = n - i.
     """
     getrandbits = rng.getrandbits
 
@@ -430,7 +435,12 @@ def _index_draws(rng: random.Random):
                 out.append(j)
         return out
 
-    return below, sample
+    def spend(n, k, times):
+        for m, width in [(m, m.bit_length()) for m in range(n, n - k, -1)] * times:
+            while getrandbits(width) >= m:
+                pass
+
+    return below, sample, spend
 
 
 def _tiled_draw(rng: random.Random, max_vertices: int, steps: int) -> tuple[int, set]:
@@ -442,9 +452,11 @@ def _tiled_draw(rng: random.Random, max_vertices: int, steps: int) -> tuple[int,
     bitmasks kept beside the edge set answer the steps' edge tests.  Each
     choice of a step kind or an anchor edge is `seq[below(len(seq))]`, as
     `Random.choice(seq)` is, and each vertex tuple a `sample` of range(n),
-    so the rng stream is the one the stdlib wrappers drew.
+    so the rng stream is the one the stdlib wrappers drew.  An edge step on
+    a complete graph cannot succeed, as each 4-set spans a K4 already: on
+    at most 21 vertices it only `spend`s the words of its 30 attempts.
     """
-    below, sample = _index_draws(rng)
+    below, sample, spend = _index_draws(rng)
     edges = set(_pairs(range(4)))
     adj = [0b1110, 0b1101, 0b1011, 0b0111] + [0] * max_vertices
     n = 4
@@ -475,6 +487,8 @@ def _tiled_draw(rng: random.Random, max_vertices: int, steps: int) -> tuple[int,
                     break
             add_clique((n, y, z, w))
             n += 1
+        elif len(edges) == n * (n - 1) // 2 and n <= 21:
+            spend(n, 4, 30)  # on a complete graph each of the 30 quads is a K4
         else:
             for _attempt in range(30):
                 quad = sample(n, 4)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rainbowlab import tiled_k8, verification
 from rainbowlab.avoiders import validate
 from rainbowlab.colouring import (
     EdgeColouring,
@@ -345,7 +346,7 @@ def test_index_draws_match_random_sample_and_choice(seed):
     the set branch take.  An interpreter whose sample or choice draws
     differently fails here by name, before any golden hash does."""
     ours, ref = random.Random(f"index:{seed}"), random.Random(f"index:{seed}")
-    below, sample = _index_draws(ours)
+    below, sample, _ = _index_draws(ours)
     for n in range(1, 41):
         for k in range(1, min(5, n) + 1):
             for _ in range(4):
@@ -356,6 +357,62 @@ def test_index_draws_match_random_sample_and_choice(seed):
         for _ in range(4):
             assert seq[below(length)] == ref.choice(seq), length
             assert ours.random() == ref.random(), length
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_spend_reads_the_words_of_sample_calls(seed):
+    """`spend(n, k, times)` leaves the generator where `times` calls of
+    `Random.sample(range(n), k)` leave it, for the pool branch's n."""
+    for n in range(4, 22):
+        for k in (3, 4):
+            for times in (1, 30):
+                ours = random.Random(f"spend:{seed}:{n}:{k}:{times}")
+                ref = random.Random(f"spend:{seed}:{n}:{k}:{times}")
+                _, _, spend = _index_draws(ours)
+                assert spend(n, k, times) is None
+                for _ in range(times):
+                    ref.sample(range(n), k)
+                assert ours.random() == ref.random(), (n, k, times)
+
+
+def test_corpus_edge_steps_spend_on_complete_graphs(monkeypatch):
+    """The corpora of seeds 0-2 take the complete-graph edge step on K5
+    and K6 too, not only on K4, and always for 30 four-vertex attempts."""
+    spent = Counter()
+
+    def recording_draws(rng):
+        below, sample, spend = _index_draws(rng)
+
+        def recording_spend(n, k, times):
+            spent[n, k, times] += 1
+            spend(n, k, times)
+
+        return below, sample, recording_spend
+
+    monkeypatch.setattr(tiled_k8, "_index_draws", recording_draws)
+    for seed in range(3):
+        for index in range(1000):
+            corpus_graph(seed, index)
+    assert {(4, 4, 30), (5, 4, 30), (6, 4, 30)} <= set(spent)
+    assert {(k, times) for _, k, times in spent} == {(4, 30)}
+
+
+def test_tiled_audit_colours_each_distinct_graph_once_per_call(monkeypatch):
+    """The audit colours each distinct corpus graph once, and remembers
+    nothing between calls: a second identical call colours them all again."""
+    distinct = len({corpus_graph(8311, index)[0] for index in range(1000)})
+    assert distinct == 491
+    coloured = []
+
+    def counting_colour_tiled(g):
+        coloured.append(g)
+        return colour_tiled(g)
+
+    monkeypatch.setattr(verification, "colour_tiled", counting_colour_tiled)
+    for _ in range(2):
+        coloured.clear()
+        assert verification.check_tiled_corpus(8311, "quick").passed
+        assert len(coloured) == len(set(coloured)) == distinct
 
 
 class NoWrappersRandom(random.Random):
