@@ -32,12 +32,17 @@ The lemma-sampler hash does the same for the six falsification samplers,
 seeded as `certify_lemma` seeds them: each colouring (for the surviving
 triangle, the matchings), the overlay log of a template copy, `next_colour`
 and the next `rng.random()`.
+The `decide_arrows` hash pins the outcome, node count and witness colours
+of 200 seeded small decisions (three budgets, six targets) and of the
+HatK(3,4), K5 and 300,000-node K10 decisions against K4, so the search
+keeps its node order and budget semantics.
 """
 
 import hashlib
 import json
 import random
 from dataclasses import astuple
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -46,9 +51,9 @@ from rainbowlab import verification
 from rainbowlab.avoider_k4 import avoid_k4, classify_components
 from rainbowlab.avoider_k6 import avoid_k6
 from rainbowlab.avoiders import perturbed_cliques
-from rainbowlab.colouring import colouring_to_json
+from rainbowlab.colouring import colouring_to_json, decide_arrows
 from rainbowlab.errors import OutOfRegime, SearchExhausted
-from rainbowlab.graph import Graph
+from rainbowlab.graph import Graph, clique, hat_k, path_graph, star
 from rainbowlab.lemma_lab import (
     rainbow_k4_scaffold,
     rainbow_k5_scaffold,
@@ -300,3 +305,39 @@ def test_lemma_sampler_draws():
                 h.update(json.dumps(record + [rng.random()]).encode())
     assert h.hexdigest() == (
         "7106cdd3c15c3981e70b883a4ed769f0fe4512158b5c49041ace1fbdf57dbcf4")
+
+
+DECIDE_TARGETS = {
+    "K3": clique(3),
+    "K4": clique(4),
+    "P3": path_graph(3),
+    "C4": Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    "K1,3": star(3),
+    "C5": Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+}
+
+
+def decide_cases():
+    """200 seeded (g, h, budget) cases on 3-9 vertices, then the three
+    decisions the CLI and the gate print node counts for."""
+    rng = random.Random(20261020)
+    for _ in range(200):
+        n = rng.randint(3, 9)
+        p = rng.choice((0.3, 0.5, 0.7, 0.9))
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        name = rng.choice(sorted(DECIDE_TARGETS))
+        yield g, DECIDE_TARGETS[name], rng.choice((50, 1000, 20_000))
+    yield hat_k(3, 4), clique(4), 50_000_000
+    yield clique(5), clique(4), 50_000_000
+    yield clique(10), clique(4), 300_000
+
+
+def test_decide_arrows_outcomes_nodes_and_witnesses():
+    h = hashlib.sha256()
+    for g, target, budget in decide_cases():
+        v = decide_arrows(g, target, node_budget=budget)
+        rows = None if v.witness is None else [
+            [a, b, v.witness.get(a, b)] for a, b in g.edges]
+        h.update(json.dumps([v.outcome, v.nodes, rows]).encode())
+    assert h.hexdigest() == (
+        "547ef9de75a7ddc3f2389f2be5bc4be9499e761c880bda51e74fab97dd50281a")

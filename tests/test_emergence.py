@@ -10,6 +10,7 @@ pattern's edge list, never the code under test.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -377,6 +378,27 @@ class TestDensityCondition:
             assert report.strategy == "mincut"
             assert report.min_value == Fraction(-best, b)
             assert induced_margin_value(h, report.witness, x) == report.min_value
+
+    def test_mincut_values_and_witnesses_are_pinned(self):
+        """100 seeded graphs on 17-60 vertices, where `density_condition`
+        takes the mincut path, sparse and dense, under the six exponents
+        in turn: the (value, witness) pairs are pinned, so the witness stays
+        the source side the solver has always returned."""
+        rng = random.Random(20261021)
+        exponents = [Fraction(1, 3), Fraction(7, 15), Fraction(2, 3),
+                     Fraction(1), Fraction(5, 4), Fraction(3, 2)]
+        digest = hashlib.sha256()
+        for i in range(100):
+            n = rng.randint(17, 60)
+            p = rng.choice((1.5, 3.0, 6.0)) / n
+            h = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+            if h.m == 0:
+                continue
+            x = exponents[i % len(exponents)]
+            value, witness = _density_mincut(h, x.numerator, x.denominator)
+            digest.update(repr((value, witness)).encode())
+        assert digest.hexdigest() == (
+            "4e882cf1bc38970a44cd24f1c007ca34f7419135ec0c059b6a30cad564dfa9ab")
 
     def test_disjoint_copies_share_the_minimum(self):
         doubled = disjoint_union([hat_k(3, 4), hat_k(3, 4)])
