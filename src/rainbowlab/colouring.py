@@ -741,6 +741,14 @@ def decide_arrows(g: Graph, h: Graph, node_budget: int = 2_000_000) -> ArrowsVer
     colour-permutation invariance: a fresh colour is only ever introduced
     as (max used + 1), which enumerates proper colourings up to renaming,
     and the rainbow-free property is renaming-invariant.
+
+    A colouring is pruned when a copy of h through the edge just coloured
+    is rainbow, or has one uncoloured edge at which no colour of the copy
+    is still legal.  Each edge keeps, for every copy through it, the tuple
+    of the copy's other edge ids, and the test walks that tuple with the
+    copy's colours so far as a bitmask, so it builds nothing per node.
+    ``nodes`` counts every colour tried, legal or not; the budget stops
+    the search at the first count above it.
     """
     if node_budget <= 0:
         raise ParameterError(f"node budget must be positive, got {node_budget}")
@@ -752,11 +760,12 @@ def decide_arrows(g: Graph, h: Graph, node_budget: int = 2_000_000) -> ArrowsVer
         for emb in enumerate_copies(g, h)
     }, key=sorted)
     copies = [tuple(sorted(cs)) for cs in copy_sets]
-    through: list[list[int]] = [[] for _ in range(m)]
-    for ci, es in enumerate(copies):
+    # others[e]: for each copy through e, in copy order, its other edge ids
+    others: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
+    for es in copies:
         for e in es:
-            through[e].append(ci)
-    order = sorted(range(m), key=lambda e: (-len(through[e]), e))
+            others[e].append(tuple(f for f in es if f != e))
+    order = sorted(range(m), key=lambda e: (-len(others[e]), e))
     ends = g.edges
     col = [-1] * m
     # used[x]: bitmask of the colours on the coloured edges at vertex x, so
@@ -764,31 +773,35 @@ def decide_arrows(g: Graph, h: Graph, node_budget: int = 2_000_000) -> ArrowsVer
     # used[u] | used[v] is clear
     used = [0] * g.n
     nodes = 0
-    h_size = h.m
 
     def copy_blocks(e: int) -> bool:
-        """After colouring e: does some copy become rainbow, or rainbow-forced?"""
-        for ci in through[e]:
-            es = copies[ci]
-            seen = []
-            for f in es:
+        """After colouring e: does some copy become rainbow, or rainbow-forced?
+
+        Each copy is walked once over its other edges, with its colours so
+        far as a bitmask; the walk stops at a repeated colour (never
+        rainbow) or at a second uncoloured edge (not yet forced)."""
+        start = 1 << col[e]
+        for rest in others[e]:
+            seen = start
+            last = -1
+            for f in rest:
                 c = col[f]
-                if c >= 0:
-                    seen.append(c)
-                else:
+                if c < 0:
+                    if last >= 0:
+                        break
                     last = f
-            if len(set(seen)) != len(seen):
-                continue  # already a repeat inside: never rainbow
-            missing = h_size - len(seen)
-            if not missing:
-                return True  # fully coloured and rainbow
-            if missing == 1 and h_size >= 2:
+                elif seen >> c & 1:
+                    break
+                else:
+                    seen |= 1 << c
+            else:
+                if last < 0:
+                    return True  # fully coloured and rainbow
                 # the uncoloured edge must repeat a copy colour; conflicts
                 # only grow, so if no copy colour is currently legal there
                 # the copy is doomed
                 u, v = ends[last]
-                blocked = used[u] | used[v]
-                if all(blocked >> c & 1 for c in seen):
+                if not seen & ~(used[u] | used[v]):
                     return True
         return False
 
@@ -810,11 +823,14 @@ def decide_arrows(g: Graph, h: Graph, node_budget: int = 2_000_000) -> ArrowsVer
                 used[u] ^= 1 << col[e]
                 used[v] ^= 1 << col[e]
                 col[e] = -1
+            # each tried colour is undone before the next, so the colours
+            # blocked at e stay fixed through the loop
+            blocked = used[u] | used[v]
             for c in range(next_try[pos], min(max_used[pos] + 2, m)):
                 nodes += 1
                 if nodes > node_budget:
                     return None
-                if (used[u] | used[v]) >> c & 1:
+                if blocked >> c & 1:
                     continue
                 col[e] = c
                 used[u] |= 1 << c

@@ -336,37 +336,49 @@ def _density_mincut(h: Graph, a: int, b: int):
     edge, a sink (node 1) charging cost ``b`` per selected vertex, and
     infinite arcs making each edge's endpoints mandatory, so a minimum cut
     encodes the maximum over S of a*e(S) - b*|S|.
+
+    One network serves every run.  It also holds a source arc to each
+    vertex, closed (capacity 0) until a forced run opens the two of its
+    edge.  The forced runs start from the unrestricted maximum flow: each
+    opens its arcs, augments, and restores the saved residual capacities,
+    so its cut is the unrestricted cut plus the extra flow.  The witness
+    is the set of vertex nodes reachable from the source in the residual
+    network, and that set is the same for every maximum flow (it is the
+    minimal minimum cut; Picard and Queyranne, 1980), so a warm-started
+    run finds the set a run from zero finds.  It is read only when a run
+    beats the best so far, so ties still go to the first edge.
     """
     a_total = a * h.m
     inf = a_total + b * h.n + 1
+    first_vertex = 2 + h.m
+    net = _DinicFlow(first_vertex + h.n)
+    for i, (u, v) in enumerate(h.edges):
+        net.add_arc(0, 2 + i, a)
+        net.add_arc(2 + i, first_vertex + u, inf)
+        net.add_arc(2 + i, first_vertex + v, inf)
+    for w in range(h.n):
+        net.add_arc(first_vertex + w, 1, b)
+    opener = []  # opener[w]: the arc id of the closed source arc to vertex w
+    for w in range(h.n):
+        opener.append(len(net.to))
+        net.add_arc(0, first_vertex + w, 0)
 
-    def vertex_node(w: int) -> int:
-        return 2 + h.m + w
-
-    def run(forced):
-        net = _DinicFlow(2 + h.m + h.n)
-        for i, (u, v) in enumerate(h.edges):
-            net.add_arc(0, 2 + i, a)
-            net.add_arc(2 + i, vertex_node(u), inf)
-            net.add_arc(2 + i, vertex_node(v), inf)
-        for w in range(h.n):
-            net.add_arc(vertex_node(w), 1, b)
-        for w in forced:
-            net.add_arc(0, vertex_node(w), inf)
-        cut = net.max_flow(0, 1)
+    def chosen() -> tuple[int, ...]:
         side = net.source_side(0)
-        chosen = tuple(w for w in range(h.n) if vertex_node(w) in side)
-        return a_total - cut, chosen
+        return tuple(w for w in range(h.n) if first_vertex + w in side)
 
-    value, chosen = run(())
+    value = a_total - net.max_flow(0, 1)
     if value > 0:
-        return -value, chosen
+        return -value, chosen()
+    saved = net.cap[:]
     best = None
     best_set: tuple[int, ...] = ()
     for u, v in h.edges:
-        val, sel = run((u, v))
+        net.cap[opener[u]] = net.cap[opener[v]] = inf
+        val = -net.max_flow(0, 1)
         if best is None or val > best:
-            best, best_set = val, sel
+            best, best_set = val, chosen()
+        net.cap[:] = saved
     return -best, best_set
 
 

@@ -40,7 +40,7 @@ from rainbowlab.emergence import (
     verify_structure,
     wilson_interval,
 )
-from rainbowlab.emergence import _density_exhaustive, _density_mincut
+from rainbowlab.emergence import _DinicFlow, _density_exhaustive, _density_mincut
 from rainbowlab.errors import ParameterError, StructureUnsupported
 from rainbowlab.graph import (
     Graph,
@@ -165,6 +165,43 @@ def union_of_cliques(n: int, vertex_sets) -> Graph:
     for vs in vertex_sets:
         edges.update((min(u, v), max(u, v)) for u, v in combinations(vs, 2))
     return Graph(n, sorted(edges))
+
+
+def density_mincut_fresh(h: Graph, a: int, b: int):
+    """The min-cut density solver as it was before its forced runs started
+    from the unrestricted flow: a fresh network and a max flow from zero for
+    every run.  Kept verbatim as the oracle for the warm-started solver."""
+    a_total = a * h.m
+    inf = a_total + b * h.n + 1
+
+    def vertex_node(w: int) -> int:
+        return 2 + h.m + w
+
+    def run(forced):
+        net = _DinicFlow(2 + h.m + h.n)
+        for i, (u, v) in enumerate(h.edges):
+            net.add_arc(0, 2 + i, a)
+            net.add_arc(2 + i, vertex_node(u), inf)
+            net.add_arc(2 + i, vertex_node(v), inf)
+        for w in range(h.n):
+            net.add_arc(vertex_node(w), 1, b)
+        for w in forced:
+            net.add_arc(0, vertex_node(w), inf)
+        cut = net.max_flow(0, 1)
+        side = net.source_side(0)
+        chosen = tuple(w for w in range(h.n) if vertex_node(w) in side)
+        return a_total - cut, chosen
+
+    value, chosen = run(())
+    if value > 0:
+        return -value, chosen
+    best = None
+    best_set: tuple[int, ...] = ()
+    for u, v in h.edges:
+        val, sel = run((u, v))
+        if best is None or val > best:
+            best, best_set = val, sel
+    return -best, best_set
 
 
 # -- nonexistence bounds --------------------------------------------------------
@@ -378,6 +415,48 @@ class TestDensityCondition:
             assert report.strategy == "mincut"
             assert report.min_value == Fraction(-best, b)
             assert induced_margin_value(h, report.witness, x) == report.min_value
+
+    def test_warm_started_mincut_matches_fresh_networks(self):
+        """Every forced run starts from the unrestricted flow and restores
+        it afterwards; the values and witnesses must be those of a fresh
+        network per run.  The graphs take the forced-edge path: random
+        sparse ones, and a long path or matching on the low vertex ids
+        beside a denser block on the high ones, so that the best forced
+        edge comes late and every earlier run must leave the network as
+        it found it.  Disjoint equal blocks give ties, which go to the
+        first edge."""
+        rng = random.Random(20261022)
+        exponents = [Fraction(1, 3), Fraction(7, 15), Fraction(1, 2),
+                     Fraction(2, 3), Fraction(1)]
+        forced = 0
+        for _ in range(120):
+            n = rng.randint(2, 40)
+            edges = [e for e in combinations(range(n), 2) if rng.random() < 1.2 / n]
+            if not edges:
+                continue
+            h = Graph(n, edges)
+            x = rng.choice(exponents)
+            a, b = x.numerator, x.denominator
+            fresh = density_mincut_fresh(h, a, b)
+            assert _density_mincut(h, a, b) == fresh
+            forced += fresh[0] >= 0
+        assert forced >= 60
+        late = []
+        for k in range(3, 30):
+            path = [(i, i + 1) for i in range(k - 1)]
+            block = [(k + i, k + j) for i, j in combinations(range(4), 2)]
+            late.append(Graph(k + 4, path + block))  # K4 last: density 3/2
+            two = [(k + 4 + i, k + 4 + j) for i, j in combinations(range(4), 2)]
+            late.append(Graph(k + 8, path + block + two))  # tied K4s
+            matching = [(2 * i, 2 * i + 1) for i in range(k)]
+            triangle = [(2 * k + i, 2 * k + j) for i, j in combinations(range(3), 2)]
+            late.append(Graph(2 * k + 3, matching + triangle))  # best at 2/3
+        for h in late:
+            for x in (Fraction(1, 2), Fraction(2, 3)):
+                a, b = x.numerator, x.denominator
+                fresh = density_mincut_fresh(h, a, b)
+                assert fresh[0] >= 0  # the forced-edge path
+                assert _density_mincut(h, a, b) == fresh
 
     def test_mincut_values_and_witnesses_are_pinned(self):
         """100 seeded graphs on 17-60 vertices, where `density_condition`

@@ -15,13 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbowlab.colouring import (
+    ArrowsVerdict,
     EdgeColouring,
     colouring_to_json,
+    decide_arrows,
     find_properness_clash,
     is_proper,
 )
 from rainbowlab.errors import CounterexampleFound, ParameterError, StructureUnsupported
-from rainbowlab.graph import Graph, hat_k
+from rainbowlab.graph import Graph, clique, hat_k, join, star
 from rainbowlab.lemma_lab import (
     JoinedTriangleBlock,
     certify_lemma,
@@ -138,6 +140,15 @@ class TestExtractRainbowK4:
             assert is_proper(sc.graph, psi)
             out = extract_rainbow_k4(sc, psi)
             assert_rainbow_clique(sc.graph, psi, out, 4)
+
+    def test_every_proper_colouring_holds_a_rainbow_k4(self):
+        # the lemma for all proper colourings, not only sampled ones: the
+        # exact decider exhausts the scaffold, and the node count pins its
+        # search order
+        g = join(star(3), star(4))
+        assert g == rainbow_k4_scaffold().graph
+        assert decide_arrows(g, clique(4), node_budget=10_000_000) == (
+            ArrowsVerdict("arrows", None, 8_324_093))
 
     def test_improper_input_reported(self):
         sc = rainbow_k4_scaffold()
