@@ -450,7 +450,7 @@ class TestDensityCondition:
             late.append(Graph(k + 8, path + block + two))  # tied K4s
             matching = [(2 * i, 2 * i + 1) for i in range(k)]
             triangle = [(2 * k + i, 2 * k + j) for i, j in combinations(range(3), 2)]
-            late.append(Graph(2 * k + 3, matching + triangle))  # best at 2/3
+            late.append(Graph(2 * k + 3, matching + triangle))  # the triangle wins at 2/3
         for h in late:
             for x in (Fraction(1, 2), Fraction(2, 3)):
                 a, b = x.numerator, x.denominator
