@@ -32,6 +32,11 @@ The lemma-sampler hash does the same for the six falsification samplers,
 seeded as `certify_lemma` seeds them: each colouring (for the surviving
 triangle, the matchings), the overlay log of a template copy, `next_colour`
 and the next `rng.random()`.
+The K7/survivor hash pins what `extract_rainbow_k7` returns (the clique,
+or the error's type, message and detail) on 150 sampled colourings with
+0-600 proper rewrites of fan and block edges, which decide the fan edges
+pruned, and the triangle `surviving_triangle` returns for 500 sampled
+batches of matchings.
 The `decide_arrows` hash pins the outcome, node count and witness colours
 of 200 seeded small decisions (three budgets, six targets) and of the
 HatK(3,4), K5 and 300,000-node K10 decisions against K4, so the search
@@ -52,9 +57,15 @@ from rainbowlab.avoider_k4 import avoid_k4, classify_components
 from rainbowlab.avoider_k6 import avoid_k6
 from rainbowlab.avoiders import perturbed_cliques
 from rainbowlab.colouring import colouring_to_json, decide_arrows
-from rainbowlab.errors import OutOfRegime, SearchExhausted
+from rainbowlab.errors import (
+    CounterexampleFound,
+    OutOfRegime,
+    SearchExhausted,
+    StructureUnsupported,
+)
 from rainbowlab.graph import Graph, clique, hat_k, path_graph, star
 from rainbowlab.lemma_lab import (
+    extract_rainbow_k7,
     rainbow_k4_scaffold,
     rainbow_k5_scaffold,
     rainbow_k6_scaffold,
@@ -66,6 +77,7 @@ from rainbowlab.lemma_lab import (
     sample_rainbow_k7_colouring,
     sample_triangle_pair_colouring,
     spoked_fan_instance,
+    surviving_triangle,
     triangle_pair_instance,
 )
 from rainbowlab.model import _DENSE_PAIR_CAP, PerturbedInstance, sample_perturbed
@@ -305,6 +317,67 @@ def test_lemma_sampler_draws():
                 h.update(json.dumps(record + [rng.random()]).encode())
     assert h.hexdigest() == (
         "7106cdd3c15c3981e70b883a4ed769f0fe4512158b5c49041ace1fbdf57dbcf4")
+
+
+def rewrite_fan(rng: random.Random, sc, psi, count: int) -> None:
+    """`count` tries at a write that keeps psi proper.  A fan edge of the
+    first two spokes (half of the time, of the first three fan triangles)
+    takes a block colour, another fan edge's colour or a fresh colour; or
+    a block triangle edge takes the colour of such a fan edge, which is
+    then recoloured fresh half of the time."""
+    head = sc.right_keys[: 2 * len(sc.right_keys) // len(sc.fan.spokes)]
+    at = {}  # the colours at each vertex written so far
+
+    def write(u, v, c):
+        for x in (u, v):
+            if x not in at:
+                at[x] = psi.colours_at(x)
+        if c in at[u] or c in at[v]:
+            return
+        old = psi.get(u, v)
+        for x in (u, v):
+            at[x].discard(old)
+            at[x].add(c)
+        psi.assign(u, v, c)
+
+    for _ in range(count):
+        pick = rng.random()
+        fan_key = rng.choice(head[: rng.choice((7, len(head)))])
+        if pick < 0.3:
+            write(*rng.choice(rng.choice(sc.blocks).edges()[:3]), psi.get(*fan_key))
+            if rng.random() < 0.5:
+                write(*fan_key, psi.next_colour)
+        elif pick < 0.7:
+            write(*fan_key, psi.get(*rng.choice(sc.left_keys)))
+        elif pick < 0.85:
+            write(*fan_key, psi.get(*rng.choice(sc.right_keys)))
+        else:
+            write(*fan_key, psi.next_colour)
+
+
+def k7_outcome(sc, psi) -> list:
+    try:
+        return ["ok", extract_rainbow_k7(sc, psi)]
+    except StructureUnsupported as exc:
+        return [type(exc).__name__, str(exc), astuple(exc.offending)]
+    except CounterexampleFound as exc:
+        return [type(exc).__name__, str(exc), exc.payload["detail"]]
+
+
+def test_k7_extractions_and_surviving_triangles():
+    h = hashlib.sha256()
+    sc = rainbow_k7_scaffold()
+    for trial in range(150):
+        rng = random.Random(f"k7-rewrites:{trial}")
+        psi = sample_rainbow_k7_colouring(sc, rng)
+        rewrite_fan(rng, sc, psi, rng.randrange(601))
+        h.update(json.dumps(k7_outcome(sc, psi)).encode())
+    inst = spoked_fan_instance()
+    for trial in range(500):
+        matchings = sample_fan_matchings(inst, random.Random(f"survivor:{trial}"))
+        h.update(json.dumps(surviving_triangle(inst, matchings)).encode())
+    assert h.hexdigest() == (
+        "5e971b08cc267acce8a1ee03eefc9c0652e8c4f29fea6cd01b45de128c512236")
 
 
 DECIDE_TARGETS = {
