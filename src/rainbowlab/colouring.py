@@ -97,11 +97,10 @@ class EdgeColouring:
 
     Costs, with s the side (dict) edges and B the cross cells: `get`,
     `assign` and `assign_fresh` are O(1) (`get` validates its pair only
-    when the dict misses), `colours` and `colour_set` O(1)
-    per key (`colours` reads a list of side keys at dict speed);
-    `colours_at` and `would_clash` are O(degree), a vertex's cross edges
-    being one slice of the buffer; `assign_many` is O(its input) plus an
-    O(s) disjointness check, `recolour_many` O(its input);
+    when the dict misses), `colours` O(1) per key (it reads a list of
+    side keys at dict speed); `colours_at` is O(degree), a vertex's cross
+    edges being one slice of the buffer; `assign_many` is O(its input)
+    plus an O(s) disjointness check, `recolour_many` O(its input);
     `assign_cross_block`, `fill_fresh`,
     `is_total`, `len`, `colours_used`, `copy` and `domain` take O(s) plus
     one numpy pass over the buffer; `find_properness_clash` sorts the
@@ -370,62 +369,23 @@ class EdgeColouring:
             out.discard(-1)
         return out
 
-    def colour_set(self, edges) -> set[int]:
-        """Colours on the given edges; uncoloured edges contribute nothing."""
-        split, width = self._shape
-        col, cross = self._col, self._cross
-        out = set()
-        for u, v in edges:
-            if u > v:
-                u, v = v, u
-            if 0 <= u < split <= v < split + width:
-                c = cross[u * width + v - split]
-                if c >= 0:
-                    out.add(c)
-            else:
-                c = col.get((u, v))
-                if c is not None:
-                    out.add(c)
-        return out
-
-    def _cross_at(self, a: int, b: int):
-        """The colours on a's cross edges other than ab, as a copied slice
-        of the buffer (-1 for uncoloured), and a's side neighbours as a
-        bitset."""
+    def _cross_at(self, a: int):
+        """The colours on a's cross edges, as a copied slice of the buffer
+        (-1 for uncoloured), and a's side neighbours as a bitset."""
         split, width = self._shape
         nbrs = self.graph.adj[a]
         if a < split:
             cells = self._cross[a * width:(a + 1) * width]
-            skip = b - split
             nbrs &= (1 << split) - 1
         else:
             cells = self._cross[a - split::width]
-            skip = b
             nbrs = nbrs >> split << split
-        if 0 <= skip < len(cells):
-            cells[skip] = -1  # the edge ab itself
         return cells, nbrs
-
-    def would_clash(self, u: int, v: int, colour: int) -> bool:
-        """Would assigning `colour` to uv break properness?  O(degree)."""
-        self._key(u, v)  # rejects a non-edge
-        col = self._col
-        for a, b in ((u, v), (v, u)):
-            if self._cross:
-                cells, nbrs = self._cross_at(a, b)
-                if colour >= 0 and colour in cells:
-                    return True
-            else:
-                nbrs = self.graph.adj[a]
-            for w in bits(nbrs):
-                if w != b and col.get((a, w) if a < w else (w, a)) == colour:
-                    return True
-        return False
 
     def colours_at(self, v: int) -> set[int]:
         """Colours on the coloured edges at v.  O(degree)."""
         if self._cross:
-            cells, nbrs = self._cross_at(v, -1)
+            cells, nbrs = self._cross_at(v)
             out = set(cells)
             out.discard(-1)
         else:

@@ -771,26 +771,28 @@ def extract_rainbow_k6(scaffold: RainbowK6Scaffold, psi: EdgeColouring) -> tuple
 
 
 def _surviving_triangle_core(
-    g: Graph, psi, fan: SpokedTriangleFan, removed: set, context: str
+    g: Graph, psi, fan: SpokedTriangleFan, is_removed, context: str
 ):
+    """The first fan triangle, spoke by spoke and then apex by apex, none
+    of whose edges `is_removed` (a test on fan keys)."""
     for i, s in enumerate(fan.spokes):
-        if _norm(fan.centre, s) in removed:
+        if is_removed(_norm(fan.centre, s)):
             continue
         for p in fan.apexes[i]:
-            if _norm(fan.centre, p) not in removed and _norm(s, p) not in removed:
+            if not is_removed(_norm(fan.centre, p)) and not is_removed(_norm(s, p)):
                 return (fan.centre, s, p)
         _counterexample(
             f"{context}: surviving skeleton edge lost all its pendant triangles",
             g,
             psi,
             spoke=s,
-            removed_count=len(removed),
+            removed_count=sum(map(is_removed, fan.edges())),
         )
     _counterexample(
         f"{context}: every skeleton edge was removed by at most {SPOKES - 1} matchings",
         g,
         psi,
-        removed_count=len(removed),
+        removed_count=sum(map(is_removed, fan.edges())),
     )
 
 
@@ -820,7 +822,7 @@ def surviving_triangle(instance: SpokedFanInstance, matchings) -> tuple[int, int
                 )
             used.update((u, v))
         removed.update(m)
-    tri = _surviving_triangle_core(g, None, fan, removed, "surviving-triangle")
+    tri = _surviving_triangle_core(g, None, fan, removed.__contains__, "surviving-triangle")
     for e in ((tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2])):
         if _norm(*e) in removed or not g.has_edge(*e):
             _counterexample("returned triangle is not intact", g, None, triangle=tri)
@@ -862,6 +864,10 @@ def extract_rainbow_k7(scaffold: RainbowK7Scaffold, psi: EdgeColouring) -> tuple
     one of those (at most 24) K4 edges deletes at most 24 matchings, so
     a fan triangle survives.  Its three colours touch at most three
     cross edges, leaving one block's cross clean.
+
+    The survivor is found by `surviving_triangle`'s scan, spoke by spoke
+    and then apex by apex, which reads the colours of the fan edges it
+    tests and of no others.
     """
     g = scaffold.graph
     _check_total_proper(g, psi)
@@ -883,8 +889,8 @@ def extract_rainbow_k7(scaffold: RainbowK7Scaffold, psi: EdgeColouring) -> tuple
             colours=len(bad_cols),
         )
 
-    removed = _fan_keys_coloured(psi, scaffold, bad_cols)
-    tri = _surviving_triangle_core(g, psi, scaffold.fan, removed, "rainbow-k7")
+    tri = _surviving_triangle_core(
+        g, psi, scaffold.fan, lambda k: psi.get(*k) in bad_cols, "rainbow-k7")
     tri_cols = _triangle_colours(psi, tri)
 
     for quad in quads:
@@ -897,42 +903,6 @@ def extract_rainbow_k7(scaffold: RainbowK7Scaffold, psi: EdgeColouring) -> tuple
         psi,
         triangle=tri,
     )
-
-
-def _fan_keys_coloured(psi: EdgeColouring, scaffold: RainbowK7Scaffold, colours) -> set:
-    """The fan keys (`right_keys`) of the total colouring psi that wear one
-    of `colours`.
-
-    On an overlay, a fan key not written has its base colour (a key
-    uncoloured in the base was written, psi being total), so only the
-    written fan keys are read; the unwritten ones come from the base's
-    colour -> fan keys index (`_fan_index`), one lookup per colour.  Any
-    other colouring has every fan key read.
-    """
-    view = psi.overlay()
-    if view is None:
-        keys = scaffold.right_keys
-        return {k for k, c in zip(keys, psi.colours(keys)) if c in colours}
-    base, written, _ = view
-    by_colour, fan = _fan_index(base, scaffold)
-    rewritten = [k for k in written if k in fan]
-    out = {k for k, c in zip(rewritten, psi.colours(rewritten)) if c in colours}
-    for c in colours:
-        out.update(k for k in by_colour.get(c, ()) if k not in written)
-    return out
-
-
-@lru_cache(maxsize=4)
-def _fan_index(base: EdgeColouring, scaffold: RainbowK7Scaffold):
-    """(colour -> fan keys of that colour, set of fan keys) of the frozen
-    colouring `base`; uncoloured fan keys are left out.  Computed once per
-    (base, scaffold)."""
-    by_colour: dict[int, list[tuple[int, int]]] = {}
-    for k in scaffold.right_keys:
-        c = base.get(*k)
-        if c is not None:
-            by_colour.setdefault(c, []).append(k)
-    return by_colour, frozenset(scaffold.right_keys)
 
 
 # -- trial samplers -----------------------------------------------------------

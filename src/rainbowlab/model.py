@@ -107,10 +107,6 @@ class PerturbedInstance:
     def u_size(self) -> int:
         return self.left.n
 
-    @property
-    def w_size(self) -> int:
-        return self.right.n
-
     def graph(self) -> Graph:
         if self._graph is None:
             self._graph = join(self.left, self.right)

@@ -559,8 +559,8 @@ def _partial_colouring(h: Graph, seq: GeneratingSequence, *, suppress=frozenset(
 
     New colours are 0, 1, 2, ... in order of use.  They are decided on a
     local edge -> colour dict and per-vertex colour sets (a reuse is proper
-    when neither end of the edge already sees the colour, the rule of
-    `EdgeColouring.would_clash`) and written with one `assign_many`.
+    when no other coloured edge at either end of the edge has the colour)
+    and written with one `assign_many`.
     """
     col: dict = {}
     at = defaultdict(set)  # at[x]: the colours on x's coloured edges

@@ -28,6 +28,25 @@ def quadruple_holds(g: Graph, q: MatchingQuadruple) -> bool:
     return verify_quadruple(g.triangles(), q)
 
 
+def quad(m0=(), m1=(), m2=(), m3=()) -> MatchingQuadruple:
+    return MatchingQuadruple(*(frozenset(m) for m in (m0, m1, m2, m3)))
+
+
+@pytest.mark.parametrize("valid,broken", [
+    pytest.param(quad(m0=[(0, 1)], m1=[(3, 4)]), quad(m0=[(0, 1)], m1=[(1, 3)]),
+                 id="m0-vertices-are-off-limits"),
+    pytest.param(quad(m1=[(0, 1)], m2=[(0, 2)]), quad(m1=[(0, 1)]),
+                 id="two-matchings-hit-each-triangle-m0-misses"),
+    pytest.param(quad(m1=[(0, 1)], m2=[(0, 2)]), quad(m1=[(0, 1), (1, 2)], m2=[(0, 2)]),
+                 id="each-matching-is-vertex-disjoint"),
+])
+def test_verify_quadruple_rejects_each_broken_clause(valid, broken):
+    """Each broken quadruple differs from a valid one in one clause of
+    `verify_quadruple`, so only that clause can reject it."""
+    assert verify_quadruple([(0, 1, 2)], valid)
+    assert not verify_quadruple([(0, 1, 2)], broken)
+
+
 def test_triangle_union_examples():
     assert triangle_union(clique(4)) == clique(4)
     assert triangle_union(path_graph(4)).m == 0

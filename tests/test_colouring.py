@@ -215,7 +215,6 @@ def _outcome(call):
 def _observe(psi: EdgeColouring) -> tuple:
     """Everything the public readers say about psi."""
     g = psi.graph
-    probe = sorted(psi.colours_used())[:3] + [psi.next_colour]
     return (
         colouring_to_json(psi),
         find_properness_clash(g, psi),
@@ -223,7 +222,6 @@ def _observe(psi: EdgeColouring) -> tuple:
         len(psi),
         psi.colours_used(),
         [psi.colours_at(v) for v in range(g.n)],
-        [psi.would_clash(u, v, c) for u, v in g.edges for c in probe],
         psi.next_colour,
     )
 
@@ -260,7 +258,7 @@ def _random_op(rng: random.Random, g: Graph, psi: EdgeColouring):
         return rng.randrange(-1, g.n + 1), rng.randrange(-1, g.n + 1)
 
     kind = rng.choice(("assign", "assign_many", "recolour_many", "fill_fresh", "plant",
-                       "copy", "colours", "colour_set", "get"))
+                       "copy", "colours", "get"))
     if kind == "assign":
         (u, v), c = pair(), colour()
         return kind, lambda p: p.assign(u, v, c)
@@ -291,9 +289,6 @@ def _random_op(rng: random.Random, g: Graph, psi: EdgeColouring):
     if kind == "colours":
         keys = [pair() for _ in range(rng.randrange(4))]
         return kind, lambda p: p.colours(keys)
-    if kind == "colour_set":
-        keys = [pair() for _ in range(rng.randrange(6))]
-        return kind, lambda p: p.colour_set(keys)
     if kind == "get":
         u, v = pair()
         return kind, lambda p: p.get(u, v)
@@ -589,11 +584,6 @@ def test_per_vertex_queries_match_brute_force(seed, n, density, pool):
     assert is_proper(g, psi) == (clash is None)
     for v in range(n):
         assert psi.colours_at(v) == {c for e, c in col.items() if v in e}
-    for u, v in g.edges:
-        for c in range(pool + 1):
-            expected = any(col[e] == c for e in col
-                           if e != (u, v) and {u, v} & set(e))
-            assert psi.would_clash(u, v, c) == psi.would_clash(v, u, c) == expected
 
 
 def test_properness_checks_reject_another_graph():

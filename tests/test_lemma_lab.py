@@ -438,6 +438,28 @@ class TestSurvivingTriangle:
         with pytest.raises(ParameterError, match="non-edge"):
             surviving_triangle(inst, [[(1, 2)]])
 
+    def test_failure_payloads(self):
+        """The scan's two counterexamples name the spoke it gave up on and
+        count every removed fan key, scanned or not."""
+        inst = spoked_fan_instance()
+        fan, g = inst.roles, inst.graph
+        c, s0, s1, s5 = fan.centre, fan.spokes[0], fan.spokes[1], fan.spokes[5]
+        # spoke 0 is cut, spoke 1 loses each pendant triangle (half of them
+        # at the centre, half at the spoke) and a later skeleton edge is cut
+        removed = {(c, s0), (c, s5)} | {
+            (c, p) if j % 2 else (s1, p) for j, p in enumerate(fan.apexes[1])}
+        with pytest.raises(CounterexampleFound) as exc:
+            lemma_lab._surviving_triangle_core(g, None, fan, removed.__contains__, "ctx")
+        assert str(exc.value) == "ctx: surviving skeleton edge lost all its pendant triangles"
+        assert exc.value.payload["detail"] == {"spoke": s1, "removed_count": 51}
+
+        removed = {(c, s) for s in fan.spokes} | {(s0, fan.apexes[0][0]), (c, fan.apexes[9][3])}
+        with pytest.raises(CounterexampleFound) as exc:
+            lemma_lab._surviving_triangle_core(g, None, fan, removed.__contains__, "ctx")
+        assert str(exc.value) == (
+            "ctx: every skeleton edge was removed by at most 24 matchings")
+        assert exc.value.payload["detail"] == {"removed_count": 27}
+
     def test_randomised_batches_always_survive(self):
         inst = spoked_fan_instance()
         g = inst.graph
@@ -572,6 +594,18 @@ def test_k7_template_fan_colours_lie_above_the_pool():
     assert min(fan_colours) >= 20
 
 
+def test_output_gate_rejects_a_clique_that_is_not_rainbow():
+    """Every extractor returns through `_validated_rainbow_clique`; a clique
+    with a repeated colour must fail there, not be returned."""
+    g = clique(4)
+    psi = EdgeColouring(g, {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 2): 2, (1, 3): 1, (2, 3): 0})
+    assert lemma_lab._validated_rainbow_clique(g, psi, (0, 1, 2), "k3") == (0, 1, 2)
+    with pytest.raises(CounterexampleFound, match="k4: output clique is not rainbow") as exc:
+        lemma_lab._validated_rainbow_clique(g, psi, (3, 1, 0, 2), "k4")
+    assert exc.value.payload["detail"] == {
+        "vertices": (0, 1, 2, 3), "colours": [0, 1, 2, 2, 1, 0]}
+
+
 # -- frozen templates and the checks on their copies ---------------------------
 
 TEMPLATE_LEMMAS = {
@@ -679,11 +713,10 @@ def plant_fan(rng: random.Random, sc, psi: EdgeColouring, count: int) -> None:
 @given(st.integers(0, 10**6), st.integers(0, 10**9), st.integers(0, 150))
 @settings(max_examples=40, deadline=None)
 def test_k7_fan_rewrites_prune_as_in_full(seed, plant_seed, count):
-    """On a copy of the frozen K7 template the pruned fan edges are found
-    from the written fan keys and the template's colour index; with
-    planted fan rewrites the extraction (which fan triangle survives, or
-    why it fails) equals that of a plain twin, which reads every fan
-    colour."""
+    """With planted fan rewrites on a copy of the frozen K7 template, the
+    extraction (which fan triangle survives, or why it fails) equals that
+    of a plain twin with the same colours, whose checks read every
+    edge."""
     sc = rainbow_k7_scaffold()
     psi = sample_rainbow_k7_colouring(sc, random.Random(seed))
     plant_fan(random.Random(plant_seed), sc, psi, count)

@@ -2,8 +2,9 @@
 it neither imports them nor reads them as attributes.  Every public name
 has one import path: a module's ``__all__`` lists only names it defines.
 Every public name has a reader outside the tests: code under ``src/``,
-``scripts/`` or ``bench/`` reads each ``__all__`` name, so the library
-carries no code that only its tests run.  Every avoider trial goes
+``scripts/`` or ``bench/`` reads each ``__all__`` name and each public
+plain method of a class in ``__all__``, so the library carries no code
+that only its tests run.  Every avoider trial goes
 through ``avoiders.attempt``: no other module imports the avoider table
 or the validator."""
 
@@ -78,6 +79,26 @@ def reexports(source: str) -> list[str]:
             bound.add(node.id)
         stack.extend(ast.iter_child_nodes(node))
     return [name for name in exported(source) if name not in bound]
+
+
+def is_plain_method(node: ast.AST) -> bool:
+    """A public method that is neither a dunder nor a property (nor one of
+    its setters or deleters)."""
+    property_decorators = {"property", "cached_property", "setter", "getter", "deleter"}
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")
+            and not any((d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", None))
+                        in property_decorators for d in node.decorator_list))
+
+
+def exported_methods(source: str) -> list[tuple[str, str]]:
+    """(class, method) for each public plain method of each class in the
+    module's ``__all__``."""
+    names = set(exported(source))
+    return [(node.name, item.name)
+            for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef) and node.name in names
+            for item in node.body if is_plain_method(item)]
 
 
 def names_read(source: str) -> set[str]:
@@ -179,6 +200,35 @@ def test_detector_sees_reads():
     assert exported("x = 1\n") == []
 
 
+def test_detector_sees_exported_methods():
+    source = (
+        "import functools\n"
+        "__all__ = ['Public']\n"
+        "class Public:\n"
+        "    def plain(self): ...\n"
+        "    async def waits(self): ...\n"
+        "    @staticmethod\n"
+        "    def static(): ...\n"
+        "    @functools.lru_cache\n"
+        "    def cached_call(self): ...\n"
+        "    @classmethod\n"
+        "    def build(cls): ...\n"
+        "    @property\n"
+        "    def size(self): ...\n"
+        "    @size.setter\n"
+        "    def size(self, value): ...\n"
+        "    @functools.cached_property\n"
+        "    def cached(self): ...\n"
+        "    def _private(self): ...\n"
+        "    def __len__(self): ...\n"
+        "class Hidden:\n"
+        "    def plain(self): ...\n"
+    )
+    assert exported_methods(source) == [
+        ("Public", "plain"), ("Public", "waits"), ("Public", "static"),
+        ("Public", "cached_call"), ("Public", "build")]
+
+
 def test_detector_sees_avoider_trial_imports():
     source = (
         "from .avoiders import AVOIDERS, attempt, perturbed_cliques\n"
@@ -227,6 +277,11 @@ def test_every_exported_name_has_a_reader():
         f"{path.stem}.{name}"
         for path in sorted(PACKAGE.glob("*.py"))
         for name in exported(path.read_text())
+        if name not in read
+    ] + [
+        f"{path.stem}.{cls}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for cls, name in exported_methods(path.read_text())
         if name not in read
     ]
     assert not offenders, offenders
