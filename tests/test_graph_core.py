@@ -5,6 +5,8 @@ by direct bipartition scans, copy counts by brute-force injections,
 automorphism counts by permutation filtering.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -16,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rainbowlab.canon import aut_order
+from rainbowlab.emergence import janson_bound
 from rainbowlab.errors import ParameterError
 from rainbowlab.graph import (
     DensityReport,
@@ -397,3 +400,52 @@ def test_components_match_networkx(g):
         assert sub.n == len(back)
         assert sorted(tuple(sorted((back[u], back[v]))) for u, v in sub.edges) == [
             (u, v) for u, v in g.edges if u in back]
+
+
+# -- pinned outputs of the embedding search ----------------------------------
+
+
+def _from_nx(h) -> Graph:
+    h = nx.convert_node_labels_to_integers(h)
+    return Graph(h.number_of_nodes(), h.edges())
+
+
+def copy_cases():
+    """400 seeded (g, h) pairs: g on 1-8 vertices, h on 1-5, where h is
+    either a random graph or a disjoint union of two random parts, so
+    disconnected patterns and patterns with isolated vertices are common."""
+    rng = random.Random(20261020)
+
+    def draw(n, p):
+        return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+    for _ in range(400):
+        g = draw(rng.randint(1, 8), rng.choice((0.4, 0.6, 0.8, 1.0)))
+        if rng.random() < 0.5:
+            h = draw(rng.randint(1, 5), rng.choice((0.3, 0.6, 1.0)))
+        else:
+            k = rng.randint(1, 4)
+            h = disjoint_union([draw(k, 1.0), draw(rng.randint(1, 5 - k), 0.7)])
+        yield g, h
+
+
+def test_copies_aut_orders_and_janson_estimates():
+    """A sha256 over three outputs of the embedding search: the copies
+    `enumerate_copies` returns (with the representative embedding of each),
+    `aut_order` of every graph in the networkx atlas, and `janson_bound`,
+    which divides by `aut_order`, on eight patterns at two (n, p) each."""
+    cases = list(copy_cases())
+    assert sum(len(components(h)) > 1 for _, h in cases) >= 200
+    assert sum(any(h.degree(v) == 0 for v in range(h.n)) for _, h in cases) >= 200
+    h = hashlib.sha256()
+    for g, pattern in cases:
+        h.update(json.dumps([g.n, g.edges, pattern.n, pattern.edges,
+                             enumerate_copies(g, pattern)]).encode())
+    h.update(json.dumps([aut_order(_from_nx(a)) for a in nx.graph_atlas_g()]).encode())
+    patterns = [clique(2), clique(3), _from_nx(nx.cycle_graph(5)), r7(), hat_k(3, 4),
+                t_graph(5), _from_nx(nx.petersen_graph()), _from_nx(nx.frucht_graph())]
+    for pattern in patterns:
+        for n, p in ((40, "1/8"), (300, "3/1000")):
+            h.update(json.dumps(janson_bound(pattern, n, p).to_json_dict()).encode())
+    assert h.hexdigest() == (
+        "417ec8457b6a9abc742c93d6a04052768e6e71b2a70fd3ad242e26538d293934")
