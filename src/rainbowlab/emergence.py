@@ -31,10 +31,9 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .avoiders import attempt
-from .canon import aut_order
 from .colouring import decide_arrows
 from .errors import ParameterError, SearchExhausted, StructureUnsupported
-from .graph import DisjointSets, Graph, bits, clique, edge_counts_all_subsets
+from .graph import DisjointSets, Graph, aut_order, bits, clique, edge_counts_all_subsets
 from .model import sample_gnp, sample_perturbed
 from .tiled_k8 import DENSE_PART_PHI, PHI_CEILING, k4_components, phi
 

@@ -49,6 +49,7 @@ __all__ = [
     "disjoint_union",
     "empty_graph",
     "enumerate_copies",
+    "aut_order",
     "densities",
     "edge_counts_all_subsets",
     "components",
@@ -380,7 +381,31 @@ def parse_graph_spec(spec: str) -> Graph:
     Path(k), Star(k), Join(A,B), HatK(a,b), R7, T(k), KDelta(s,t),
     DisjointUnion(A,B,...), plus the shorthands K<r> (clique), P<k> (path),
     and hatk<a><b> with single-digit arguments (e.g. hatk34).
+
+    Sub-specs are parsed depth first and left to right on an explicit
+    stack, so no nesting depth overflows the call stack.
     """
+    work: list = [spec]  # specs to parse, and (combine, count) steps
+    done: list[Graph] = []
+    while work:
+        item = work.pop()
+        if isinstance(item, str):
+            parsed = _parse_one(item)
+            if isinstance(parsed, Graph):
+                done.append(parsed)
+            else:
+                combine, subs = parsed
+                work.append((combine, len(subs)))
+                work.extend(reversed(subs))
+        else:
+            combine, count = item
+            done[-count:] = [combine(done[-count:])]
+    return done[0]
+
+
+def _parse_one(spec: str):
+    """One level of `parse_graph_spec`: a Graph, or (combine, sub-specs)
+    for a spec built from the graphs of its sub-specs."""
     s = spec.strip()
     short = s.lower()
     m = re.fullmatch(r"k(\d+)", short)
@@ -440,7 +465,7 @@ def parse_graph_spec(spec: str) -> Graph:
     if name == "join":
         if len(args) != 2:
             raise ParameterError(f"Join expects 2 sub-specs, got {args}")
-        return join(parse_graph_spec(args[0]), parse_graph_spec(args[1]))
+        return lambda parts: join(*parts), args
     if name in ("hatk", "hat_k"):
         return hat_k(*ints(2))
     if name == "r7":
@@ -452,7 +477,7 @@ def parse_graph_spec(spec: str) -> Graph:
     if name in ("disjointunion", "disjoint_union"):
         if not args:
             raise ParameterError("DisjointUnion expects >= 1 sub-spec")
-        return disjoint_union(parse_graph_spec(a) for a in args)
+        return disjoint_union, args
     if name == "empty":
         return empty_graph(*ints(1))
     raise ParameterError(f"unknown graph spec {spec!r}")
@@ -461,21 +486,63 @@ def parse_graph_spec(spec: str) -> Graph:
 # -- enumeration -----------------------------------------------------------
 
 
-def _connected_order(h: Graph) -> list[int]:
-    """Vertex order where each vertex after the first has an earlier
-    neighbour whenever one exists; starts from a max-degree vertex."""
-    if h.n == 0:
-        return []
-    order = [max(range(h.n), key=lambda v: (h.degree(v), -v))]
-    placed = {order[0]}
-    while len(order) < h.n:
-        cand = [v for v in range(h.n) if v not in placed]
-        attached = [v for v in cand if any(h.has_edge(v, u) for u in placed)]
-        pool = attached or cand
-        nxt = max(pool, key=lambda v: (sum(h.has_edge(v, u) for u in placed), h.degree(v), -v))
+def _connected_order(h: Graph, start=()) -> list[int]:
+    """Vertex order that begins with `start`; each later vertex has the
+    most earlier neighbours, then the highest degree, then the lowest id,
+    so it has an earlier neighbour whenever one exists."""
+    order = list(start)
+    placed = sum(1 << v for v in order)
+    rest = [v for v in range(h.n) if not placed >> v & 1]
+    while rest:
+        nxt = max(rest, key=lambda v: ((h.adj[v] & placed).bit_count(), h.adj[v].bit_count(), -v))
+        rest.remove(nxt)
         order.append(nxt)
-        placed.add(nxt)
+        placed |= 1 << nxt
     return order
+
+
+def _embeddings(g: Graph, h: Graph, pins=()):
+    """Yield every injective map of h into g that sends edges to edges, as
+    a tuple of images indexed by h-vertex.
+
+    `pins` holds (h-vertex, g-vertex) pairs every map must send.  Pinned
+    vertices are placed first, the rest in `_connected_order`, each on the
+    lowest free candidate first, on an explicit stack; so maps come in
+    lexicographic order of their images along that order.
+    """
+    pinned = dict(pins)
+    order = _connected_order(h, pinned)
+    n = len(order)
+    if n == 0:
+        yield ()
+        return
+    pos = {v: i for i, v in enumerate(order)}
+    # for each vertex in order, its h-neighbours that appear earlier
+    earlier = [[u for u in bits(h.adj[v]) if pos[u] < i] for i, v in enumerate(order)]
+    full = g.vertex_mask()
+    allowed = [1 << pinned[v] if v in pinned else full for v in order]
+    image = [0] * h.n
+    cand = [0] * n  # cand[i]: the untried images of order[i]
+    used = [0] * n  # used[i]: the images of order[:i]
+    cand[0] = allowed[0]
+    i = 0
+    while i >= 0:
+        c = cand[i]
+        if not c:
+            i -= 1
+            continue
+        low = c & -c
+        cand[i] = c ^ low
+        image[order[i]] = low.bit_length() - 1
+        if i == n - 1:
+            yield tuple(image)
+            continue
+        i += 1
+        used[i] = used[i - 1] | low
+        c = allowed[i] & ~used[i]
+        for u in earlier[i]:
+            c &= g.adj[image[u]]
+        cand[i] = c
 
 
 def enumerate_copies(g: Graph, h: Graph) -> list[tuple[int, ...]]:
@@ -483,8 +550,9 @@ def enumerate_copies(g: Graph, h: Graph) -> list[tuple[int, ...]]:
 
     An embedding is a vertex tuple (image of h-vertex 0, 1, ...).  Copies
     are deduplicated: two embeddings that induce the same image subgraph
-    (same vertex set and same image edge set) count once.  Non-edges of h
-    are NOT required to be non-edges of g.
+    (same vertex set and same image edge set) count once, and the first
+    one `_embeddings` yields stands for the copy.  Non-edges of h are NOT
+    required to be non-edges of g.
     """
     if h.n > g.n or h.m > g.m and h.m > 0:
         return []
@@ -498,75 +566,47 @@ def enumerate_copies(g: Graph, h: Graph) -> list[tuple[int, ...]]:
     if h.n == 4 and h.m == 6:
         return g.cliques(4)
 
-    comps = components(h)
-    if len(comps) > 1:
-        return _enumerate_disconnected(g, comps)
-
-    order = _connected_order(h)
-    pos_in_order = {v: i for i, v in enumerate(order)}
-    # for each vertex in order, its h-neighbours that appear earlier
-    earlier = [
-        [u for u in bits(h.adj[v]) if pos_in_order[u] < i]
-        for i, v in enumerate(order)
-    ]
-    full = g.vertex_mask()
     found: dict[tuple, tuple[int, ...]] = {}
-    image = [0] * h.n
-
-    def key_of() -> tuple:
-        vs = frozenset(image)
+    for image in _embeddings(g, h):
         es = frozenset(
             (image[u], image[v]) if image[u] < image[v] else (image[v], image[u])
             for u, v in h.edges
         )
-        return (vs, es)
-
-    def place(i: int, used: int):
-        if i == h.n:
-            found.setdefault(key_of(), tuple(image))
-            return
-        hv = order[i]
-        cand = full & ~used
-        for u in earlier[i]:
-            cand &= g.adj[image[u]]
-        for gv in bits(cand):
-            image[hv] = gv
-            place(i + 1, used | (1 << gv))
-
-    place(0, 0)
+        found.setdefault((frozenset(image), es), image)
     return sorted(found.values())
 
 
-def _enumerate_disconnected(g: Graph, comps) -> list[tuple[int, ...]]:
-    per_comp = [(back, enumerate_copies(g, sub)) for sub, back in comps]
-    h_edges = []
-    for sub, back in comps:
-        h_edges += [(back[u], back[v]) for u, v in sub.edges]
-    total_n = sum(len(back) for back, _ in per_comp)
-    found: dict[tuple, tuple[int, ...]] = {}
-    image = [0] * total_n
+_AUT_CAP = 48
 
-    def copy_key() -> tuple:
-        es = frozenset(
-            (image[u], image[v]) if image[u] < image[v] else (image[v], image[u])
-            for u, v in h_edges
+
+def aut_order(g: Graph) -> int:
+    """|Aut(g)| as the product of the orbit sizes down a stabiliser chain.
+
+    Vertices are fixed one at a time in `_connected_order`.  The orbit of
+    v under the stabiliser of the vertices fixed before it is the set of w
+    of v's degree that some map from `_embeddings(g, g)` sends v to while
+    fixing them.  An injective edge-preserving map of a finite graph into
+    itself is an automorphism, so these maps are the stabiliser's elements.
+    """
+    n = g.n
+    if n > _AUT_CAP:
+        raise ParameterError(f"aut_order capped at {_AUT_CAP} vertices, got {n}")
+    if n <= 1:
+        return 1
+    order = 1
+    pins: list[tuple[int, int]] = []
+    free = set(range(n))
+    for v in _connected_order(g):
+        free.discard(v)
+        degree = g.degree(v)
+        order *= 1 + sum(
+            1
+            for w in free
+            if g.degree(w) == degree
+            and next(_embeddings(g, g, pins + [(v, w)]), None) is not None
         )
-        return (frozenset(image), es)
-
-    def place(ci: int, used: frozenset):
-        if ci == len(per_comp):
-            found.setdefault(copy_key(), tuple(image))
-            return
-        back, embeds = per_comp[ci]
-        for emb in embeds:
-            if any(v in used for v in emb):
-                continue
-            for local, orig in enumerate(back):
-                image[orig] = emb[local]
-            place(ci + 1, used | frozenset(emb))
-
-    place(0, frozenset())
-    return sorted(found.values())
+        pins.append((v, v))
+    return order
 
 
 def components(g: Graph) -> list[tuple[Graph, list[int]]]:

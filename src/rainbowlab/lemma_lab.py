@@ -1018,7 +1018,7 @@ def sample_rainbow_k6_colouring(
     """Unique cross colours; cherry and fan edges share a small pool so
     the pair extraction sees genuine colour collisions."""
     if scaffold is not rainbow_k6_scaffold():
-        raise ParameterError("sampler supports the canonical scaffold only")
+        raise ParameterError("sampler supports only the scaffold rainbow_k6_scaffold() returns")
     psi = _k6_cross_template().copy()
     legal_pool = _LegalPool(rng.randrange(8, 32))
     reuse = rng.choice((0.6, 0.9, 1.0))
@@ -1083,7 +1083,7 @@ def sample_rainbow_k7_colouring(
     """Unique cross colours; block edges use a small pool which is also
     sprinkled over the fan so colour pruning genuinely happens."""
     if scaffold is not rainbow_k7_scaffold():
-        raise ParameterError("sampler supports the canonical scaffold only")
+        raise ParameterError("sampler supports only the scaffold rainbow_k7_scaffold() returns")
     psi = _k7_template().copy()
     size = rng.randrange(8, 20)
     # the blocks are vertex-disjoint: one pass colours as one per block

@@ -17,13 +17,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rainbowlab.canon import aut_order
 from rainbowlab.emergence import janson_bound
 from rainbowlab.errors import ParameterError
 from rainbowlab.graph import (
     DensityReport,
     DisjointSets,
     Graph,
+    aut_order,
     clique,
     complete_bipartite,
     components,
@@ -89,6 +89,11 @@ def oracle_aut_order(g: Graph) -> int:
                for u, v in combinations(range(g.n), 2)):
             count += 1
     return count
+
+
+def _from_nx(h) -> Graph:
+    h = nx.convert_node_labels_to_integers(h)
+    return Graph(h.number_of_nodes(), h.edges())
 
 
 def random_graph(seed: int, n: int, density_pct: int) -> Graph:
@@ -214,6 +219,11 @@ def test_parse_graph_spec():
         parse_graph_spec("whatever(3)")
 
 
+def test_parse_graph_spec_nested_past_the_recursion_limit():
+    depth = 1100  # above CPython's default recursion limit of 1000
+    assert parse_graph_spec("DisjointUnion(" * depth + "K2" + ")" * depth) == clique(2)
+
+
 # -- enumeration -----------------------------------------------------------
 
 
@@ -322,9 +332,22 @@ def test_io_roundtrips():
     (complete_bipartite(3, 3), 72),
     (r7(), 8),
     (t_graph(3), 48),
+    # regular graphs: every vertex has the same degree, so the search
+    # rules out each wrong image by exhausting it
+    (_from_nx(nx.frucht_graph()), 1),
+    (_from_nx(nx.dodecahedral_graph()), 120),
+    (_from_nx(nx.desargues_graph()), 240),
 ])
 def test_aut_order_known_groups(g, order):
     assert aut_order(g) == order
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_aut_order_of_random_regular_graphs(degree, seed):
+    h = nx.random_regular_graph(degree, 12, seed=seed)
+    expected = sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+    assert aut_order(_from_nx(h)) == expected
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13, 14, 15])
@@ -403,11 +426,6 @@ def test_components_match_networkx(g):
 
 
 # -- pinned outputs of the embedding search ----------------------------------
-
-
-def _from_nx(h) -> Graph:
-    h = nx.convert_node_labels_to_integers(h)
-    return Graph(h.number_of_nodes(), h.edges())
 
 
 def copy_cases():

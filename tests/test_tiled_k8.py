@@ -415,6 +415,70 @@ def test_tiled_audit_colours_each_distinct_graph_once_per_call(monkeypatch):
         assert len(coloured) == len(set(coloured)) == distinct
 
 
+# -- fault injection: the audit reports each broken output ---------------------
+
+AUDIT_SEED = 8311
+AUDIT_TARGET = 5  # a corpus index the audit re-solves (quick re-solves 0-74)
+
+
+def audit_target_violations(monkeypatch, name, broken, message):
+    """Patch `verification.<name>` to hand back `broken(output)` for the
+    corpus graph at AUDIT_TARGET only, run the quick audit, and check that
+    it reports `graph {i}: <message>` at each index that draws that graph."""
+    target = corpus_graph(AUDIT_SEED, AUDIT_TARGET)[0]
+    real = getattr(verification, name)
+
+    def patched(g, **kwargs):
+        out = real(g, **kwargs)
+        return broken(out) if g == target else out
+
+    monkeypatch.setattr(verification, name, patched)
+    result = verification.check_tiled_corpus(AUDIT_SEED, "quick")
+    assert not result.passed
+    limit = 75 if name == "find_stretched_sequence" else 1000
+    hits = [i for i in range(limit) if corpus_graph(AUDIT_SEED, i)[0] == target]
+    expected = [f"graph {i}: {message}" for i in hits]
+    assert AUDIT_TARGET in hits
+    assert result.details["violations"] == expected[:10]
+    return target
+
+
+def test_tiled_audit_reports_an_improper_colouring(monkeypatch):
+    def clash(out):
+        psi, cert = out
+        bad = psi.copy()
+        (a, b), (c, d) = bad.graph.edges[:2]  # the two least edges share vertex 0
+        assert a == c == 0
+        bad.recolour_many([(c, d)], [psi.get(a, b)])
+        return bad, cert
+
+    audit_target_violations(monkeypatch, "colour_tiled", clash,
+                            "colouring not total+proper")
+
+
+class _Sequence:
+    """A stand-in for a GeneratingSequence with edited answers."""
+
+    def __init__(self, all_edges, phi_value):
+        self.all_edges = lambda: all_edges
+        self.phi_value = lambda: phi_value
+
+
+def test_tiled_audit_reports_a_sequence_missing_an_edge(monkeypatch):
+    audit_target_violations(
+        monkeypatch, "find_stretched_sequence",
+        lambda seq: _Sequence(seq.all_edges()[1:], seq.phi_value()),
+        "re-solved sequence misses edges")
+
+
+def test_tiled_audit_reports_a_wrong_phi(monkeypatch):
+    f = phi(corpus_graph(AUDIT_SEED, AUDIT_TARGET)[0])
+    audit_target_violations(
+        monkeypatch, "find_stretched_sequence",
+        lambda seq: _Sequence(seq.all_edges(), seq.phi_value() + 1),
+        f"phi {f} != 2*gamma+beta value {f + 1}")
+
+
 class NoWrappersRandom(random.Random):
     def sample(self, *args, **kwargs):
         raise AssertionError("tiled draw called Random.sample")
