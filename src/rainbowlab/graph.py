@@ -1,5 +1,5 @@
 """Undirected simple graphs with bitset adjacency, named constructors,
-subgraph enumeration and exact density functionals.
+subgraph enumeration, automorphism counts and exact density functionals.
 
 Vertex ids are dense integers 0..n-1.  Adjacency is one Python int per
 vertex used as a bitset, so neighbourhood intersections are single `&`

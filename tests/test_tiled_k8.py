@@ -421,10 +421,11 @@ AUDIT_SEED = 8311
 AUDIT_TARGET = 5  # a corpus index the audit re-solves (quick re-solves 0-74)
 
 
-def audit_target_violations(monkeypatch, name, broken, message):
+def audit_target_violations(monkeypatch, name, broken, *messages):
     """Patch `verification.<name>` to hand back `broken(output)` for the
     corpus graph at AUDIT_TARGET only, run the quick audit, and check that
-    it reports `graph {i}: <message>` at each index that draws that graph."""
+    it reports `graph {i}: <message>` for each message, in order, at each
+    index that draws that graph."""
     target = corpus_graph(AUDIT_SEED, AUDIT_TARGET)[0]
     real = getattr(verification, name)
 
@@ -437,10 +438,9 @@ def audit_target_violations(monkeypatch, name, broken, message):
     assert not result.passed
     limit = 75 if name == "find_stretched_sequence" else 1000
     hits = [i for i in range(limit) if corpus_graph(AUDIT_SEED, i)[0] == target]
-    expected = [f"graph {i}: {message}" for i in hits]
+    expected = [f"graph {i}: {message}" for i in hits for message in messages]
     assert AUDIT_TARGET in hits
     assert result.details["violations"] == expected[:10]
-    return target
 
 
 def test_tiled_audit_reports_an_improper_colouring(monkeypatch):
@@ -454,6 +454,22 @@ def test_tiled_audit_reports_an_improper_colouring(monkeypatch):
 
     audit_target_violations(monkeypatch, "colour_tiled", clash,
                             "colouring not total+proper")
+
+
+def test_tiled_audit_reports_a_partial_colouring(monkeypatch):
+    """An uncoloured edge is a wildcard to the rainbow scan, so the
+    certificate is reported unsound as well."""
+    kind = colour_tiled(corpus_graph(AUDIT_SEED, AUDIT_TARGET)[0])[1].kind
+
+    def drop_an_edge(out):
+        psi, cert = out
+        part = EdgeColouring(psi.graph)
+        kept = psi.graph.edges[1:]
+        part.assign_many(kept, psi.colours(kept))
+        return part, cert
+
+    audit_target_violations(monkeypatch, "colour_tiled", drop_an_edge,
+                            "colouring not total+proper", f"certificate {kind} unsound")
 
 
 class _Sequence:
