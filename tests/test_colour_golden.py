@@ -6,7 +6,11 @@ are made of, so every avoider must keep handing out exactly the same
 colour ids.  The hashes were recorded before the bulk colouring paths
 existed.  The K4 instances hold all five component kinds; the K6 set has
 one instance with non-empty M0 x M2 blocks on both sides and sampled ones
-whose fresh colours start above an unused palette.  The `colour_tiled`
+whose fresh colours start above an unused palette.  The label-search hash
+pins what `avoider_k6._label_search` returns (the quadruple or None, and
+whether the budget ran out) on 223 triangle unions at five budgets from
+1 to 10,000 nodes, with and without M0, so the search keeps its node
+order and budget semantics.  The `colour_tiled`
 hash covers the first 300 graphs of the seed-5 tiled corpus (`corpus_graph`,
 which the `tiled` audit draws from), with their certificates; the
 `find_stretched_sequence` hash covers the generating sequences the colourer
@@ -54,7 +58,7 @@ import pytest
 
 from rainbowlab import verification
 from rainbowlab.avoider_k4 import avoid_k4, classify_components
-from rainbowlab.avoider_k6 import avoid_k6
+from rainbowlab.avoider_k6 import _label_search, avoid_k6, triangle_union
 from rainbowlab.avoiders import perturbed_cliques
 from rainbowlab.colouring import colouring_to_json, decide_arrows
 from rainbowlab.errors import (
@@ -63,7 +67,7 @@ from rainbowlab.errors import (
     SearchExhausted,
     StructureUnsupported,
 )
-from rainbowlab.graph import Graph, clique, hat_k, path_graph, star
+from rainbowlab.graph import Graph, clique, components, hat_k, path_graph, star
 from rainbowlab.lemma_lab import (
     extract_rainbow_k7,
     rainbow_k4_scaffold,
@@ -133,6 +137,50 @@ def test_avoid_k6_colour_ids_with_m0_m2_blocks():
     psi = avoid_k6(wheel_instance(101))
     assert digest(psi) == (
         "67aa99b6cd60f5e0853a5e0cc99b2b7475fe3377f6f14fbccf8c719aba30865a")
+
+
+def wheel_strip(k: int) -> Graph:
+    """WHEEL5 with a strip of k more triangles: each new vertex is joined
+    to both ends of the last edge, starting from the rim edge (4, 5)."""
+    edges = list(WHEEL5)
+    a, b = 4, 5
+    for v in range(6, 6 + k):
+        edges += [(a, v), (b, v)]
+        a, b = b, v
+    return Graph(6 + k, sorted(edges))
+
+
+def label_search_cases():
+    """Every triangle-union component with edges of the K4-free parts of
+    sampled K6-regime instances near the threshold (222 of them), then
+    WHEEL5 with a 60-triangle strip."""
+    for n, e in ((60, 0.5), (120, 0.55), (200, 0.6)):
+        for t in range(10):
+            inst = sample_perturbed(n, n ** -e, np.random.default_rng([7, n, t]))
+            for part in (inst.left, inst.right):
+                if part.cliques(4):
+                    continue
+                for sub, _ in components(triangle_union(part)):
+                    if sub.m:
+                        yield sub.triangles()
+    yield wheel_strip(60).triangles()
+
+
+def test_label_search_outcomes():
+    """Small budgets stop the search part-way, so they pin its node order;
+    the corpus has found, proven-none and out-of-budget outcomes."""
+    h = hashlib.sha256()
+    outcomes = set()
+    for tris in label_search_cases():
+        for allow_m0 in (False, True):
+            for budget in (1, 10, 100, 1000, 10_000):
+                q, out_of_budget = _label_search(tris, allow_m0, budget)
+                rows = None if q is None else [sorted(m) for m in (q.m0, q.m1, q.m2, q.m3)]
+                outcomes.add((q is not None, out_of_budget))
+                h.update(json.dumps([rows, out_of_budget]).encode())
+    assert outcomes == {(True, False), (False, False), (False, True)}
+    assert h.hexdigest() == (
+        "d599562636f850dbfeaad382b06c3ad43b0927b882cb1c93b0e6ea9a88177aaf")
 
 
 @pytest.mark.parametrize("n,seed,expected", [
