@@ -60,10 +60,6 @@ class MatchingQuadruple:
         return self.m0 | self.m1 | self.m2 | self.m3
 
 
-def _k(u, v):
-    return (u, v) if u < v else (v, u)
-
-
 def _tri_edges(t):
     a, b, c = t
     return ((a, b), (a, c), (b, c))
@@ -114,9 +110,7 @@ def _hitting_matching(triangles, budget: int):
     limit; every entered node counts against `budget`."""
     tris = sorted(triangles)
     used: set[int] = set()
-    chosen: list[tuple[int, int]] = []
-    picked: set[tuple[int, int]] = set()  # `chosen` as normalised keys
-    keys = [{_k(u, v) for u, v in _tri_edges(t)} for t in tris]
+    chosen: dict[tuple[int, int], None] = {}  # the matching, in order
     stack: list[tuple[int, int]] = []  # (triangle, index of its chosen edge)
     nodes = 0
     i = 0
@@ -124,7 +118,7 @@ def _hitting_matching(triangles, budget: int):
         nodes += 1  # enter a node at triangle i
         if nodes > budget:
             return None
-        while i < len(tris) and not picked.isdisjoint(keys[i]):
+        while i < len(tris) and not chosen.keys().isdisjoint(_tri_edges(tris[i])):
             i += 1
         if i == len(tris):
             return list(chosen)
@@ -136,17 +130,15 @@ def _hitting_matching(triangles, budget: int):
             if k < 3:
                 u, v = edges[k]
                 used.update((u, v))
-                chosen.append((u, v))
-                picked.add(_k(u, v))
+                chosen[u, v] = None
                 stack.append((i, k))
                 i += 1
                 break
             if not stack:
                 return None
             i, k = stack.pop()
-            u, v = chosen.pop()
+            (u, v), _ = chosen.popitem()
             used.difference_update((u, v))
-            picked.discard(_k(u, v))
             k += 1
 
 
@@ -157,106 +149,83 @@ def _label_search(triangles, allow_m0: bool, budget: int):
     """Backtracking over edge labels M0..M3 (M1..M3 only when allow_m0 is
     false), always branching on the unsatisfied triangle with the fewest
     legal moves.  Returns a MatchingQuadruple, or None (proven none /
-    budget), plus a flag telling whether the budget ran out."""
-    from collections import Counter
+    budget), plus a flag telling whether the budget ran out.
 
-    tri_edges = [_tri_edges(t) for t in sorted(triangles)]
+    Each label's matching is kept as a vertex bitmask.  The open nodes
+    are an explicit stack of (moves, index of the next move) frames, so a
+    long chain of triangles stays within the recursion limit; every
+    entered node counts against `budget`."""
+    tris = [tuple((e, 1 << e[0] | 1 << e[1]) for e in _tri_edges(t))
+            for t in sorted(triangles)]
     label: dict[tuple[int, int], int] = {}
-    vert: list[Counter] = [Counter(), Counter(), Counter(), Counter()]
-    size = [0, 0, 0, 0]
-    nodes = 0
-    out_of_budget = False
+    used = [0, 0, 0, 0]  # vertices covered by M0..M3
 
-    def placeable(e, lab) -> bool:
-        if e in label:
-            return False
+    def placeable(ends, lab, placed=0) -> bool:
+        """Whether an unlabelled edge may join M_lab.  In a pair move,
+        `placed` is the first edge's label, which counts as in use."""
+        if lab == 0:
+            return not (used[0] | used[1] | used[2] | used[3]) & ends
         # Labels 1..3 are interchangeable, so introduce them in order:
         # label k+1 may appear only while label k is in use.
-        if lab > 1 and size[lab - 1] == 0:
+        if lab > 1 and not used[lab - 1] and placed != lab - 1:
             return False
-        u, v = e
-        if vert[lab][u] or vert[lab][v]:
-            return False
-        if lab == 0:
-            return not any(vert[i][u] or vert[i][v] for i in (1, 2, 3))
-        return not (vert[0][u] or vert[0][v])
+        return not (used[lab] | used[0]) & ends
 
-    def put(e, lab):
-        label[e] = lab
-        size[lab] += 1
-        vert[lab][e[0]] += 1
-        vert[lab][e[1]] += 1
-
-    def take(e, lab):
-        del label[e]
-        size[lab] -= 1
-        vert[lab][e[0]] -= 1
-        vert[lab][e[1]] -= 1
-
-    def satisfied(es) -> bool:
-        labs = {label.get(e) for e in es}
-        labs.discard(None)
-        return 0 in labs or len(labs & {1, 2, 3}) >= 2
-
-    def moves_for(es):
-        """Each move is a tuple of (edge, label) placements that satisfies
-        the triangle; single additions before pairs before M0."""
-        present = {label.get(e) for e in es}
-        present.discard(None)
-        out = []
-        if present & {1, 2, 3}:
+    def moves_for(tri):
+        """None if the triangle is satisfied, else the moves that satisfy
+        it.  Each move is a tuple of (edge, ends, label) placements; single
+        additions before pairs before M0."""
+        present = {label[e] for e, _ in tri if e in label}
+        if 0 in present or len(present) >= 2:
+            return None
+        free = [(e, ends) for e, ends in tri if e not in label]
+        if present:
             want = sorted({1, 2, 3} - present)
-            for e in es:
-                for lab in want:
-                    if placeable(e, lab):
-                        out.append(((e, lab),))
+            out = [((e, ends, lab),) for e, ends in free for lab in want
+                   if placeable(ends, lab)]
         else:
-            for e, f in combinations(es, 2):
-                for l1, l2 in _PAIR_LABELS:
-                    if placeable(e, l1):
-                        put(e, l1)
-                        ok = placeable(f, l2)
-                        take(e, l1)
-                        if ok:
-                            out.append(((e, l1), (f, l2)))
+            out = [((e, ee, l1), (f, fe, l2))
+                   for (e, ee), (f, fe) in combinations(free, 2)
+                   for l1, l2 in _PAIR_LABELS
+                   if placeable(ee, l1) and placeable(fe, l2, l1)]
         if allow_m0:
-            for e in es:
-                if placeable(e, 0):
-                    out.append(((e, 0),))
+            out += [((e, ends, 0),) for e, ends in free if placeable(ends, 0)]
         return out
 
-    def rec() -> bool:
-        nonlocal nodes, out_of_budget
-        nodes += 1
+    stack: list[list] = []
+    nodes = 0
+    while True:
+        nodes += 1  # enter a node
         if nodes > budget:
-            out_of_budget = True
-            return False
+            return None, True
         best = None
-        for es in tri_edges:
-            if satisfied(es):
-                continue
-            mv = moves_for(es)
-            if best is None or len(mv) < len(best):
+        for tri in tris:
+            mv = moves_for(tri)
+            if mv is not None and (best is None or len(mv) < len(best)):
                 best = mv
                 if len(mv) <= 1:
                     break
         if best is None:
-            return True
-        for mv in best:
-            for e, lab in mv:
-                put(e, lab)
-            if rec():
-                return True
-            for e, lab in reversed(mv):
-                take(e, lab)
-            if out_of_budget:
-                return False
-        return False
-
-    if rec():
-        ms = [frozenset(e for e, l in label.items() if l == lab) for lab in range(4)]
-        return MatchingQuadruple(*ms), False
-    return None, out_of_budget
+            ms = [frozenset(e for e, l in label.items() if l == lab) for lab in range(4)]
+            return MatchingQuadruple(*ms), False
+        stack.append([best, 0])
+        while True:  # undo the top frame's last move, then try its next
+            if not stack:
+                return None, False
+            frame = stack[-1]
+            moves, i = frame
+            if i:
+                for e, ends, lab in moves[i - 1]:
+                    del label[e]
+                    used[lab] &= ~ends
+            if i == len(moves):
+                stack.pop()
+                continue
+            frame[1] = i + 1
+            for e, ends, lab in moves[i]:
+                label[e] = lab
+                used[lab] |= ends
+            break
 
 
 # -- growth reconstruction -----------------------------------------------
@@ -305,7 +274,7 @@ def _growth_tail_split(comp: Graph):
     prefix_edges = set(_tri_edges(start))
     for t, _, _ in steps[:k]:
         prefix_edges |= set(_tri_edges(t))
-    tail_pendants = [_k(*nv) for _, _, nv in steps[k:]]
+    tail_pendants = [tuple(nv) for _, _, nv in steps[k:]]
     return prefix_edges, tail_pendants
 
 
@@ -378,7 +347,7 @@ def _part_matchings(part: Graph, offset: int) -> MatchingQuadruple:
         q = find_matchings(sub)
         for i, edges in enumerate((q.m0, q.m1, q.m2, q.m3)):
             for u, v in edges:
-                m[i].add(_k(back[u] + offset, back[v] + offset))
+                m[i].add((back[u] + offset, back[v] + offset))
     return MatchingQuadruple(*(frozenset(x) for x in m))
 
 

@@ -1,6 +1,9 @@
 """Triangle-union machinery, the matching-quadruple solver, and the
 rainbow-K6 avoider."""
 
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
@@ -109,6 +112,25 @@ def test_find_matchings_long_triangle_chain_needs_no_recursion():
     q = find_matchings(chain)
     assert q.m0 == frozenset((2 * i, 2 * i + 1) for i in range(1500))
     assert not (q.m1 or q.m2 or q.m3)
+
+
+def test_find_matchings_wheel_strip_needs_no_recursion():
+    # WHEEL5 has no hitting matching, so its 60-triangle strip (each new
+    # vertex joined to the last edge) goes to the four-label search, which
+    # holds one open node per triangle: 65 of them
+    edges = list(WHEEL5.edges)
+    a, b = 4, 5
+    for v in range(6, 66):
+        edges += [(a, v), (b, v)]
+        a, b = b, v
+    g = Graph(66, sorted(edges))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        q = find_matchings(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert quadruple_holds(g, q)
 
 
 def test_find_matchings_validates_input():

@@ -6,7 +6,10 @@ Every public name has a reader outside the tests: code under ``src/``,
 plain method of a class in ``__all__``, so the library carries no code
 that only its tests run.  Every avoider trial goes
 through ``avoiders.attempt``: no other module imports the avoider table
-or the validator."""
+or the validator.  No function calls itself, except the two in
+``SELF_CALLS_ALLOWED``, each with the bound that keeps it far below
+Python's recursion limit: a search that nests as deep as its input is
+large runs on an explicit stack."""
 
 import ast
 from pathlib import Path
@@ -142,6 +145,51 @@ def avoider_trial_imports(source: str) -> list[str]:
     ]
 
 
+# Each allowed self-call, with why its depth is bounded.
+SELF_CALLS_ALLOWED = {
+    "tiled_k8._search.rec": "every step adds an edge, so it nests at most 91 deep "
+                            "under the 14-vertex cap",
+    "emergence._DinicFlow._push": "one frame per node of a shortest augmenting path, "
+                                  "which alternates edge and vertex nodes: at most "
+                                  "2n + 2 for a pattern of n <= 120 vertices",
+}
+
+
+def own_calls(fn: ast.AST):
+    """The callees of the calls in a function's own body, not in the defs,
+    classes or lambdas nested in it."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Call):
+            yield node.func
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def self_calls(source: str) -> list[str]:
+    """Dotted names of the functions that call themselves: by their bare
+    name, or as ``self.name``/``cls.name`` in a method."""
+    out = []
+    stack = [(ast.parse(source), "", False)]
+    while stack:
+        node, prefix, in_class = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                stack.append((child, f"{prefix}{child.name}.", True))
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any((isinstance(f, ast.Attribute) and f.attr == child.name
+                        and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls"))
+                       if in_class else (isinstance(f, ast.Name) and f.id == child.name)
+                       for f in own_calls(child)):
+                    out.append(prefix + child.name)
+                stack.append((child, f"{prefix}{child.name}.", False))
+            else:
+                stack.append((child, prefix, in_class))
+    return sorted(out)
+
+
 def test_detector_sees_private_imports():
     assert private_imports("from .graph import Graph, _edge_counts\n") == [
         "from .graph import _edge_counts"
@@ -238,6 +286,37 @@ def test_detector_sees_avoider_trial_imports():
     )
     assert avoider_trial_imports(source) == ["AVOIDERS", "validate"]
     assert avoider_trial_imports("from .avoiders import attempt\n") == []
+
+
+def test_detector_sees_self_calls():
+    source = (
+        "def _label_search(tris, budget):\n"
+        "    def rec():\n"
+        "        for mv in best:\n"
+        "            if rec():\n"
+        "                return True\n"
+        "    return rec()\n"
+        "class Flow:\n"
+        "    def _push(self, u):\n"
+        "        return self._push(u + 1) if u else 0\n"
+        "    def get(self, key):\n"
+        "        return get(key) + other.get(key)\n"
+        "def outer():\n"
+        "    def inner():\n"
+        "        return outer()\n"
+        "    return inner\n"
+    )
+    assert self_calls(source) == ["Flow._push", "_label_search.rec"]
+    assert self_calls("def f(n):\n    return f(n - 1) if n else 0\n") == ["f"]
+
+
+def test_no_function_calls_itself_outside_the_allowlist():
+    found = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in self_calls(path.read_text())
+    ]
+    assert sorted(found) == sorted(SELF_CALLS_ALLOWED)
 
 
 def test_no_module_imports_private_names():
