@@ -36,6 +36,12 @@ The lemma-sampler hash does the same for the six falsification samplers,
 seeded as `certify_lemma` seeds them: each colouring (for the surviving
 triangle, the matchings), the overlay log of a template copy, `next_colour`
 and the next `rng.random()`.
+The lemma-clash hash pins `find_properness_clash`, `is_total()` and
+`len()` on 40 colourings from each of the K4, K5, pair, K6 and K7
+samplers, half of them with one edge recoloured to the colour of an edge
+beside it (on the K6/K7 joins, a side edge every other time), so it
+covers both clash paths, proper and improper colourings, and overlays
+with and without a cross write.
 The K7/survivor hash pins what `extract_rainbow_k7` returns (the clique,
 or the error's type, message and detail) on 150 sampled colourings with
 0-600 proper rewrites of fan and block edges, which decide the fan edges
@@ -60,7 +66,7 @@ from rainbowlab import verification
 from rainbowlab.avoider_k4 import avoid_k4, classify_components
 from rainbowlab.avoider_k6 import _label_search, avoid_k6, triangle_union
 from rainbowlab.avoiders import perturbed_cliques
-from rainbowlab.colouring import colouring_to_json, decide_arrows
+from rainbowlab.colouring import colouring_to_json, decide_arrows, find_properness_clash
 from rainbowlab.errors import (
     CounterexampleFound,
     OutOfRegime,
@@ -365,6 +371,31 @@ def test_lemma_sampler_draws():
                 h.update(json.dumps(record + [rng.random()]).encode())
     assert h.hexdigest() == (
         "7106cdd3c15c3981e70b883a4ed769f0fe4512158b5c49041ace1fbdf57dbcf4")
+
+
+def test_lemma_colouring_clashes_totals_and_sizes():
+    h = hashlib.sha256()
+    for name, build, sample, _ in SAMPLERS:
+        if name == "surviving-triangle":
+            continue
+        inst = build()
+        g = inst.graph
+        side = [(u, v) for u, v in g.edges if not u < g.split <= v]
+        for trial in range(40):
+            rng = random.Random(f"clash:{name}:{trial}")
+            psi = sample(inst, rng)
+            if trial % 2:
+                # recolour one edge (a side edge every other time, as the
+                # edges of a K6/K7 join are nearly all cross edges) with the
+                # colour of an edge beside it
+                u, v = rng.choice(side if trial % 4 == 3 else g.edges)
+                x = rng.choice((u, v))
+                w = rng.choice([w for w in g.neighbours(x) if w not in (u, v)])
+                psi.assign(u, v, psi.get(x, w))
+            h.update(json.dumps(
+                [find_properness_clash(g, psi), psi.is_total(), len(psi)]).encode())
+    assert h.hexdigest() == (
+        "6be6d4f37249fe9d6014c127cb12c9b9e0af29536c7fc8a81189dfa516950532")
 
 
 def rewrite_fan(rng: random.Random, sc, psi, count: int) -> None:

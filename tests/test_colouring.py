@@ -187,6 +187,64 @@ def test_recolour_many_rejects_without_change(edges, colours, frozen_base):
     assert (_state(psi), psi.overlay()) == before
 
 
+# On the join of two 3-paths: sides {0, 1, 2} and {3, 4, 5}, cross edges
+# (u, v) for u < 3 <= v.  The messages were recorded before the bulk write
+# validated in one pass; the later cases pin which of two faults is named.
+JOIN_WRITE_REJECTIONS = [
+    ([(0, 4), (0, 3)], [5, 6],                   # (0, 3) is already coloured
+     "(0, 3) is already coloured"),
+    ([(0, 4), (1, 5), (0, 4)], [5, 6, 8],        # repeated cross cell
+     "an edge is listed more than once"),
+    ([(0, 4), (4, 1)], [5, 6],                   # reversed cross pair
+     "(4,1) is not an edge (u < v) of the companion graph"),
+    ([(0, 4), (1, 5)], [5, 6.0],                 # float colour on a cross cell
+     "colour ids must be integers, got 6.0"),
+    ([(0, 4), (3, 5)], [5, 6],                   # non-edge inside a side
+     "(3,5) is not an edge (u < v) of the companion graph"),
+    ([(0, 3), (1, 2)], [5, 6.5],                 # coloured cell, then a float
+     "colour ids must be integers, got 6.5"),
+    ([(0, 4), (0, 4), (0, 2)], [5, 6, 8],        # repeat, then a non-edge
+     "(0,2) is not an edge (u < v) of the companion graph"),
+    ([(1, 2), (0, 3), (0, 3)], [5, 6, 8],        # coloured cell repeated
+     "an edge is listed more than once"),
+]
+
+
+def _join_colouring(frozen_base: bool) -> EdgeColouring:
+    g = join(path_graph(3), path_graph(3))
+    psi = EdgeColouring(g, {(0, 1): 7, (0, 3): 2, (3, 4): 1})
+    if frozen_base:
+        psi = psi.freeze().copy()
+        psi.assign(1, 2, 9)
+    return psi
+
+
+@pytest.mark.parametrize("edges,colours,message", JOIN_WRITE_REJECTIONS)
+@pytest.mark.parametrize("frozen_base", [False, True])
+def test_assign_many_on_a_join_rejects_without_change(edges, colours, message, frozen_base):
+    psi = _join_colouring(frozen_base)
+    before = (_state(psi), psi.overlay())
+    with pytest.raises(ParameterError) as exc:
+        psi.assign_many(edges, colours)
+    assert str(exc.value) == message
+    assert (_state(psi), psi.overlay()) == before
+
+
+@pytest.mark.parametrize("edges,colours,message", [
+    case for case in JOIN_WRITE_REJECTIONS if "already" not in case[2]])
+@pytest.mark.parametrize("frozen_base", [False, True])
+def test_recolour_many_on_a_join_rejects_without_change(edges, colours, message, frozen_base):
+    """Overwriting is allowed, so a coloured cross cell in the input is no
+    fault; a rejected call still leaves it, and the overlay log, as they
+    were."""
+    psi = _join_colouring(frozen_base)
+    before = (_state(psi), psi.overlay())
+    with pytest.raises(ParameterError) as exc:
+        psi.recolour_many(edges, colours)
+    assert str(exc.value) == message
+    assert (_state(psi), psi.overlay()) == before
+
+
 def test_recolour_many_overwrites_like_assign():
     g = join(path_graph(3), star(2))
     base = EdgeColouring(g, {(0, 1): 1, (0, 3): 2, (3, 4): 3}).freeze()
