@@ -35,6 +35,13 @@ __all__ = [
 # find_properness_clash sorts colours with numpy.
 _MAX_COLOUR = 2**63 - 1
 
+# A colouring with at most this many cells (side keys plus cross cells) is
+# checked for clashes in one Python pass, which beats numpy's fixed costs:
+# on proper colourings at every size measured (up to 386 edges of a plain
+# graph, 713 cells of a join), on improper ones up to about 50 edges of a
+# plain graph and 500 cells of a join.
+_SCAN_LIMIT = 256
+
 
 def _check_colour_range(lo: int, hi: int) -> None:
     if lo < 0:
@@ -43,25 +50,29 @@ def _check_colour_range(lo: int, hi: int) -> None:
         raise ParameterError(f"colour ids must be <= 2**63 - 1, got {hi}")
 
 
-def _check_colour(colour) -> None:
-    """Reject a colour that is not an integer in [0, 2**63 - 1].  Callers
-    test `type(colour) is int` and the range inline first, so a plain int
-    in range costs no call."""
+def _check_colour(colour) -> int:
+    """`colour` as a plain int; ParameterError unless it is an integer in
+    [0, 2**63 - 1].  Callers test `type(colour) is int` and the range
+    inline first, so a plain int in range costs no call."""
     if not isinstance(colour, Integral):
         raise ParameterError(f"colour ids must be integers, got {colour!r}")
     _check_colour_range(colour, colour)
+    return int(colour)
 
 
 class _Frozen:
     """Write log of a frozen colouring: it refuses every write.  It keeps
-    what `find_properness_clash` learns about the colouring on first need:
-    None until then, False when the colouring is not proper, else the
-    incidence index of `_incidence_index`."""
+    what `find_properness_clash` learns about the colouring on first need
+    (`clash_index`: None until then, False when the colouring is not
+    proper, else the incidence index of `_incidence_index`) and its number
+    of coloured cross cells (`cross_count`, None until `len` needs it),
+    which every overlay without a cross write shares."""
 
-    __slots__ = ("clash_index",)
+    __slots__ = ("clash_index", "cross_count")
 
     def __init__(self):
         self.clash_index = None
+        self.cross_count = None
 
     def add(self, *_) -> None:
         raise ParameterError("the colouring is frozen; write to a copy() of it")
@@ -100,11 +111,15 @@ class EdgeColouring:
     when the dict misses), `colours` O(1) per key (it reads a list of
     side keys at dict speed); `colours_at` is O(degree), a vertex's cross
     edges being one slice of the buffer; `assign_many` is O(its input)
-    plus an O(s) disjointness check, `recolour_many` O(its input);
-    `assign_cross_block`, `fill_fresh`,
-    `is_total`, `len`, `colours_used`, `copy` and `domain` take O(s) plus
-    one numpy pass over the buffer; `find_properness_clash` sorts the
-    side incidences and the buffer's rows and columns.  Fresh colours are
+    plus an O(s) disjointness check, `recolour_many` O(its input), both
+    validating and filing each pair in one pass; `assign_cross_block`,
+    `fill_fresh`, `is_total`, `len`, `colours_used`, `copy` and `domain`
+    take O(s) plus one numpy pass over the buffer (`len` and `is_total`
+    of an overlay with no cross write read the base's count of coloured
+    cells instead, counted once).  `find_properness_clash` walks the
+    incidences in Python when s + B is at most `_SCAN_LIMIT` (256), where
+    numpy's fixed costs would dominate, and otherwise sorts the side
+    incidences and the buffer's rows and columns.  Fresh colours are
     handed out monotonically.
 
     `freeze()` makes a colouring read-only: every write raises
@@ -163,7 +178,7 @@ class EdgeColouring:
 
     def assign(self, u: int, v: int, colour: int) -> None:
         if type(colour) is not int or not 0 <= colour <= _MAX_COLOUR:
-            _check_colour(colour)
+            colour = _check_colour(colour)
         cross = self._cross
         a, b = (u, v) if u < v else (v, u)
         split, width = self._shape
@@ -201,22 +216,23 @@ class EdgeColouring:
             raise ParameterError(
                 f"{len(edges)} edges but {len(colours)} colours")
         n, adj = self.graph.n, self.graph.adj
-        for (u, v), c in zip(edges, colours):
-            if not (0 <= u < v < n and adj[u] >> v & 1):
+        split, width = self._shape
+        # one pass validates each pair and files it as a side key or a
+        # cross cell; `1 << v & adj[u]` allocates no shifted copy of adj[u]
+        side, cells = {}, {}
+        for e, c in zip(edges, colours):
+            u, v = e
+            if not (0 <= u < v < n and 1 << v & adj[u]):
                 raise ParameterError(
                     f"({u},{v}) is not an edge (u < v) of the companion graph")
             if type(c) is not int or not 0 <= c <= _MAX_COLOUR:
-                _check_colour(c)
-        side = dict(zip(edges, colours))
-        if len(side) != len(edges):
+                c = _check_colour(c)
+            if u < split <= v:
+                cells[u * width + v - split] = c
+            else:
+                side[e] = c
+        if len(side) + len(cells) != len(edges):
             raise ParameterError("an edge is listed more than once")
-        split, width = self._shape
-        cells = {}
-        if split:
-            cells = {u * width + v - split: c
-                     for (u, v), c in side.items() if u < split <= v}
-            if cells:
-                side = {e: c for e, c in side.items() if not e[0] < split <= e[1]}
         cross = self._cross
         if not overwrite and (not self._col.keys().isdisjoint(side)
                               or any(cross[i] >= 0 for i in cells)):
@@ -230,7 +246,7 @@ class EdgeColouring:
         for i, c in cells.items():
             cross[i] = c
         if colours:
-            self.next_colour = max(self.next_colour, max(colours) + 1)
+            self.next_colour = max(self.next_colour, int(max(colours)) + 1)
 
     def assign_cross_block(self, colours) -> None:
         """Colour every cross edge (u, v) of a join with
@@ -436,7 +452,14 @@ class EdgeColouring:
     def __len__(self):
         if not self._cross:
             return len(self._col)
-        return len(self._col) + int(np.count_nonzero(self._block() >= 0))
+        log = self._log
+        if type(log) is _Overlay and not log.cross_written:
+            log = log.base._log  # the base's cross block, cell for cell
+        if type(log) is not _Frozen:
+            return len(self._col) + int(np.count_nonzero(self._block() >= 0))
+        if log.cross_count is None:
+            log.cross_count = int(np.count_nonzero(self._block() >= 0))
+        return len(self._col) + log.cross_count
 
     def __repr__(self):
         return f"EdgeColouring({len(self)}/{self.graph.m} edges, {len(self.colours_used())} colours)"
@@ -464,10 +487,14 @@ def find_properness_clash(g: Graph, psi: EdgeColouring):
     vertex where two edges share a colour, `colour` the lowest such colour
     there, and the offending edges are the >= 2 edges at `vertex` with it.
 
-    A clash lies among the side (dict) edges, inside one row or column of
-    the cross block, or between a side edge and its endpoint's row or
-    column; each kind yields its lowest (vertex, colour), and the lowest
-    of those is the answer.
+    Two strategies, by size.  A colouring of at most `_SCAN_LIMIT` cells
+    (side keys plus cross cells) lists its (vertex, colour) incidences in
+    one Python pass and takes the lowest repeat: below the limit numpy's
+    fixed cost per call dominates, ten times the scan on a small join.
+    A larger one is checked with numpy.  There a clash lies among the side
+    (dict) edges, inside one row or column of the cross block, or between
+    a side edge and its endpoint's row or column; each kind yields its
+    lowest (vertex, colour), and the lowest of those is the answer.
 
     On an overlay (a copy of a frozen colouring) the base is checked in
     full once, and, when proper, indexed by (colour, vertex) incidence; both
@@ -480,13 +507,15 @@ def find_properness_clash(g: Graph, psi: EdgeColouring):
     is a candidate.  A candidate (x, c) is a clash exactly when a second
     incidence of W is (x, c), or the base edge at (x, c) (unique, the base
     being proper) is outside W and so still has colour c.  The lowest
-    candidate clash is thus the lowest clash overall.
+    candidate clash is thus the lowest clash overall.  When no written
+    colour is in the base's palette, no base edge can be a partner, and
+    the index is not read.  An overlay is checked this way at any size.
     """
     if psi.graph is not g and psi.graph != g:
         raise ParameterError("colouring belongs to a different graph")
     log = psi._log
     index = _proper_base_index(log.base) if type(log) is _Overlay else None
-    found = _lowest_clash_all(psi) if index is None else _lowest_clash_written(psi, index)
+    found = _lowest_clash_any(psi) if index is None else _lowest_clash_written(psi, index)
     if found is None:
         return None
     v, c = found
@@ -498,8 +527,38 @@ def find_properness_clash(g: Graph, psi: EdgeColouring):
     return v, c, edges
 
 
+def _lowest_clash_any(psi: EdgeColouring):
+    """Lowest (vertex, colour) clash of psi, or None, from all its edges:
+    by `_lowest_clash_scan` up to `_SCAN_LIMIT` cells, else with numpy."""
+    if len(psi._col) + len(psi._cross) <= _SCAN_LIMIT:
+        return _lowest_clash_scan(psi)
+    return _lowest_clash_all(psi)
+
+
+def _lowest_clash_scan(psi: EdgeColouring):
+    """`_lowest_clash_all` by one Python pass over the (vertex, colour)
+    incidences; the lowest repeat is searched only when there is one."""
+    inc = []
+    add = inc.append
+    for (u, v), c in psi._col.items():
+        add((u, c))
+        add((v, c))
+    split, width = psi._shape
+    cross = psi._cross
+    for u in range(split):
+        for v, c in zip(range(split, split + width), cross[u * width:(u + 1) * width]):
+            if c >= 0:
+                add((u, c))
+                add((v, c))
+    if len(set(inc)) == len(inc):
+        return None
+    seen = set()
+    return min(k for k in inc if k in seen or seen.add(k))  # the repeats
+
+
 def _lowest_clash_all(psi: EdgeColouring):
-    """Lowest (vertex, colour) clash of psi, or None, from all its edges."""
+    """Lowest (vertex, colour) clash of psi, or None, from all its edges,
+    sorted with numpy."""
     col = psi._col
     m = len(col)
     # One entry per (endpoint, colour) incidence of a side edge; sorted, a
@@ -546,7 +605,7 @@ def _proper_base_index(base: EdgeColouring):
     `base` is not proper.  Built on first need and kept on `base`."""
     frozen = base._log
     if frozen.clash_index is None:
-        frozen.clash_index = _lowest_clash_all(base) is None and _incidence_index(base)
+        frozen.clash_index = _lowest_clash_any(base) is None and _incidence_index(base)
     return frozen.clash_index or None
 
 
@@ -593,12 +652,14 @@ def _lowest_clash_written(psi: EdgeColouring, index):
     clash = np.zeros(len(ends), dtype=bool)
     # partner 1: a second written incidence at (x, c)
     clash[1:] = (ends[1:] == ends[:-1]) & (cols[1:] == cols[:-1])
-    if keys.size:
-        # partner 2: the base edge at (x, c), when it was not written
-        rank = np.minimum(np.searchsorted(palette, cols), palette.size - 1)
+    # partner 2: the base edge at (x, c), when it was not written; only a
+    # colour of the base's palette can have one
+    rank = np.minimum(np.searchsorted(palette, cols), palette.size - 1)
+    known = palette[rank] == cols if keys.size else ()
+    if np.any(known):
         key = rank * n + ends
         at = np.minimum(np.searchsorted(keys, key), keys.size - 1)
-        hit = np.flatnonzero((palette[rank] == cols) & (keys[at] == key))
+        hit = np.flatnonzero(known & (keys[at] == key))
         if hit.size:
             partner = codes[at[hit]]
             written.sort()

@@ -470,7 +470,7 @@ def _check_cross_block(psi: EdgeColouring, scaffold) -> None:
         certificate = None if cross_written else _cross_certificate(base, scaffold)
         if certificate is not None:
             ranked, left = certificate
-            if not _occurs_in(ranked, psi.colours([k for k in written if k in left])):
+            if not _occurs_in(ranked, psi.colours(written & left)):
                 return
     block = np.sort(psi.cross_block(), axis=None)
     if (block[1:] == block[:-1]).any():

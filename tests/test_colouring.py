@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rainbowlab import colouring
 from rainbowlab.colouring import (
+    _SCAN_LIMIT,
     ArrowsVerdict,
     EdgeColouring,
     colouring_to_json,
@@ -639,9 +641,88 @@ def test_per_vertex_queries_match_brute_force(seed, n, density, pool):
         col[(u, v)] = c
     clash = _brute_clash(g, col)
     assert find_properness_clash(g, psi) == clash
+    # every graph here is under the scan limit: check the numpy path too
+    assert colouring._lowest_clash_all(psi) == (clash and clash[:2])
     assert is_proper(g, psi) == (clash is None)
     for v in range(n):
         assert psi.colours_at(v) == {c for e, c in col.items() if v in e}
+
+
+def _clash_case(rng: random.Random, g: Graph, big: bool, numpy_ints: bool) -> EdgeColouring:
+    """A random proper colouring of g, with one edge recoloured to the
+    colour of an edge beside it half of the time; `big` moves every
+    colour up to end at 2**63 - 1, `numpy_ints` writes them as np.int64."""
+    psi = random_proper_colouring(g, rng, rng.random())
+    edges = list(g.edges)
+    colours = psi.colours(edges)
+    if rng.random() < 0.5:
+        i = rng.randrange(len(edges))
+        x = rng.choice(edges[i])
+        beside = [j for j, e in enumerate(edges) if x in e and j != i]
+        if beside:
+            colours[i] = colours[rng.choice(beside)]
+    if big:
+        colours = [2**63 - 1 - c for c in colours]
+    if numpy_ints:
+        colours = list(np.array(colours, dtype=np.int64))
+    out = EdgeColouring(g)
+    out.assign_many(edges, colours)
+    return out
+
+
+@pytest.mark.parametrize("numpy_ints", [False, True], ids=["int", "np.int64"])
+@pytest.mark.parametrize("big", [False, True], ids=["low", "top"])
+def test_clash_scan_matches_numpy(big, numpy_ints):
+    """The Python scan and the numpy search find the same lowest clash, as
+    plain ints, on joins and plain graphs, proper and improper."""
+    rng = random.Random(2026 + 2 * big + numpy_ints)
+    for _ in range(150):
+        a, b = rng.randint(1, 7), rng.randint(0, 7)
+        left = Graph(a, [e for e in combinations(range(a), 2) if rng.random() < 0.5])
+        right = Graph(b, [e for e in combinations(range(b), 2) if rng.random() < 0.5])
+        g = join(left, right)
+        if rng.random() < 0.4:
+            g = Graph(g.n, g.edges)
+        if not g.m:
+            continue
+        psi = _clash_case(rng, g, big, numpy_ints)
+        assert all(type(c) is int for c in psi.colours(g.edges))
+        found = colouring._lowest_clash_scan(psi)
+        assert found == colouring._lowest_clash_all(psi)
+        assert found is None or all(type(x) is int for x in found)
+
+
+def _graph_of_size(cells: int, as_join: bool) -> Graph:
+    """A graph of exactly `cells` side keys plus cross cells: the first
+    `cells` pairs of 40 vertices, or the join of 8 vertices holding a few
+    side edges with an edgeless right part."""
+    if not as_join:
+        return Graph(40, list(combinations(range(40), 2))[:cells])
+    width = (cells - 4) // 8
+    side = list(combinations(range(8), 2))[:cells - 8 * width]
+    return join(Graph(8, side), empty_graph(width))
+
+
+@pytest.mark.parametrize("as_join", [False, True], ids=["plain", "join"])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_clash_search_around_the_scan_limit(as_join, offset, monkeypatch):
+    """Just under the limit the scan answers, just over it numpy does;
+    both agree with the other path and with brute force."""
+    g = _graph_of_size(_SCAN_LIMIT + offset, as_join)
+    assert len(g.edges) == _SCAN_LIMIT + offset
+    scan, search = colouring._lowest_clash_scan, colouring._lowest_clash_all
+    calls = []
+    for name, real in (("scan", scan), ("numpy", search)):
+        monkeypatch.setattr(colouring, real.__name__,
+                            lambda psi, real=real, name=name: calls.append(name) or real(psi))
+    rng = random.Random(offset)
+    for trial in range(20):
+        psi = _clash_case(rng, g, trial % 3 == 0, trial % 2 == 1)
+        col = dict(zip(g.edges, psi.colours(g.edges)))
+        calls.clear()
+        assert find_properness_clash(g, psi) == _brute_clash(g, col)
+        assert calls == ["scan" if offset <= 0 else "numpy"]
+        assert scan(psi) == search(psi)
 
 
 def test_properness_checks_reject_another_graph():
@@ -662,6 +743,16 @@ def test_colour_ids_must_be_integers():
     assert len(psi) == 0 and psi.next_colour == 0
     psi.assign_many([(0, 1), (0, 2)], [np.int64(1), 2])
     assert psi.colours([(0, 1), (0, 2)]) == [1, 2]
+    # numpy ints are stored as plain ints, so the colour after the top one
+    # does not wrap around and the colouring serialises
+    top = np.int64(2**63 - 1)
+    for write in (lambda p: p.assign(2, 3, top), lambda p: p.assign_many([(2, 3)], [top]),
+                  lambda p: p.recolour_many([(0, 3)], [top])):
+        p = psi.copy()
+        write(p)
+        assert p.next_colour == 2**63
+        assert all(type(c) is int for c in p.colours(sorted(p.domain())))
+        assert json.loads(colouring_to_json(p))["edges"][-1][2] == 2**63 - 1
 
 
 def test_colour_ids_must_fit_int64():
