@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the benchmark's four workloads on a parent and a change checkout,
 ten alternating pairs each, and write what each run printed to one JSON
-snapshot.
+snapshot, with one traced run per workload and checkout.
 
 Example, the parent commit checked out in ../parent against this one:
     python3 scripts/bench_snapshot.py --parent ../parent --change . \\
@@ -17,8 +17,14 @@ each checkout, the line count of ``src/rainbowlab/*.py``.  Runs of one
 pair alternate which checkout goes first.  The summary gives each
 metric's median and quartiles per checkout and workload, and the pairs
 each checkout won (the lower value wins; ties count for neither).  A gain
-is claimed only on a seed not used while writing the change.  The exit
-status is 1 unless every run exited 0, was correct and failed nothing.
+is claimed only on a seed not used while writing the change.
+
+After a workload's pairs, each checkout runs it once more with
+``--trace 1``, parent first; ``traced`` keeps those runs by workload and
+checkout, with the per-layer metrics they print, so a snapshot shows in
+which layer a change in the end-to-end metrics lands.  These runs are not
+paired and enter no summary.  The exit status is 1 unless every run,
+traced or not, exited 0, was correct and failed nothing.
 """
 
 import argparse
@@ -45,9 +51,9 @@ def src_lines(root: Path) -> int:
                for p in sorted((root / "src" / "rainbowlab").glob("*.py")))
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if len(lines) < 2:
@@ -93,7 +99,7 @@ def main(argv=None) -> int:
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     trees = {"parent": args.parent, "change": args.change}
 
-    runs = []
+    runs, traced = [], {}
     for workload in WORKLOADS:
         for pair in range(PAIRS):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -103,14 +109,19 @@ def main(argv=None) -> int:
                 print(json.dumps({k: runs[-1][k] for k in ("tree", "workload", "pair",
                                                           "exit", "correct", "metrics")}),
                       flush=True)
+        traced[workload] = {name: run_once(root, workload, args.seed, seconds, trace=1)
+                            for name, root in trees.items()}
+        print(f"traced {workload}", file=sys.stderr, flush=True)
     snapshot = {
         "command": f"bench/run.py --seed {args.seed} --seconds {seconds} --trace 0",
         "trees": {name: {"src_lines": src_lines(root)} for name, root in trees.items()},
         "summary": summarise(runs),
         "runs": runs,
+        "traced": traced,
     }
     args.out.write_text(json.dumps(snapshot, indent=1) + "\n")
-    clean = all(r["exit"] == 0 and r["correct"] and r["failed"] == 0 for r in runs)
+    every = runs + [r for by_tree in traced.values() for r in by_tree.values()]
+    clean = all(r["exit"] == 0 and r["correct"] and r["failed"] == 0 for r in every)
     return 0 if clean else 1
 
 

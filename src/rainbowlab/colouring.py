@@ -37,9 +37,10 @@ _MAX_COLOUR = 2**63 - 1
 
 # A colouring with at most this many cells (side keys plus cross cells) is
 # checked for clashes in one Python pass, which beats numpy's fixed costs:
-# on proper colourings at every size measured (up to 386 edges of a plain
-# graph, 713 cells of a join), on improper ones up to about 50 edges of a
-# plain graph and 500 cells of a join.
+# on proper colourings at every size measured (up to 394 edges of a plain
+# graph, 655 cells of a join), on improper ones up to about 50 edges of a
+# plain graph (21 us against numpy's 17 us at 60 edges) and 450 cells of a
+# join (152 against 194 us at 423 cells, 264 against 218 us at 653).
 _SCAN_LIMIT = 256
 
 

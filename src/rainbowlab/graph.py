@@ -157,24 +157,15 @@ class Graph:
         return Graph(len(vs), sub_edges), vs
 
     def triangles(self) -> list[tuple[int, int, int]]:
-        """All triangles as sorted vertex triples."""
-        out = []
-        for u, v in self.edges:
-            common = self.adj[u] & self.adj[v]
-            common >>= v + 1  # only count w > v > u once
-            w = v + 1
-            while common:
-                low = common & -common
-                out.append((u, v, w + low.bit_length() - 1))
-                common ^= low
-        # (u,v) with u<v and w>v covers each triangle exactly once via its
-        # lowest edge
-        return out
+        """All triangles as sorted vertex triples: `cliques(3)`."""
+        return self.cliques(3)
 
     def iter_cliques(self, r: int):
         """Yield every r-clique as a sorted vertex tuple, in lexicographic
-        order: the one clique search.  A caller that only asks whether a
-        clique exists stops at the first with `next(..., None)`.
+        order.  A caller that only asks whether a clique exists stops at the
+        first with `next(..., None)`.  `cliques` lists through this search
+        for r = 1, r >= 5 and on joins; its own loops over the edges list
+        r = 2..4 on any other graph.
 
         The search is rooted at each clique's least vertex, and only at
         vertices of degree at least r - 1, the only ones an r-clique can
@@ -218,8 +209,38 @@ class Graph:
                     cands[d] = cand & adj[v]
 
     def cliques(self, r: int) -> list[tuple[int, ...]]:
-        """All r-cliques as sorted vertex tuples."""
-        return list(self.iter_cliques(r))
+        """All r-cliques as sorted vertex tuples, in lexicographic order.
+
+        On a graph that is not a join, r = 2 lists the edge tuple, and r = 3
+        and 4 are listed from each clique's lowest edge (u, v): the common
+        neighbours w > v of u and v, and for r = 4 the common neighbours of
+        u, v and w above w, one bitset `&` per level.  Every other r, and
+        every join (`left` is set), whose edge tuple is never built here,
+        is `iter_cliques`.
+        """
+        if self.left is not None or not 2 <= r <= 4:
+            return list(self.iter_cliques(r))
+        if r == 2:
+            return list(self.edges)
+        adj = self.adj
+        out = []
+        add = out.append
+        for u, v in self.edges:
+            common = adj[u] & adj[v]
+            common >>= v + 1  # bit i is vertex v + 1 + i
+            while common:
+                low = common & -common
+                common ^= low
+                w = v + low.bit_length()
+                if r == 3:
+                    add((u, v, w))
+                    continue
+                rest = common & (adj[w] >> (v + 1))  # common is above w now
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    add((u, v, w, v + low.bit_length()))
+        return out
 
 
 # The one-vertex graph that every isolated vertex's component shares (a
@@ -552,7 +573,8 @@ def enumerate_copies(g: Graph, h: Graph) -> list[tuple[int, ...]]:
     are deduplicated: two embeddings that induce the same image subgraph
     (same vertex set and same image edge set) count once, and the first
     one `_embeddings` yields stands for the copy.  Non-edges of h are NOT
-    required to be non-edges of g.
+    required to be non-edges of g.  When h is K3 or K4 the copies are
+    `g.cliques(h.n)`, listed without the embedding search.
     """
     if h.n > g.n or h.m > g.m and h.m > 0:
         return []
@@ -560,11 +582,8 @@ def enumerate_copies(g: Graph, h: Graph) -> list[tuple[int, ...]]:
         return [()]
     if h.m == 0:
         return [t for t in combinations(range(g.n), h.n)]
-    # fast paths for the two hot patterns
-    if h.n == 3 and h.m == 3:
-        return [t for t in g.triangles()]
-    if h.n == 4 and h.m == 6:
-        return g.cliques(4)
+    if h.n in (3, 4) and h.m == h.n * (h.n - 1) // 2:  # K3 and K4
+        return g.cliques(h.n)
 
     found: dict[tuple, tuple[int, ...]] = {}
     for image in _embeddings(g, h):

@@ -1,7 +1,8 @@
 """scripts/bench_snapshot.py runs bench/run.py in a parent and a change
 checkout and collects the result lines into one JSON snapshot.  The
 checkouts here are stand-ins whose bench/run.py prints a fixed info and
-result line and exits with a fixed status."""
+result line, with per-layer metrics under ``--trace 1``, and exits with a
+fixed status."""
 
 import importlib.util
 import json
@@ -15,10 +16,14 @@ FAKE_RUN = '''
 import json, sys
 args = sys.argv[1:]
 workload = args[args.index("--workload") + 1]
+trace = args[args.index("--trace") + 1]
 print("progress")
 print(json.dumps({"workload": workload, "env": {"nproc": 2, "reference_ms": 30.0}}))
-print(json.dumps({"correct": True, "attempted": 4, "failed": FAILED,
-                  "metrics": {"unit_ms_p50": {"value": UNIT_MS, "unit": "ms"}}}))
+if trace == "1":
+    metrics = {"tiled_k8.colour_ms": {"value": UNIT_MS / 4, "unit": "ms"}}
+else:
+    metrics = {"unit_ms_p50": {"value": UNIT_MS, "unit": "ms"}}
+print(json.dumps({"correct": True, "attempted": 4, "failed": FAILED, "metrics": metrics}))
 sys.exit(EXIT)
 '''
 
@@ -69,6 +74,29 @@ def test_snapshot_of_parent_and_change(tmp_path, capsys):
     assert row["pairs_won"] == {"parent": 0, "change": 3}
     assert snap["command"] == "bench/run.py --seed 19 --seconds 25 --trace 0"
     assert len(capsys.readouterr().out.splitlines()) == 24
+
+
+def test_snapshot_keeps_one_traced_run_per_workload_and_tree(tmp_path, capsys):
+    old = fake_checkout(tmp_path / "old", 2.0, 7)
+    new = fake_checkout(tmp_path / "new", 1.0, 5)
+    out = tmp_path / "snap.json"
+    code = load_script(2).main(["--parent", str(old), "--change", str(new),
+                                "--seed", "19", "--out", str(out)])
+    assert code == 0
+    snap = json.loads(out.read_text())
+    assert list(snap["traced"]) == ["dense-join", "lemma-falsify", "tiled-search",
+                                    "gate-threads"]
+    for by_tree in snap["traced"].values():
+        assert list(by_tree) == ["parent", "change"]
+        assert [r["metrics"] for r in by_tree.values()] == [
+            {"tiled_k8.colour_ms": {"value": 0.5, "unit": "ms"}},
+            {"tiled_k8.colour_ms": {"value": 0.25, "unit": "ms"}}]
+        assert all(r["exit"] == 0 and r["correct"] for r in by_tree.values())
+    # the trace-0 runs, their summary and the progress lines keep their shape
+    assert len(snap["runs"]) == 16
+    assert all(list(r["metrics"]) == ["unit_ms_p50"] for r in snap["runs"])
+    assert list(snap["summary"]["tiled-search"]) == ["unit_ms_p50"]
+    assert len(capsys.readouterr().out.splitlines()) == 16
 
 
 @pytest.mark.parametrize("exit, failed", [(1, 0), (0, 2)])

@@ -400,17 +400,47 @@ def sparse_graphs(draw, max_n=64):
     return Graph(n, draw(st.lists(pairs, max_size=n // 4)))
 
 
-@given(st.one_of(small_graphs(max_n=10), sparse_graphs()))
+@st.composite
+def dense_graphs(draw, max_n=12):
+    """Up to 12 vertices, each pair an edge with probability p >= 0.5."""
+    n = draw(st.integers(0, max_n))
+    p = draw(st.floats(0.5, 1.0))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+@st.composite
+def small_joins(draw):
+    """Joins of two graphs on 0-5 vertices, either part possibly empty."""
+    return join(draw(small_graphs(max_n=5)), draw(small_graphs(max_n=5)))
+
+
+@given(st.one_of(small_graphs(max_n=10), sparse_graphs(), dense_graphs(), small_joins()))
 @settings(max_examples=300, deadline=None)
 def test_cliques_match_networkx(g):
-    """Sparse graphs are mostly isolated vertices, the roots the search
-    skips."""
+    """Both entry points against networkx, for every order up to n + 1.
+    `cliques` lists r = 2..4 of a graph that is not a join by its own
+    loops, everything else through `iter_cliques`.  Sparse graphs are
+    mostly isolated vertices, the roots the search skips; listing a join's
+    cliques never builds its edge tuple."""
+    orders = range(1, max(6, g.n + 1) + 1)
+    listed = {r: g.cliques(r) for r in orders}
+    assert g.triangles() == listed[3]
+    for r in orders:
+        assert list(g.iter_cliques(r)) == listed[r]
+    for r in (0, -1):
+        with pytest.raises(ParameterError):
+            g.cliques(r)
+        with pytest.raises(ParameterError):
+            list(g.iter_cliques(r))
+    if g.left is not None:
+        assert g._edges is None
     by_size: dict = {}
     for c in nx.enumerate_all_cliques(_nx(g)):
         by_size.setdefault(len(c), []).append(tuple(sorted(c)))
-    for r in (1, 2, 3, 4, 5):  # cliques come in lexicographic order
-        assert g.cliques(r) == sorted(by_size.get(r, []))
-    assert g.triangles() == g.cliques(3)
+    for r in orders:  # cliques come in lexicographic order
+        assert listed[r] == sorted(by_size.get(r, []))
+    assert listed[g.n + 1] == []
 
 
 @given(st.one_of(small_graphs(max_n=10), sparse_graphs()))
