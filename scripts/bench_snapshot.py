@@ -19,20 +19,32 @@ metric's median and quartiles per checkout and workload, and the pairs
 each checkout won (the lower value wins; ties count for neither).  A gain
 is claimed only on a seed not used while writing the change.
 
+Before the benchmark, each checkout runs its Tier-1 tests once, parent
+first: ``PYTHONPATH=src python -m pytest -q --continue-on-collection-errors``
+in its root, with a JUnit report in a temporary directory.  ``trees``
+keeps, as ``tier1``, pytest's exit status, the wall seconds, the passed,
+failed and error counts, and the seconds of each
+``tests/test_acceptance.py`` criterion.
+
 After a workload's pairs, each checkout runs it once more with
 ``--trace 1``, parent first; ``traced`` keeps those runs by workload and
 checkout, with the per-layer metrics they print, so a snapshot shows in
 which layer a change in the end-to-end metrics lands.  These runs are not
-paired and enter no summary.  The exit status is 1 unless every run,
-traced or not, exited 0, was correct and failed nothing.
+paired and enter no summary.  The exit status is 1 unless Tier-1 exited
+0 in both checkouts and every run, traced or not, exited 0, was correct
+and failed nothing.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
+from xml.etree import ElementTree
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("dense-join", "lemma-falsify", "tiled-search", "gate-threads")
@@ -49,6 +61,34 @@ def checkout(text: str) -> Path:
 def src_lines(root: Path) -> int:
     return sum(len(p.read_text().splitlines())
                for p in sorted((root / "src" / "rainbowlab").glob("*.py")))
+
+
+def tier1(root: Path) -> dict:
+    """Run the Tier-1 tests in `root`: wall seconds, outcome counts and the
+    seconds of each acceptance criterion, from the JUnit report."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, ("src", os.environ.get("PYTHONPATH")))))
+    with tempfile.TemporaryDirectory() as tmp:
+        junit = Path(tmp) / "tier1.xml"
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-q",
+                               "--continue-on-collection-errors", "--junitxml", str(junit)],
+                              cwd=root, env=env, capture_output=True)
+        wall = time.perf_counter() - start
+        cases = list(ElementTree.parse(junit).iter("testcase"))
+    out = {"exit": proc.returncode, "wall_s": round(wall, 2), "passed": 0, "failed": 0,
+           "error": 0, "acceptance_s": {}}
+    for case in cases:
+        kinds = {child.tag for child in case}
+        if "error" in kinds:
+            out["error"] += 1
+        elif "failure" in kinds:
+            out["failed"] += 1
+        elif "skipped" not in kinds:
+            out["passed"] += 1
+        if case.get("classname") == "tests.test_acceptance":
+            out["acceptance_s"][case.get("name")] = float(case.get("time"))
+    return out
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -99,6 +139,11 @@ def main(argv=None) -> int:
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     trees = {"parent": args.parent, "change": args.change}
 
+    checked = {}
+    for name, root in trees.items():
+        checked[name] = {"src_lines": src_lines(root), "tier1": tier1(root)}
+        print(f"tier-1 {name}: {json.dumps(checked[name]['tier1'])}", file=sys.stderr, flush=True)
+
     runs, traced = [], {}
     for workload in WORKLOADS:
         for pair in range(PAIRS):
@@ -114,7 +159,7 @@ def main(argv=None) -> int:
         print(f"traced {workload}", file=sys.stderr, flush=True)
     snapshot = {
         "command": f"bench/run.py --seed {args.seed} --seconds {seconds} --trace 0",
-        "trees": {name: {"src_lines": src_lines(root)} for name, root in trees.items()},
+        "trees": checked,
         "summary": summarise(runs),
         "runs": runs,
         "traced": traced,
@@ -122,7 +167,8 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(snapshot, indent=1) + "\n")
     every = runs + [r for by_tree in traced.values() for r in by_tree.values()]
     clean = all(r["exit"] == 0 and r["correct"] and r["failed"] == 0 for r in every)
-    return 0 if clean else 1
+    tests_pass = all(t["tier1"]["exit"] == 0 for t in checked.values())
+    return 0 if clean and tests_pass else 1
 
 
 if __name__ == "__main__":

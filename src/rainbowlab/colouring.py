@@ -64,15 +64,15 @@ def _check_colour(colour) -> int:
 class _Frozen:
     """Write log of a frozen colouring: it refuses every write.  It keeps
     what `find_properness_clash` learns about the colouring on first need
-    (`clash_index`: None until then, False when the colouring is not
-    proper, else the incidence index of `_incidence_index`) and its number
-    of coloured cross cells (`cross_count`, None until `len` needs it),
-    which every overlay without a cross write shares."""
+    (`palette`: None until then, False when the colouring is not proper,
+    else its sorted distinct colours) and its number of coloured cross
+    cells (`cross_count`, None until `len` needs it), which every overlay
+    without a cross write shares."""
 
-    __slots__ = ("clash_index", "cross_count")
+    __slots__ = ("palette", "cross_count")
 
     def __init__(self):
-        self.clash_index = None
+        self.palette = None
         self.cross_count = None
 
     def add(self, *_) -> None:
@@ -130,10 +130,11 @@ class EdgeColouring:
     `overlay()` reads.  Logging costs O(1) per side key written, and a
     colouring that is neither frozen nor an overlay pays one `is None` test
     per write.  On an overlay of a proper base, `find_properness_clash`
-    costs O(w log w) for w written edges (plus one numpy comparison of the
-    cross buffer with the base's when a cross cell was written), after a
-    full check and an O(m log m) incidence index of the base, done once
-    per base and kept on it (16 bytes per base incidence, 8 per colour).
+    costs O(w log k) for w written edges and k base colours (plus one
+    numpy comparison of the cross buffer with the base's when a cross cell
+    was written), after a full check of the base and its sorted palette,
+    done once per base and kept on it (8 bytes per distinct colour).  An
+    overlay that writes a colour of its base is checked in full.
 
     `assign_many`, `recolour_many`, `assign_cross_block` and `fill_fresh`
     colour many edges in one call; only `recolour_many` may overwrite a
@@ -498,25 +499,21 @@ def find_properness_clash(g: Graph, psi: EdgeColouring):
     lowest (vertex, colour), and the lowest of those is the answer.
 
     On an overlay (a copy of a frozen colouring) the base is checked in
-    full once, and, when proper, indexed by (colour, vertex) incidence; both
-    are kept on the base.  Then only the incidences (x, c) of the written
-    edges W are candidates: the written side keys and, when a cross cell
-    was written, the cross cells whose colour differs from the base's.
-    This is sound and complete.  Every edge outside W has its base colour,
-    so a clash of two edges outside W would be a clash of the proper base;
-    every clash therefore has an edge of W at its vertex, and its (x, c)
-    is a candidate.  A candidate (x, c) is a clash exactly when a second
-    incidence of W is (x, c), or the base edge at (x, c) (unique, the base
-    being proper) is outside W and so still has colour c.  The lowest
-    candidate clash is thus the lowest clash overall.  When no written
-    colour is in the base's palette, no base edge can be a partner, and
-    the index is not read.  An overlay is checked this way at any size.
+    full once and, when proper, its palette (sorted distinct colours) is
+    kept on it.  Let W be the written edges: the written side keys and,
+    when a cross cell was written, the cross cells whose colour differs
+    from the base's.  If a colour of W is in the palette, the overlay is
+    checked in full.  Otherwise every clash lies between two edges of W,
+    whose lowest repeated incidence is the answer.  This is sound: every
+    edge outside W has its base colour, so two of them never clash (the
+    base is proper), and none of them has a colour of W.  An overlay is
+    checked this way at any size.
     """
     if psi.graph is not g and psi.graph != g:
         raise ParameterError("colouring belongs to a different graph")
     log = psi._log
-    index = _proper_base_index(log.base) if type(log) is _Overlay else None
-    found = _lowest_clash_any(psi) if index is None else _lowest_clash_written(psi, index)
+    palette = _proper_palette(log.base) if type(log) is _Overlay else None
+    found = _lowest_clash_any(psi) if palette is None else _lowest_clash_written(psi, palette)
     if found is None:
         return None
     v, c = found
@@ -562,17 +559,10 @@ def _lowest_clash_all(psi: EdgeColouring):
     sorted with numpy."""
     col = psi._col
     m = len(col)
-    # One entry per (endpoint, colour) incidence of a side edge; sorted, a
-    # clash is two equal neighbouring entries.
-    ends = np.fromiter(chain.from_iterable(col), dtype=np.int64, count=2 * m)
-    cols = np.fromiter(col.values(), dtype=np.int64, count=m).repeat(2)
-    order = np.lexsort((cols, ends))
-    ends, cols = ends[order], cols[order]
-    same = (ends[1:] == ends[:-1]) & (cols[1:] == cols[:-1])
-    found = []
-    if same.any():
-        i = int(same.argmax())
-        found.append((int(ends[i]), int(cols[i])))
+    ends, cols, repeat = _sorted_incidences(
+        np.fromiter(chain.from_iterable(col), dtype=np.int64, count=2 * m),
+        np.fromiter(col.values(), dtype=np.int64, count=m))
+    found = [repeat] if repeat else []
     if psi._cross:
         split = psi._shape[0]
         block = psi._block()
@@ -586,90 +576,60 @@ def _lowest_clash_all(psi: EdgeColouring):
     return min(found) if found else None
 
 
-def _edge_arrays(psi: EdgeColouring, side, cells: np.ndarray):
-    """Endpoint arrays u < v and colour array of the coloured side keys
-    `side`, then of the flat cross-buffer cells `cells`."""
-    ends = np.fromiter(chain.from_iterable(side), dtype=np.int64, count=2 * len(side))
-    us, vs = ends[0::2], ends[1::2]
-    cs = np.fromiter(map(psi._col.__getitem__, side), dtype=np.int64, count=len(side))
-    if len(cells):
-        split, width = psi._shape
-        rows, cols = np.divmod(cells, width)
-        us = np.concatenate((us, rows))
-        vs = np.concatenate((vs, cols + split))
-        cs = np.concatenate((cs, np.frombuffer(psi._cross, dtype=np.int64)[cells]))
-    return us, vs, cs
+def _sorted_incidences(ends: np.ndarray, cols: np.ndarray):
+    """The (endpoint, colour) incidences of the edges with endpoints
+    ends[2i], ends[2i + 1] and colour cols[i], as an endpoint and a colour
+    array sorted by endpoint then colour, and the lowest incidence that
+    occurs twice (a clash among these edges), or None."""
+    cols = cols.repeat(2)
+    order = np.lexsort((cols, ends))
+    ends, cols = ends[order], cols[order]
+    same = (ends[1:] == ends[:-1]) & (cols[1:] == cols[:-1])
+    if not same.any():
+        return ends, cols, None
+    i = int(same.argmax())
+    return ends, cols, (int(ends[i]), int(cols[i]))
 
 
-def _proper_base_index(base: EdgeColouring):
-    """The incidence index of the frozen colouring `base`, or None when
-    `base` is not proper.  Built on first need and kept on `base`."""
+def _proper_palette(base: EdgeColouring):
+    """The sorted distinct colours of the frozen colouring `base`, or None
+    when `base` is not proper.  Found on first need and kept on `base`."""
     frozen = base._log
-    if frozen.clash_index is None:
-        frozen.clash_index = _lowest_clash_any(base) is None and _incidence_index(base)
-    return frozen.clash_index or None
+    if frozen.palette is None:
+        if _lowest_clash_any(base) is None:
+            cross = np.frombuffer(base._cross, dtype=np.int64)
+            side = np.fromiter(base._col.values(), dtype=np.int64, count=len(base._col))
+            palette = np.sort(np.concatenate((side, cross[cross >= 0])))
+            # deduplicated by hand: np.unique imports numpy.ma (1 MB)
+            distinct = np.ones(len(palette), dtype=bool)
+            distinct[1:] = palette[1:] != palette[:-1]
+            frozen.palette = palette[distinct]
+        else:
+            frozen.palette = False
+    return None if frozen.palette is False else frozen.palette
 
 
-def _incidence_index(psi: EdgeColouring):
-    """(palette, keys, codes) over the coloured edges (u, v) of psi:
-    `palette` its sorted distinct colours; `keys` sorted, one per
-    incidence (x, c), x in {u, v}, as rank(c) * n + x with rank(c) the
-    position of c in `palette`; `codes[i]` the edge u * n + v of keys[i]."""
-    n = psi.graph.n
-    cells = np.flatnonzero(psi._block().ravel() >= 0) if psi._cross else ()
-    us, vs, cs = _edge_arrays(psi, psi._col, cells)
-    codes = us * n + vs
-    del us, vs, cells
-    palette = np.sort(cs)  # deduplicated by hand: np.unique imports numpy.ma (1 MB)
-    distinct = np.ones(len(palette), dtype=bool)
-    distinct[1:] = palette[1:] != palette[:-1]
-    palette = palette[distinct]
-    ranked = np.searchsorted(palette, cs) * n
-    del cs
-    keys = np.concatenate((ranked + codes // n, ranked + codes % n))
-    del ranked
-    order = np.argsort(keys)
-    # order[i] >= len(codes) is the second endpoint of edge order[i] - len(codes)
-    return palette, keys[order], np.take(codes, order, mode="wrap")
-
-
-def _lowest_clash_written(psi: EdgeColouring, index):
-    """Lowest (vertex, colour) clash of an overlay of a proper base, or
-    None, from the incidences of its written edges and the base's
-    `_incidence_index` (see find_properness_clash)."""
-    palette, keys, codes = index
+def _lowest_clash_written(psi: EdgeColouring, palette: np.ndarray):
+    """Lowest (vertex, colour) clash of an overlay of a proper base with
+    sorted colours `palette`, or None: from the written edges alone when
+    none of their colours is in `palette`, else from all edges (see
+    find_properness_clash)."""
     log = psi._log
-    n = psi.graph.n
-    cells = ()
+    side = list(log)
+    ends = np.fromiter(chain.from_iterable(side), dtype=np.int64, count=2 * len(side))
+    cols = np.fromiter(map(psi._col.__getitem__, side), dtype=np.int64, count=len(side))
     if log.cross_written:
         now = np.frombuffer(psi._cross, dtype=np.int64)
         cells = np.flatnonzero(now != np.frombuffer(log.base._cross, dtype=np.int64))
-    us, vs, cs = _edge_arrays(psi, list(log), cells)
-    written = us * n + vs
-    ends = np.concatenate((us, vs))
-    cols = np.concatenate((cs, cs))
-    order = np.lexsort((cols, ends))
-    ends, cols = ends[order], cols[order]
-    clash = np.zeros(len(ends), dtype=bool)
-    # partner 1: a second written incidence at (x, c)
-    clash[1:] = (ends[1:] == ends[:-1]) & (cols[1:] == cols[:-1])
-    # partner 2: the base edge at (x, c), when it was not written; only a
-    # colour of the base's palette can have one
-    rank = np.minimum(np.searchsorted(palette, cols), palette.size - 1)
-    known = palette[rank] == cols if keys.size else ()
-    if np.any(known):
-        key = rank * n + ends
-        at = np.minimum(np.searchsorted(keys, key), keys.size - 1)
-        hit = np.flatnonzero(known & (keys[at] == key))
-        if hit.size:
-            partner = codes[at[hit]]
-            written.sort()
-            ours = written[np.searchsorted(written, partner).clip(max=written.size - 1)]
-            clash[hit] |= ours != partner
-    if not clash.any():
-        return None
-    i = int(clash.argmax())
-    return int(ends[i]), int(cols[i])
+        split, width = psi._shape
+        rows, right = np.divmod(cells, width)
+        ends = np.concatenate((ends, np.column_stack((rows, right + split)).ravel()))
+        cols = np.concatenate((cols, now[cells]))
+    if palette.size:
+        at = np.searchsorted(palette, cols).clip(max=palette.size - 1)
+        if (palette[at] == cols).any():
+            return _lowest_clash_any(psi)
+    return _sorted_incidences(ends, cols)[2]
 
 
 def _lowest_clash(ranked: np.ndarray, shift: int, ends: np.ndarray, cols: np.ndarray):

@@ -770,5 +770,5 @@ def graph_from_json(text: str) -> Graph:
         return Graph(int(data["n"]), [tuple(e) for e in data["edges"]])
     except ParameterError:
         raise
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ParameterError(f"malformed graph JSON: {type(exc).__name__}: {exc}") from exc

@@ -1,8 +1,9 @@
-"""scripts/bench_snapshot.py runs bench/run.py in a parent and a change
-checkout and collects the result lines into one JSON snapshot.  The
-checkouts here are stand-ins whose bench/run.py prints a fixed info and
-result line, with per-layer metrics under ``--trace 1``, and exits with a
-fixed status."""
+"""scripts/bench_snapshot.py runs the Tier-1 tests and bench/run.py in a
+parent and a change checkout and collects the results into one JSON
+snapshot.  The checkouts here are stand-ins whose bench/run.py prints a
+fixed info and result line, with per-layer metrics under ``--trace 1``,
+and exits with a fixed status, and whose tests/ holds one acceptance
+criterion and one other test."""
 
 import importlib.util
 import json
@@ -28,19 +29,26 @@ sys.exit(EXIT)
 '''
 
 
-def load_script(pairs: int):
+def load_script(pairs: int, run_tier1: bool = True):
     """The script with `pairs` pairs per workload instead of its ten, so a
-    test starts a few dozen stand-in runs rather than 80."""
+    test starts a few dozen stand-in runs rather than 80.  Unless
+    `run_tier1`, a passing Tier-1 record stands in for each pytest run
+    (about a second each), for tests that do not read it."""
     spec = importlib.util.spec_from_file_location("bench_snapshot", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert module.PAIRS == 10
     module.PAIRS = pairs
+    if not run_tier1:
+        module.tier1 = lambda root: {"exit": 0}
     return module
 
 
 def fake_checkout(root: Path, unit_ms: float, src_lines: int,
-                  exit: int = 0, failed: int = 0) -> Path:
+                  exit: int = 0, failed: int = 0, tests_pass: bool = True) -> Path:
+    (root / "tests").mkdir(parents=True)
+    (root / "tests" / "test_acceptance.py").write_text("def test_criterion_1_fake():\n    pass\n")
+    (root / "tests" / "test_other.py").write_text(f"def test_other():\n    assert {tests_pass}\n")
     (root / "bench").mkdir(parents=True)
     (root / "bench" / "run.py").write_text(
         FAKE_RUN.replace("UNIT_MS", repr(unit_ms)).replace("FAILED", str(failed))
@@ -58,7 +66,13 @@ def test_snapshot_of_parent_and_change(tmp_path, capsys):
                                 "--seed", "19", "--out", str(out)])
     assert code == 0
     snap = json.loads(out.read_text())
-    assert snap["trees"] == {"parent": {"src_lines": 7}, "change": {"src_lines": 5}}
+    trees = snap["trees"]
+    assert {name: tree["src_lines"] for name, tree in trees.items()} == {"parent": 7, "change": 5}
+    for tree in trees.values():
+        tier1 = tree["tier1"]
+        assert (tier1["exit"], tier1["passed"], tier1["failed"], tier1["error"]) == (0, 2, 0, 0)
+        assert tier1["wall_s"] > 0
+        assert list(tier1["acceptance_s"]) == ["test_criterion_1_fake"]
     runs = [r for r in snap["runs"] if r["workload"] == "tiled-search"]
     # pairs alternate which checkout runs first
     assert [(r["tree"], r["pair"]) for r in runs] == [
@@ -80,8 +94,9 @@ def test_snapshot_keeps_one_traced_run_per_workload_and_tree(tmp_path, capsys):
     old = fake_checkout(tmp_path / "old", 2.0, 7)
     new = fake_checkout(tmp_path / "new", 1.0, 5)
     out = tmp_path / "snap.json"
-    code = load_script(2).main(["--parent", str(old), "--change", str(new),
-                                "--seed", "19", "--out", str(out)])
+    script = load_script(2, run_tier1=False)
+    code = script.main(["--parent", str(old), "--change", str(new),
+                        "--seed", "19", "--out", str(out)])
     assert code == 0
     snap = json.loads(out.read_text())
     assert list(snap["traced"]) == ["dense-join", "lemma-falsify", "tiled-search",
@@ -104,11 +119,24 @@ def test_snapshot_fails_on_a_run_that_exits_nonzero_or_fails(tmp_path, exit, fai
     old = fake_checkout(tmp_path / "old", 2.0, 7)
     new = fake_checkout(tmp_path / "new", 1.0, 5, exit=exit, failed=failed)
     out = tmp_path / "snap.json"
-    code = load_script(2).main(["--parent", str(old), "--change", str(new),
-                                "--seed", "19", "--out", str(out)])
+    script = load_script(2, run_tier1=False)
+    code = script.main(["--parent", str(old), "--change", str(new),
+                        "--seed", "19", "--out", str(out)])
     assert code == 1
     runs = json.loads(out.read_text())["runs"]
     assert {(r["exit"], r["failed"]) for r in runs if r["tree"] == "change"} == {(exit, failed)}
+
+
+def test_snapshot_fails_when_tier1_fails(tmp_path):
+    old = fake_checkout(tmp_path / "old", 2.0, 7)
+    new = fake_checkout(tmp_path / "new", 1.0, 5, tests_pass=False)
+    out = tmp_path / "snap.json"
+    code = load_script(2).main(["--parent", str(old), "--change", str(new),
+                                "--seed", "19", "--out", str(out)])
+    assert code == 1
+    trees = json.loads(out.read_text())["trees"]
+    assert [(t["tier1"]["exit"], t["tier1"]["passed"], t["tier1"]["failed"])
+            for t in trees.values()] == [(0, 2, 0), (1, 1, 1)]
 
 
 def test_snapshot_rejects_a_directory_without_the_benchmark(tmp_path):

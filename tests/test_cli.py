@@ -92,6 +92,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("text", [
         "{bad", '{"n": 3}', '{"n": "x", "edges": []}', "[1,2]",
         '{"n": 3, "edges": [[0]]}', '{"n": 3, "edges": [["0", "1"]]}',
+        '{"n": 1e400, "edges": []}', '{"n": Infinity, "edges": []}',
     ])
     def test_malformed_graph_json(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"

@@ -435,7 +435,8 @@ def _overlay_op(rng: random.Random, g: Graph, psi: EdgeColouring):
 @settings(max_examples=300, deadline=None)
 def test_overlay_matches_plain_twin(a, b, seed):
     """A copy of a frozen colouring checks only what was written to it (the
-    clash search reads the written edges' incidences and the base's index).
+    clash search reads the written edges' incidences and the base's colour
+    set).
     The same writes, through every write path, on it and on a plain twin
     must give the same answers, errors and colourings: the same lowest
     clash, totality and colours.  Copies of the overlay are overlays of the

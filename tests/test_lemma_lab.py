@@ -48,6 +48,7 @@ from rainbowlab.lemma_lab import (
     surviving_triangle,
     triangle_pair_instance,
 )
+import rainbowlab.colouring as colouring
 import rainbowlab.lemma_lab as lemma_lab
 
 
@@ -736,6 +737,30 @@ def test_template_is_unchanged_by_trials(name):
         base.assign(*build().cross_keys[0], 0)
     assert certify_lemma(name, 1000, seed=11).passed
     assert (colouring_to_json(base), base.next_colour) == before
+
+
+def test_template_trials_read_only_the_written_edges(monkeypatch):
+    """The K6/K7 samplers write pool colours and fresh colours above the
+    template, never a template colour, so once a warm-up trial has kept
+    each template's palette and cross certificate, a trial's properness
+    and cross checks read only what it wrote: no full clash search and no
+    read of the cross block."""
+    runs = [(name, build(), sample, extract)
+            for name, (build, sample, extract) in sorted(TEMPLATE_LEMMAS.items())]
+    for name, sc, sample, extract in runs:
+        extract(sc, sample(sc, random.Random(f"{name}:0:0")))
+
+    def forbidden(*_):
+        raise AssertionError("a template trial read more than its writes")
+
+    monkeypatch.setattr(colouring, "_lowest_clash_all", forbidden)
+    monkeypatch.setattr(colouring, "_lowest_clash_scan", forbidden)
+    monkeypatch.setattr(EdgeColouring, "cross_block", forbidden)
+    for name, sc, sample, extract in runs:
+        order = 6 if name == "extract-rainbow-k6" else 7
+        for trial in range(100):
+            psi = sample(sc, random.Random(f"{name}:0:{trial}"))
+            assert_rainbow_clique(sc.graph, psi, extract(sc, psi), order)
 
 
 # -- trial harness --------------------------------------------------------------
