@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from rainbowlab import avoider_k6
 from rainbowlab.avoider_k6 import (
     BLUE,
     GREEN,
@@ -94,13 +95,17 @@ def test_find_matchings_wheel_with_pendant_mixes_modes():
     assert q.m1 and q.m2 and q.m3
 
 
-def test_find_matchings_double_wheel_is_infeasible():
+def test_find_matchings_double_wheel_is_infeasible(monkeypatch):
     # two 5-wheels sharing the hub: at most three hub edges can sit in
     # matchings, which cannot serve ten triangles
     g = Graph(11, [(0, i) for i in range(1, 11)]
               + [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]
               + [(6, 7), (7, 8), (8, 9), (9, 10), (10, 6)])
-    with pytest.raises(SearchExhausted):
+    with pytest.raises(SearchExhausted, match="no valid matching quadruple exists"):
+        find_matchings(g)
+    # the same search, stopped by its budget before the proof
+    monkeypatch.setattr(avoider_k6, "_CSP_BUDGET", 10)
+    with pytest.raises(SearchExhausted, match="budget exhausted"):
         find_matchings(g)
 
 
@@ -155,6 +160,78 @@ def test_find_matchings_on_sampled_components(n, seed_base):
             assert quadruple_holds(sub, q)
             total += 1
     assert total > 0
+
+
+def quadruple_milp(g: Graph, labels: int = 4) -> bool:
+    """Whether g's triangles admit matchings M0..M(labels-1) meeting the
+    two conditions `verify_quadruple` checks, decided by an integer
+    program (HiGHS through scipy).  With labels=1 that is a matching
+    hitting every triangle.
+
+    x[e, l] puts edge e in M_l; h[t, l] may be 1 only if triangle t has
+    an M_l edge, and 2 h[t, 0] + h[t, 1] + ... + h[t, labels-1] >= 2."""
+    from scipy.optimize import LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    tris = g.triangles()
+    col = {e: i * labels for i, e in enumerate(g.edges)}
+    hit = len(col) * labels
+    rows, lo, hi = [], [], []
+
+    def row(coefs, low, high):
+        rows.append(coefs)
+        lo.append(low)
+        hi.append(high)
+
+    for e in g.edges:  # at most one label per edge
+        row({col[e] + lab: 1 for lab in range(labels)}, 0, 1)
+    for v in range(g.n):  # M_l a matching, and M0 apart from M1..M3
+        at_v = [e for e in g.edges if v in e]
+        for lab in range(labels):
+            coefs = {col[e] + lab: 1 for e in at_v}
+            if lab:
+                coefs.update({col[e]: 1 for e in at_v})
+            row(coefs, 0, 1)
+    for t, (a, b, c) in enumerate(tris):
+        for lab in range(labels):
+            coefs = {col[e] + lab: -1 for e in ((a, b), (a, c), (b, c))}
+            coefs[hit + t * labels + lab] = 1
+            row(coefs, -np.inf, 0)
+        row({hit + t * labels + lab: 2 if lab == 0 else 1 for lab in range(labels)},
+            2, np.inf)
+    size = hit + len(tris) * labels
+    ii = [i for i, coefs in enumerate(rows) for _ in coefs]
+    jj = [j for coefs in rows for j in coefs]
+    vv = [v for coefs in rows for v in coefs.values()]
+    a = coo_array((vv, (ii, jj)), shape=(len(rows), size))
+    res = milp(np.zeros(size), integrality=np.ones(size), bounds=(0, 1),
+               constraints=LinearConstraint(a, lo, hi))
+    assert res.status in (0, 2), res.message  # solved, or proven infeasible
+    return res.status == 0
+
+
+def test_find_matchings_agrees_with_milp():
+    """Every triangle-union component of at most 30 vertices with no
+    hitting matching, from G(n, p) draws at p in [n^-0.6, n^-0.55]:
+    find_matchings returns a verified quadruple exactly when the integer
+    program is feasible, and says there is none only when it is not."""
+    pytest.importorskip("scipy")
+    found = none = 0
+    for n in (50, 60, 70):
+        for e in (0.55, 0.575, 0.6):
+            for k in range(5):
+                g = sample_gnp(n, n ** -e, np.random.default_rng([n, k]))
+                for sub, _ in components(triangle_union(g)):
+                    if not sub.m or sub.n > 30 or quadruple_milp(sub, labels=1):
+                        continue
+                    if quadruple_milp(sub):
+                        assert quadruple_holds(sub, find_matchings(sub))
+                        found += 1
+                    else:
+                        with pytest.raises(SearchExhausted, match="no valid"):
+                            find_matchings(sub)
+                        none += 1
+    assert (found, none) == (10, 4)
 
 
 def test_avoid_k6_rejects_k4_in_perturbation():

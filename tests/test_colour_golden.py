@@ -64,7 +64,7 @@ import pytest
 
 from rainbowlab import verification
 from rainbowlab.avoider_k4 import avoid_k4, classify_components
-from rainbowlab.avoider_k6 import _label_search, avoid_k6, triangle_union
+from rainbowlab.avoider_k6 import _label_search, avoid_k6, find_matchings, triangle_union
 from rainbowlab.avoiders import perturbed_cliques
 from rainbowlab.colouring import colouring_to_json, decide_arrows, find_properness_clash
 from rainbowlab.errors import (
@@ -117,6 +117,17 @@ def wheel_instance(n: int) -> PerturbedInstance:
     return PerturbedInstance(n, 0.0, Graph(u, left), Graph(n - u, right))
 
 
+def part_matchings(part: Graph) -> list[set]:
+    """M0..M3 of one side, unioned over its triangle-union components."""
+    ms = [set(), set(), set(), set()]
+    for sub, _ in components(triangle_union(part)):
+        if sub.m:
+            q = find_matchings(sub)
+            for m, edges in zip(ms, (q.m0, q.m1, q.m2, q.m3)):
+                m |= edges
+    return ms
+
+
 @pytest.mark.parametrize("n,seed,expected", [
     (120, 11, "c589584b28919ba54b73be26264a83e59365c62f16d81c42c38896491cb10850"),
     (160, 17, "680cb21fb50b4ae48ed8098505da0ec31249d7aae255b90520ec4d811c006918"),
@@ -140,7 +151,10 @@ def test_avoid_k6_colour_ids_sampled(n, seed, expected):
 
 
 def test_avoid_k6_colour_ids_with_m0_m2_blocks():
-    psi = avoid_k6(wheel_instance(101))
+    inst = wheel_instance(101)
+    left, right = (part_matchings(part) for part in (inst.left, inst.right))
+    assert left[0] and right[2] and right[0] and left[2]
+    psi = avoid_k6(inst)
     assert digest(psi) == (
         "67aa99b6cd60f5e0853a5e0cc99b2b7475fe3377f6f14fbccf8c719aba30865a")
 
@@ -176,6 +190,7 @@ def test_label_search_outcomes():
     """Small budgets stop the search part-way, so they pin its node order;
     the corpus has found, proven-none and out-of-budget outcomes."""
     h = hashlib.sha256()
+    h_m0 = hashlib.sha256()  # the searches that may place M0 edges
     outcomes = set()
     for tris in label_search_cases():
         for allow_m0 in (False, True):
@@ -184,9 +199,13 @@ def test_label_search_outcomes():
                 rows = None if q is None else [sorted(m) for m in (q.m0, q.m1, q.m2, q.m3)]
                 outcomes.add((q is not None, out_of_budget))
                 h.update(json.dumps([rows, out_of_budget]).encode())
+                if allow_m0:
+                    h_m0.update(json.dumps([rows, out_of_budget]).encode())
     assert outcomes == {(True, False), (False, False), (False, True)}
     assert h.hexdigest() == (
         "d599562636f850dbfeaad382b06c3ad43b0927b882cb1c93b0e6ea9a88177aaf")
+    assert h_m0.hexdigest() == (
+        "cfa2c1cf2382a5f3067881ce2be49645eb02fc9506126b27c41873837b7ead62")
 
 
 @pytest.mark.parametrize("n,seed,expected", [
