@@ -40,13 +40,8 @@ __all__ = [
 
 RED, BLUE, GREEN = 0, 1, 2
 
-_DIRECT_SOLVER_CAP = 30
 _HIT_BUDGET = 10**6
 _CSP_BUDGET = 10**7
-# The 2-of-3 stages are shortcuts: the full four-label search always runs
-# afterwards, so they get a small budget and fail fast when unpromising.
-# (Constrained-first nodes are costly, so budgets count fewer, heavier nodes.)
-_QUICK_BUDGET = 2000
 
 
 @dataclass(frozen=True)
@@ -55,9 +50,6 @@ class MatchingQuadruple:
     m1: frozenset
     m2: frozenset
     m3: frozenset
-
-    def all_edges(self):
-        return self.m0 | self.m1 | self.m2 | self.m3
 
 
 def _tri_edges(t):
@@ -145,11 +137,11 @@ def _hitting_matching(triangles, budget: int):
 _PAIR_LABELS = ((1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2))
 
 
-def _label_search(triangles, allow_m0: bool, budget: int):
-    """Backtracking over edge labels M0..M3 (M1..M3 only when allow_m0 is
-    false), always branching on the unsatisfied triangle with the fewest
-    legal moves.  Returns a MatchingQuadruple, or None (proven none /
-    budget), plus a flag telling whether the budget ran out.
+def _label_search(triangles, budget: int):
+    """Backtracking over edge labels M0..M3, always branching on the
+    unsatisfied triangle with the fewest legal moves.  Returns a
+    MatchingQuadruple, or None (proven none / budget), plus a flag
+    telling whether the budget ran out.
 
     Each label's matching is kept as a vertex bitmask.  The open nodes
     are an explicit stack of (moves, index of the next move) frames, so a
@@ -188,8 +180,7 @@ def _label_search(triangles, allow_m0: bool, budget: int):
                    for (e, ee), (f, fe) in combinations(free, 2)
                    for l1, l2 in _PAIR_LABELS
                    if placeable(ee, l1) and placeable(fe, l2, l1)]
-        if allow_m0:
-            out += [((e, ends, 0),) for e, ends in free if placeable(ends, 0)]
+        out += [((e, ends, 0),) for e, ends in free if placeable(ends, 0)]
         return out
 
     stack: list[list] = []
@@ -228,64 +219,12 @@ def _label_search(triangles, allow_m0: bool, budget: int):
             break
 
 
-# -- growth reconstruction -----------------------------------------------
-
-
-def _growth_tail_split(comp: Graph):
-    """Rebuild the component by gluing triangles, lex-least eligible first,
-    and return (edges of the starting prefix, pendant edges of the pure
-    one-shared-vertex tail).
-
-    A tail step glues a triangle at a single vertex, so its two new
-    vertices see nothing else: the only triangles not visible inside the
-    prefix are the tail triangles themselves, each hit by its outer edge.
-    """
-    tris = sorted(comp.triangles())
-    if not tris:
-        return set(comp.edges), []
-    start = tris[0]
-    vs = set(start)
-    es = set(_tri_edges(start))
-    steps = []
-    pending = [t for t in tris[1:]]
-    while True:
-        cand = None
-        for t in pending:
-            t_es = set(_tri_edges(t))
-            if t_es <= es:
-                continue
-            if set(t) & vs:
-                cand = t
-                break
-        if cand is None:
-            break
-        t_es = set(_tri_edges(cand))
-        shared = len(set(cand) & vs)
-        new_vs = set(cand) - vs
-        steps.append((cand, shared, sorted(new_vs)))
-        vs |= set(cand)
-        es |= t_es
-        pending.remove(cand)
-    if es != set(comp.edges):
-        raise ParameterError("component is not a connected union of triangles")
-    k = len(steps)
-    while k > 0 and steps[k - 1][1] == 1:
-        k -= 1
-    prefix_edges = set(_tri_edges(start))
-    for t, _, _ in steps[:k]:
-        prefix_edges |= set(_tri_edges(t))
-    tail_pendants = [tuple(nv) for _, _, nv in steps[k:]]
-    return prefix_edges, tail_pendants
-
-
 def find_matchings(component: Graph) -> MatchingQuadruple:
     """Matchings M0..M3 covering every triangle of the component as in the
     two conditions above.
 
-    Tactic ladder: a single hitting matching; otherwise split off the
-    pendant-triangle tail of a growth sequence (outer tail edges join M0)
-    and cover the remaining prefix by a hitting matching or a 2-of-3
-    labelling; otherwise a full bounded search over all four labels.
+    A single hitting matching (M0 alone) if one exists; otherwise the
+    exact, bounded search over all four labels.
     """
     comps = [c for c, _ in components(component) if c.n > 1]
     if component.m == 0 or len(comps) != 1 or comps[0].m != component.m:
@@ -304,26 +243,7 @@ def find_matchings(component: Graph) -> MatchingQuadruple:
     if hit is not None:
         return done(MatchingQuadruple(frozenset(hit), frozenset(), frozenset(), frozenset()))
 
-    if component.n <= _DIRECT_SOLVER_CAP:
-        prefix_edges, tail = _growth_tail_split(component)
-        if tail:
-            prefix = Graph(component.n, sorted(prefix_edges))
-            p_tris = prefix.triangles()
-            p_hit = _hitting_matching(p_tris, _HIT_BUDGET)
-            if p_hit is not None:
-                return done(MatchingQuadruple(
-                    frozenset(p_hit) | frozenset(tail),
-                    frozenset(), frozenset(), frozenset()))
-            q, _ = _label_search(p_tris, allow_m0=False, budget=_QUICK_BUDGET)
-            if q is not None:
-                return done(MatchingQuadruple(
-                    frozenset(tail) | q.m0, q.m1, q.m2, q.m3))
-        else:
-            q, _ = _label_search(tris, allow_m0=False, budget=_QUICK_BUDGET)
-            if q is not None:
-                return done(q)
-
-    q, out_of_budget = _label_search(tris, allow_m0=True, budget=_CSP_BUDGET)
+    q, out_of_budget = _label_search(tris, _CSP_BUDGET)
     if q is not None:
         return done(q)
     if out_of_budget:
